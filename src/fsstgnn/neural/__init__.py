@@ -9,11 +9,7 @@ from .layers import (
     GcnLayer,
     LstmCell,
     NodeReadout,
-    gat_forward,
-    gcn_forward,
     glorot_uniform,
-    lstm_forward,
-    readout,
 )
 from .models import (
     SpatialTemporalModel,
@@ -35,15 +31,11 @@ __all__ = [
     "TemporalOnlyModel",
     "Tensor",
     "backward",
-    "gat_forward",
-    "gcn_forward",
     "glorot_uniform",
     "load_checkpoint",
-    "lstm_forward",
     "masked_softmax",
     "mse_loss",
     "node_features",
-    "readout",
     "save_checkpoint",
     "set_parameters",
     "snapshot_parameters",

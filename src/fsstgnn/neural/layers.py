@@ -110,7 +110,8 @@ class GatLayer:
             for _ in range(heads)
         ]
 
-    def forward(self, mask, features) -> Tensor:
+    def _heads(self, mask, features) -> list[tuple[Tensor, Tensor]]:
+        """Check the inputs; per head, the projected features and the attention."""
         feats = _ensure_batched(features, 3)
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim == 2:
@@ -122,13 +123,19 @@ class GatLayer:
         if not mask.any(axis=-1).all():
             raise ContractError("GAT requires every node to have at least one masked neighbor")
 
-        combined = None
+        heads = []
         for weight, attn in zip(self.head_weights, self.head_attn):
             projected = ad.matmul(feats, weight)                      # (B, N, D)
             src = ad.matmul(projected, attn[: self.head_dim])         # (B, N, 1)
             dst = ad.matmul(projected, attn[self.head_dim:])          # (B, N, 1)
             logits = ad.leaky_relu(ad.add(src, ad.swap_last(dst)), self.leaky_slope)
             alpha = ad.masked_softmax(logits, mask)                   # rows sum to 1 on neighborhoods
+            heads.append((projected, alpha))
+        return heads
+
+    def forward(self, mask, features) -> Tensor:
+        combined = None
+        for projected, alpha in self._heads(mask, features):
             head_out = ad.matmul(alpha, projected)
             combined = head_out if combined is None else ad.add(combined, head_out)
         return self._act(ad.mul(combined, 1.0 / self.heads))
@@ -137,18 +144,7 @@ class GatLayer:
 
     def attention(self, mask, features) -> list[np.ndarray]:
         """Per-head attention matrices (values only), for inspection."""
-        feats = _ensure_batched(features, 3)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim == 2:
-            mask = mask[None, :, :]
-        out = []
-        for weight, attn in zip(self.head_weights, self.head_attn):
-            projected = ad.matmul(feats, weight)
-            src = ad.matmul(projected, attn[: self.head_dim])
-            dst = ad.matmul(projected, attn[self.head_dim:])
-            logits = ad.leaky_relu(ad.add(src, ad.swap_last(dst)), self.leaky_slope)
-            out.append(ad.masked_softmax(logits, mask).values)
-        return out
+        return [alpha.values for _, alpha in self._heads(mask, features)]
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -163,7 +159,9 @@ class LstmCell:
 
     Gate order in the fused weight matrices is input, forget, cell, output.
     The forget-gate bias starts at 1 so early training does not wipe the
-    cell state. Returns the final hidden state.
+    cell state. Returns the final hidden state, computed as one fused tape
+    node with hand-written backpropagation through time; the unfused
+    reference it must match lives in ``tests/_oracles.py``.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, *, rng=None):
@@ -185,24 +183,12 @@ class LstmCell:
 
     def forward(self, sequence) -> Tensor:
         seq = _ensure_batched(sequence, 3)
-        batch, steps, width = seq.values.shape
+        _, steps, width = seq.values.shape
         if width != self.input_dim:
             raise ShapeError(f"sequence width {width} != LSTM input dim {self.input_dim}")
         if steps < 1:
             raise ShapeError("LSTM needs at least one time step")
-        h_dim = self.hidden_dim
-        projected = ad.matmul(seq, self.w_input)          # (B, T, 4H), one matmul for all steps
-        hidden = Tensor(np.zeros((batch, h_dim)))
-        cell = Tensor(np.zeros((batch, h_dim)))
-        for t in range(steps):
-            z = ad.add(ad.add(projected[:, t, :], ad.matmul(hidden, self.w_hidden)), self.bias)
-            gate_in = ad.sigmoid(z[:, :h_dim])
-            gate_forget = ad.sigmoid(z[:, h_dim: 2 * h_dim])
-            gate_cell = ad.tanh(z[:, 2 * h_dim: 3 * h_dim])
-            gate_out = ad.sigmoid(z[:, 3 * h_dim:])
-            cell = ad.add(ad.mul(gate_forget, cell), ad.mul(gate_in, gate_cell))
-            hidden = ad.mul(gate_out, ad.tanh(cell))
-        return hidden
+        return ad.lstm_sequence(seq, self.w_input, self.w_hidden, self.bias)
 
     __call__ = forward
 
@@ -288,22 +274,3 @@ class DenseReadout:
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-
-def gcn_forward(layer: GcnLayer, graph, features) -> Tensor:
-    """Apply a GCN layer to a FilteredGraph, using its edge weights."""
-    return layer.forward(graph.weights, features)
-
-
-def gat_forward(layer: GatLayer, graph, features) -> Tensor:
-    """Apply a GAT layer to a FilteredGraph, using only its mask."""
-    return layer.forward(graph.mask, features)
-
-
-def lstm_forward(cell: LstmCell, sequence) -> Tensor:
-    """Run the LSTM over a (time, features) sequence; final hidden state."""
-    return cell.forward(sequence)
-
-
-def readout(head: NodeReadout, temporal, spatial) -> Tensor:
-    """Fuse temporal and spatial embeddings into per-node predictions."""
-    return head.forward(temporal, spatial)

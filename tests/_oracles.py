@@ -3,12 +3,14 @@
 Everything here deliberately avoids the code paths it checks: gradients
 come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
-descent, and chordality is cross-checked through networkx.
+descent, chordality is cross-checked through networkx, and the fused LSTM
+op is checked against the per-op tape it replaced.
 """
 
 import numpy as np
 
 from fsstgnn.linalg import TimeSeriesPanel
+from fsstgnn.neural import autodiff as ad
 
 
 def numeric_grad(loss_fn, arr, eps=1e-6):
@@ -132,3 +134,22 @@ def random_correlation(rng, n, rows=None):
     from fsstgnn.linalg import correlation_from_rows
 
     return correlation_from_rows(x)
+
+
+def lstm_reference(cell, seq):
+    """The LSTM as one tape node per gate op: final hidden state of ``cell``
+    over a (B, T, F) tensor, recording about a dozen nodes per step."""
+    h_dim = cell.hidden_dim
+    batch = seq.values.shape[0]
+    projected = ad.matmul(seq, cell.w_input)
+    hidden = ad.Tensor(np.zeros((batch, h_dim)))
+    state = ad.Tensor(np.zeros((batch, h_dim)))
+    for t in range(seq.values.shape[1]):
+        z = ad.add(ad.add(projected[:, t, :], ad.matmul(hidden, cell.w_hidden)), cell.bias)
+        gate_in = ad.sigmoid(z[:, :h_dim])
+        gate_forget = ad.sigmoid(z[:, h_dim: 2 * h_dim])
+        gate_cell = ad.tanh(z[:, 2 * h_dim: 3 * h_dim])
+        gate_out = ad.sigmoid(z[:, 3 * h_dim:])
+        state = ad.add(ad.mul(gate_forget, state), ad.mul(gate_in, gate_cell))
+        hidden = ad.mul(gate_out, ad.tanh(state))
+    return hidden

@@ -108,11 +108,8 @@ class TestOpGradients:
     def test_matmul_batched_both(self):
         _check_op(lambda a, b: ad.matmul(a, b), (5, 3, 4), (5, 4, 2))
 
-    def test_power(self):
-        _check_op(lambda a: ad.power(ad.add(ad.mul(a, a), 1.0), 1.5), (3, 3))
-
-    def test_exp_log(self):
-        _check_op(lambda a: ad.log(ad.add(ad.exp(a), 1.0)), (4,))
+    def test_exp(self):
+        _check_op(ad.exp, (4,))
 
     def test_tanh(self):
         _check_op(ad.tanh, (3, 4))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,7 @@ from fsstgnn.neural import (
     LstmCell,
     NodeReadout,
     Tensor,
-    gat_forward,
-    gcn_forward,
     load_checkpoint,
-    lstm_forward,
     mse_loss,
     node_features,
     save_checkpoint,
@@ -23,7 +22,7 @@ from fsstgnn.neural import (
 from fsstgnn.neural import autodiff as ad
 from fsstgnn.neural.models import SpatialTemporalModel, TemporalOnlyModel, set_parameters
 
-from _oracles import make_panel, max_relative_error, numeric_grad
+from _oracles import lstm_reference, make_panel, max_relative_error, numeric_grad
 
 
 def _sigmoid(x):
@@ -36,14 +35,14 @@ class TestGcn:
         layer = GcnLayer(3, 2, activation="none", rng=rng)
         feats = rng.normal(size=(4, 3))
         graph = benchmark_graph(4, "identity")
-        out = gcn_forward(layer, graph, feats).values[0]
+        out = layer.forward(graph.weights, feats).values[0]
         assert np.abs(out - feats @ layer.weight.values).max() < 1e-12
 
     def test_zeros_graph_gives_zero_output(self):
         rng = np.random.default_rng(1)
         layer = GcnLayer(3, 2, activation="none", rng=rng)
         graph = benchmark_graph(4, "zeros")
-        out = gcn_forward(layer, graph, rng.normal(size=(4, 3))).values
+        out = layer.forward(graph.weights, rng.normal(size=(4, 3))).values
         assert np.all(out == 0.0)
 
     def test_two_node_hand_example(self):
@@ -153,8 +152,8 @@ class TestGat:
         weights[~mask] = 0.0
         graph_a = FilteredGraph(5, weights, mask, "correlation")
         graph_b = FilteredGraph(5, 17.5 * weights, mask, "correlation")
-        out_a = gat_forward(layer, graph_a, feats).values
-        out_b = gat_forward(layer, graph_b, feats).values
+        out_a = layer.forward(graph_a.mask, feats).values
+        out_b = layer.forward(graph_b.mask, feats).values
         assert np.array_equal(out_a, out_b)
 
     def test_isolated_node_rejected(self):
@@ -163,6 +162,8 @@ class TestGat:
         mask[0, 0] = mask[1, 1] = True              # node 2 has no neighbors
         with pytest.raises(ContractError):
             layer.forward(mask, np.ones((3, 2)))
+        with pytest.raises(ContractError):
+            layer.attention(mask, np.ones((3, 2)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -186,14 +187,14 @@ class TestLstm:
         cell = LstmCell(3, 4, rng=np.random.default_rng(13))
         for p in cell.parameters().values():
             p.values[...] = 0.0
-        out = lstm_forward(cell, np.zeros((5, 3))).values
+        out = cell.forward(np.zeros((5, 3))).values
         assert np.all(out == 0.0)
 
     def test_single_step_matches_gated_cell(self):
         rng = np.random.default_rng(14)
         cell = LstmCell(2, 3, rng=rng)
         x = rng.normal(size=(1, 2))
-        out = lstm_forward(cell, x).values[0]
+        out = cell.forward(x).values[0]
 
         z = x[0] @ cell.w_input.values + cell.bias.values[0]
         h = 3
@@ -209,7 +210,7 @@ class TestLstm:
         rng = np.random.default_rng(15)
         cell = LstmCell(2, 3, rng=rng)
         seq = rng.normal(size=(3, 2))
-        out = lstm_forward(cell, seq).values[0]
+        out = cell.forward(seq).values[0]
 
         h_state = np.zeros(3)
         c_state = np.zeros(3)
@@ -226,15 +227,86 @@ class TestLstm:
     def test_gate_activations_bounded(self):
         rng = np.random.default_rng(16)
         cell = LstmCell(2, 3, rng=rng)
-        hidden = lstm_forward(cell, rng.normal(size=(4, 6, 2)) * 10.0).values
+        hidden = cell.forward(rng.normal(size=(4, 6, 2)) * 10.0).values
         assert np.all(np.abs(hidden) < 1.0)         # |h| = |o * tanh(c)| < 1
         assert np.all(np.isfinite(hidden))
 
     def test_width_mismatch(self):
         cell = LstmCell(2, 3, rng=np.random.default_rng(17))
         with pytest.raises(ShapeError):
-            lstm_forward(cell, np.ones((4, 5)))
+            cell.forward(np.ones((4, 5)))
 
+
+class TestFusedLstm:
+    """The fused sequence op against the per-op tape it replaced, and its
+    place on the tape."""
+
+    def _run(self, cell, build, values, mix):
+        for p in cell.parameters().values():
+            p.zero_grad()
+        seq = Tensor(values, requires_grad=True)
+        out = build(seq)
+        ad.tensor_sum(ad.mul(out, mix)).backward()
+        grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
+        grads["sequence"] = seq.grad
+        return out.values, grads
+
+    @pytest.mark.parametrize("batch, steps, width", [
+        (6, 14, 1),     # one series per sequence, as SpatialTemporalModel runs it
+        (4, 7, 5),      # every series in one sequence, as TemporalOnlyModel runs it
+        (3, 1, 2),      # a single step
+        (1, 9, 3),      # a batch of one
+    ])
+    def test_matches_reference(self, batch, steps, width):
+        rng = np.random.default_rng(40 + batch)
+        cell = LstmCell(width, 5, rng=rng)
+        cell.bias.values[...] = rng.normal(size=cell.bias.values.shape)
+        values = rng.normal(size=(batch, steps, width))
+        mix = rng.normal(size=(batch, 5))
+        fused, fused_grads = self._run(cell, cell.forward, values, mix)
+        ref, ref_grads = self._run(cell, lambda seq: lstm_reference(cell, seq), values, mix)
+        assert np.abs(fused - ref).max() <= 1e-10
+        for name, grad in ref_grads.items():
+            assert max_relative_error(fused_grads[name], grad) <= 1e-10, name
+
+    def test_reused_output_accumulates(self):
+        rng = np.random.default_rng(50)
+        cell = LstmCell(2, 3, rng=rng)
+        values = rng.normal(size=(4, 5, 2))
+        ad.tensor_sum(cell.forward(values)).backward()
+        once = {name: p.grad.copy() for name, p in cell.parameters().items()}
+        out = cell.forward(values)
+        ad.tensor_sum(ad.add(out, out)).backward()  # on top of the first pass's gradients
+        for name, p in cell.parameters().items():
+            assert np.array_equal(p.grad, once[name] + 2.0 * once[name]), name
+
+    def test_constant_sequence_gets_no_grad(self):
+        rng = np.random.default_rng(51)
+        cell = LstmCell(1, 3, rng=rng)
+        seq = Tensor(rng.normal(size=(4, 6, 1)))
+        ad.tensor_sum(cell.forward(seq)).backward()
+        assert seq.grad is None
+        assert np.any(cell.w_input.grad != 0.0)
+
+    def test_free_graph_drops_saved_buffers(self):
+        rng = np.random.default_rng(52)
+        cell = LstmCell(1, 3, rng=rng)
+        values = rng.normal(size=(4, 6, 1))
+
+        def saved_buffers(out):
+            cells = out._backward.__closure__
+            return [weakref.ref(c.cell_contents) for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+        kept = cell.forward(values)
+        kept_refs = saved_buffers(kept)
+        ad.tensor_sum(kept).backward(free_graph=False)
+        freed = cell.forward(values)
+        freed_refs = saved_buffers(freed)
+        ad.tensor_sum(freed).backward(free_graph=True)
+        assert len(freed_refs) == 3                    # gates, cell states and their tanh
+        assert all(ref() is not None for ref in kept_refs)
+        assert freed._backward is None and freed._parents == ()
+        assert all(ref() is None for ref in freed_refs)
 
 class TestReadouts:
     def test_zero_weights_yield_bias(self):
