@@ -32,7 +32,6 @@ from .linalg import (
     CorrelationMatrix,
     PrecisionMatrix,
     TimeSeriesPanel,
-    compute_correlation,
     correlation_from_rows,
     invert_spd,
     is_positive_definite,
@@ -69,7 +68,6 @@ __all__ = [
     "TimeSeriesPanel",
     "apply_filter",
     "benchmark_graph",
-    "compute_correlation",
     "compute_metrics",
     "correlation_from_rows",
     "empirical",

@@ -8,7 +8,7 @@ invocations with identical flags are byte-identical.
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from .data import ingest_csv, synthesize_dataset
 from .errors import (
@@ -149,24 +149,8 @@ def _add_experiment_flags(parser) -> None:
                         help="worker processes over (item, seed) units; 1 = fully serial")
 
 
-_FLAG_TO_CONFIG = {
-    "model": "model",
-    "graph_kind": "graph_kind",
-    "lookback": "lookback",
-    "train_fraction": "train_fraction",
-    "seeds": "seeds",
-    "lstm_hidden": "lstm_hidden",
-    "embed_dim": "embed_dim",
-    "gat_heads": "gat_heads",
-    "mlp_hidden": "mlp_hidden",
-    "activation": "activation",
-    "learning_rate": "learning_rate",
-    "epochs": "epochs",
-    "patience": "patience",
-    "batch_size": "batch_size",
-    "val_fraction": "val_fraction",
-    "use_differences": "use_differences",
-}
+# Experiment flags are named after their ExperimentConfig field.
+_CONFIG_FLAGS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "filter")
 
 _FLAG_TO_FILTER = {
     "filter_method": "method",
@@ -187,22 +171,18 @@ def build_experiment_config(args) -> ExperimentConfig:
     for key, value in file_values.items():
         if key in _FLAG_TO_FILTER:
             filter_kwargs[_FLAG_TO_FILTER[key]] = value
-        elif key == "filter_method":
-            filter_kwargs["method"] = value
         elif key == "lambda":
             filter_kwargs["lam"] = value
         else:
             config_kwargs[key] = value
-    for flag, target in _FLAG_TO_CONFIG.items():
+    for flag in _CONFIG_FLAGS:
         value = getattr(args, flag, None)
         if value is not None:
-            config_kwargs[target] = _parse_seed_list(value) if flag == "seeds" else value
+            config_kwargs[flag] = _parse_seed_list(value) if flag == "seeds" else value
     for flag, target in _FLAG_TO_FILTER.items():
         value = getattr(args, flag, None)
         if value is not None:
             filter_kwargs[target] = value
-    if "seeds" in config_kwargs and isinstance(config_kwargs["seeds"], str):
-        config_kwargs["seeds"] = _parse_seed_list(config_kwargs["seeds"])
     return ExperimentConfig(filter=FilterConfig(**filter_kwargs), **config_kwargs)
 
 

@@ -29,6 +29,7 @@ from .linalg import (
     cholesky_lower,
     correlation_from_rows,
     invert_spd,
+    invert_spd_stack,
     symmetrize,
 )
 
@@ -141,17 +142,11 @@ class FilterResult:
 
 def sparsity(precision) -> float:
     """Fraction of zero off-diagonal precision entries over n*(n-1)."""
-    if isinstance(precision, PrecisionMatrix):
-        n = precision.n
-        nonzero = len(precision.sparsity_pattern)
-    else:
-        entries = np.asarray(precision, dtype=float)
-        n = entries.shape[0]
-        off = entries.copy()
-        np.fill_diagonal(off, 0.0)
-        nonzero = int(np.count_nonzero(off))
+    entries = np.asarray(getattr(precision, "entries", precision), dtype=float)
+    n = entries.shape[0]
     if n < 2:
         return 1.0
+    nonzero = np.count_nonzero(entries) - np.count_nonzero(np.diag(entries))
     return 1.0 - nonzero / (n * (n - 1))
 
 
@@ -313,17 +308,39 @@ def _face_subsets(clique: tuple, vertex: int, size: int) -> list:
     return [tuple(sorted((vertex, *combo))) for combo in itertools.combinations(others, take)]
 
 
+def _face_gain_table(gain_sq: np.ndarray, rem: np.ndarray, faces: list,
+                     threshold: float) -> np.ndarray:
+    """Gain of attaching each remaining vertex (rows) to each face
+    (columns, in the order given), scored with one fancy-indexed
+    (remaining, faces, size) lookup per face size."""
+    by_size: dict[int, list] = {}
+    for col, face in enumerate(faces):
+        by_size.setdefault(len(face), []).append(col)
+    table = np.empty((len(rem), len(faces)))
+    for cols in by_size.values():
+        members = np.array([faces[c] for c in cols])
+        contrib = gain_sq[rem[:, None, None], members[None, :, :]]
+        if threshold > 0.0:
+            contrib = np.where(contrib > threshold, contrib, 0.0)
+        table[:, cols] = contrib.sum(axis=2)
+    return table
+
+
 def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     """Greedy clique-forest filter with clique/separator precision assembly.
 
     Seeds with the ``max_clique`` vertices of largest absolute correlation
     row sums, then repeatedly attaches the remaining vertex with the
     largest gain (sum of squared correlations to a candidate face,
-    dropping contributions at or below the gain threshold). Each vertex is
-    simplicial at insertion, so the edge union is chordal by construction.
-    The precision matrix is the sum of embedded inverted clique blocks
-    minus embedded inverted separator blocks, which is positive definite
-    and matches the input correlation on every within-clique pair.
+    dropping contributions at or below the gain threshold). Every
+    insertion scores all (vertex, face) pairs in one table; ties go to
+    the smallest vertex, then to the first face in sorted order. Each
+    vertex is simplicial at insertion, so the edge union is chordal by
+    construction. The precision matrix is the sum of embedded inverted
+    clique blocks minus embedded inverted separator blocks, which is
+    positive definite and matches the input correlation on every
+    within-clique pair. The blocks of each size are inverted together by
+    one stacked LAPACK Cholesky and inverse.
     """
     n = corr.n
     if n < config.max_clique:
@@ -339,32 +356,20 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     cliques = [seed]
     separators: dict[tuple, int] = {}
     log: list[InsertionStep] = []
-    faces = set(_face_subsets(seed, seed[0], face_size))
-    for v in seed[1:]:
-        faces.update(_face_subsets(seed, v, face_size))
+    faces = {face for v in seed for face in _face_subsets(seed, v, face_size)}
     remaining = sorted(set(range(n)) - set(seed))
 
     while remaining:
         rem = np.array(remaining)
-        best_gain = -1.0
-        best_vertex = None
-        best_face = None
-        for face in sorted(faces):
-            contrib = gain_sq[np.ix_(rem, list(face))]
-            if threshold > 0.0:
-                contrib = np.where(contrib > threshold, contrib, 0.0)
-            gains = contrib.sum(axis=1)
-            idx = int(np.argmax(gains))             # first max -> smallest vertex
-            gain = float(gains[idx])
-            vertex = int(rem[idx])
-            if gain > best_gain or (gain == best_gain and vertex < best_vertex):
-                best_gain, best_vertex, best_face = gain, vertex, face
-        contrib = gain_sq[best_vertex, list(best_face)]
-        if threshold > 0.0:
-            keep = contrib > threshold
-        else:
-            keep = np.ones(len(best_face), dtype=bool)
-        attached = tuple(sorted(u for u, k in zip(best_face, keep) if k))
+        ordered = sorted(faces)
+        table = _face_gain_table(gain_sq, rem, ordered, threshold)
+        best_gain = float(table.max())
+        hits = table == best_gain
+        row = int(np.argmax(hits.any(axis=1)))      # smallest vertex reaching the max
+        best_vertex = int(rem[row])
+        best_face = ordered[int(np.argmax(hits[row]))]
+        attached = tuple(u for u in best_face
+                         if threshold <= 0.0 or gain_sq[best_vertex, u] > threshold)
         clique = tuple(sorted((best_vertex, *attached)))
         cliques.append(clique)
         if attached:
@@ -376,13 +381,14 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
         remaining.remove(best_vertex)
         log.append(InsertionStep(best_vertex, best_face, best_gain))
 
+    # cliques are added, separators subtracted with their multiplicity
+    signed = [(c, 1.0) for c in cliques] + [(s, -float(m)) for s, m in sorted(separators.items())]
     joint = np.zeros((n, n))
-    for clique in cliques:
-        idx = np.ix_(clique, clique)
-        joint[idx] += invert_spd(entries[idx])
-    for sep, mult in sorted(separators.items()):
-        idx = np.ix_(sep, sep)
-        joint[idx] -= mult * invert_spd(entries[idx])
+    for size in dict.fromkeys(len(block) for block, _ in signed):
+        idx = np.array([block for block, _ in signed if len(block) == size])
+        weights = np.array([w for block, w in signed if len(block) == size])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        np.add.at(joint, (rows, cols), weights[:, None, None] * invert_spd_stack(entries[rows, cols]))
     joint = symmetrize(joint)
 
     precision = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL)

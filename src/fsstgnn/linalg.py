@@ -4,10 +4,12 @@ estimation and SPD matrix utilities.
 Everything here is a pure function over immutable inputs. Symmetric
 results are always re-symmetrized by averaging with their transpose
 before further use so that Cholesky factorizations do not see
-asymmetry drift.
+asymmetry drift. Factorizations and inverses run in numpy's LAPACK;
+the only Python-level loop decides matrices that are not, or only
+barely, positive definite and names their failing pivot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +20,13 @@ SYMMETRY_ATOL = 1e-12
 
 # Cholesky pivots at or below this value count as "not positive definite".
 PD_PIVOT_FLOOR = 1e-12
+
+# A LAPACK factor whose smallest pivot is within this fraction of the
+# largest diagonal entry is not used: such a matrix is singular to
+# working precision, LAPACK and the column-by-column factorization can
+# round its last pivot to opposite signs, and the column-by-column
+# verdict is the one the error reports.
+LAPACK_PIVOT_MARGIN = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -37,13 +46,33 @@ def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.nd
     return m
 
 
-def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix.
+def _lapack_factor(m: np.ndarray, min_pivot: float):
+    """LAPACK lower Cholesky factor of a matrix or a stack of matrices, or
+    None unless every pivot clears ``min_pivot`` and the margin."""
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+    scale = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)
+    return lower if np.all(pivots > np.maximum(min_pivot, LAPACK_PIVOT_MARGIN * scale)) else None
 
-    Raises DefinitenessError naming the first pivot that is not strictly
-    greater than ``min_pivot``.
+
+def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix, computed by LAPACK.
+
+    Raises DefinitenessError naming the first pivot (squared diagonal
+    entry of the factor) that is not strictly greater than
+    ``min_pivot``. That index, like the verdict on any matrix within
+    ``LAPACK_PIVOT_MARGIN`` of singular, comes from a column-by-column
+    factorization that runs only on this rare path.
     """
     m = _check_square_symmetric(m)
+    lower = _lapack_factor(m, min_pivot) if m.size else None
+    return lower if lower is not None else _column_cholesky(m, min_pivot)
+
+
+def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
     n = m.shape[0]
     lower = np.zeros_like(m)
     for j in range(n):
@@ -60,25 +89,37 @@ def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
     return lower
 
 
-def _invert_lower(lower: np.ndarray) -> np.ndarray:
-    """Invert a lower-triangular matrix by forward substitution."""
-    n = lower.shape[0]
-    inv = np.zeros_like(lower)
-    eye = np.eye(n)
-    for i in range(n):
-        inv[i, :] = (eye[i, :] - lower[i, :i] @ inv[:i, :]) / lower[i, i]
-    return inv
+def _inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
+    """Symmetrized L^-T L^-1 for one lower factor or a stack of them."""
+    lower_inv = np.linalg.inv(lower)
+    inv = np.swapaxes(lower_inv, -1, -2) @ lower_inv
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def invert_spd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky.
+    """Inverse of a symmetric positive-definite matrix: L^-1 of its
+    Cholesky factor by LAPACK, then symmetrize(L^-T L^-1).
 
     Satisfies M @ invert_spd(M) = I to within 1e-8 per entry for
-    well-conditioned inputs.
+    well-conditioned inputs; a matrix that is not positive definite
+    raises DefinitenessError.
     """
-    lower = cholesky_lower(m)
-    lower_inv = _invert_lower(lower)
-    return symmetrize(lower_inv.T @ lower_inv)
+    return _inverse_from_cholesky(cholesky_lower(m))
+
+
+def invert_spd_stack(stack: np.ndarray) -> np.ndarray:
+    """Inverses of a (k, s, s) stack of symmetric positive-definite
+    matrices by one stacked LAPACK Cholesky and inverse.
+
+    A stack with a block that is not clearly positive definite is
+    inverted block by block through ``invert_spd``, so that block raises
+    the same DefinitenessError it would alone.
+    """
+    stack = np.asarray(stack, dtype=float)
+    lower = _lapack_factor(stack, 0.0)
+    if lower is None:
+        return np.array([invert_spd(block) for block in stack])
+    return _inverse_from_cholesky(lower)
 
 
 def is_positive_definite(m: np.ndarray) -> bool:
@@ -183,41 +224,28 @@ class CorrelationMatrix:
 class PrecisionMatrix:
     """Symmetric positive-definite inverse correlation, possibly sparse.
 
-    ``sparsity_pattern`` is metadata listing the nonzero off-diagonal
-    index pairs; storage is always dense.
+    Storage is always dense; structural zeros are exact zeros in
+    ``entries``. Positive definiteness is verified by a LAPACK Cholesky
+    factorization on construction.
     """
 
     entries: np.ndarray
-    sparsity_pattern: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         entries = _check_square_symmetric(self.entries)
-        # PD is verified by Cholesky success.
         cholesky_lower(entries, min_pivot=0.0)
         object.__setattr__(self, "entries", entries)
-        pattern = frozenset(self.sparsity_pattern)
-        for (i, j) in pattern:
-            if (j, i) not in pattern:
-                raise ShapeError(f"sparsity pattern not symmetric: ({i},{j}) unmatched")
-        object.__setattr__(self, "sparsity_pattern", pattern)
 
     @classmethod
     def from_entries(cls, entries: np.ndarray, zero_tol: float = 1e-10) -> "PrecisionMatrix":
-        """Build after symmetrizing; entries below ``zero_tol`` in magnitude
-        are snapped to exact zero and excluded from the pattern."""
+        """Build after symmetrizing; off-diagonal entries below ``zero_tol``
+        in magnitude are snapped to exact zero."""
         entries = symmetrize(np.asarray(entries, dtype=float))
         off = np.abs(entries) < zero_tol
         np.fill_diagonal(off, False)
         entries = entries.copy()
         entries[off] = 0.0
-        n = entries.shape[0]
-        pattern = frozenset(
-            (int(i), int(j))
-            for i in range(n)
-            for j in range(n)
-            if i != j and entries[i, j] != 0.0
-        )
-        return cls(entries, pattern)
+        return cls(entries)
 
     @property
     def n(self) -> int:
@@ -243,15 +271,6 @@ def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
     corr[degenerate, :] = 0.0
     corr[:, degenerate] = 0.0
     return CorrelationMatrix.from_entries(corr)
-
-
-def compute_correlation(panel: TimeSeriesPanel, window: tuple[int, int]) -> CorrelationMatrix:
-    """Pearson correlation of the windowed panel columns."""
-    start, stop = window
-    rows = panel.window(start, stop)
-    if stop - start < 2:
-        raise RangeError("correlation window must contain at least 2 rows")
-    return correlation_from_rows(rows)
 
 
 def read_matrix(path) -> np.ndarray:

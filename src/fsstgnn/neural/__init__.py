@@ -2,7 +2,7 @@
 
 from .autodiff import Tensor, backward, masked_softmax
 from .checkpoint import load_checkpoint, save_checkpoint
-from .features import node_features, window_moments
+from .features import window_moments
 from .layers import (
     DenseReadout,
     GatLayer,
@@ -35,7 +35,6 @@ __all__ = [
     "load_checkpoint",
     "masked_softmax",
     "mse_loss",
-    "node_features",
     "save_checkpoint",
     "set_parameters",
     "snapshot_parameters",

@@ -37,8 +37,17 @@ def save_checkpoint(path, params: dict) -> None:
             handle.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
 
 
+def _parse(convert, token: str, what: str, line: int):
+    try:
+        return convert(token)
+    except ValueError as exc:
+        kind = "an integer" if convert is int else "a number"
+        raise ParseError(f"{what} must be {kind}, got {token!r}", line=line) from exc
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> ndarray mapping."""
+    """Read a checkpoint back into a name -> ndarray mapping; any malformed
+    line raises ParseError carrying its line number."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -46,7 +55,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     header = lines[0].split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file", line=1)
-    if int(header[1]) != FORMAT_VERSION:
+    if _parse(int, header[1], "checkpoint version", 1) != FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {header[1]}", line=1)
     try:
         count = int(lines[1])
@@ -55,20 +64,23 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     cursor = 2
     for _ in range(count):
-        if cursor + 1 >= len(lines) + 1:
+        if cursor >= len(lines):
             raise ParseError("truncated checkpoint", line=cursor + 1)
         head = lines[cursor].split()
         if len(head) < 2:
             raise ParseError("malformed parameter header", line=cursor + 1)
         name = head[0]
-        ndim = int(head[1])
+        ndim = _parse(int, head[1], f"ndim of parameter {name!r}", cursor + 1)
         if len(head) != 2 + ndim:
             raise ParseError(f"parameter {name!r} header lists {len(head) - 2} dims, expected {ndim}",
                              line=cursor + 1)
-        shape = tuple(int(d) for d in head[2:])
+        shape = tuple(_parse(int, d, f"dim of parameter {name!r}", cursor + 1) for d in head[2:])
+        if any(d < 0 for d in shape):
+            raise ParseError(f"parameter {name!r} has a negative dim", line=cursor + 1)
         if cursor + 1 >= len(lines):
             raise ParseError(f"missing values for parameter {name!r}", line=cursor + 2)
-        flat = np.array([float(tok) for tok in lines[cursor + 1].split()], dtype=float)
+        flat = np.array([_parse(float, tok, f"value of parameter {name!r}", cursor + 2)
+                         for tok in lines[cursor + 1].split()], dtype=float)
         expected = int(np.prod(shape)) if shape else 1
         if flat.size != expected:
             raise ParseError(f"parameter {name!r} has {flat.size} values, expected {expected}",

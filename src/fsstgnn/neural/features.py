@@ -4,7 +4,6 @@ series over a look-back window."""
 import numpy as np
 
 from ..errors import RangeError
-from ..linalg import TimeSeriesPanel
 
 
 def window_moments(rows: np.ndarray) -> np.ndarray:
@@ -30,8 +29,3 @@ def window_moments(rows: np.ndarray) -> np.ndarray:
     kurt[degenerate] = 0.0
     return np.column_stack([mean, std, skew, kurt])
 
-
-def node_features(panel: TimeSeriesPanel, window: tuple[int, int]) -> np.ndarray:
-    """N x 4 moment features for the panel slice [start, stop)."""
-    start, stop = window
-    return window_moments(panel.window(start, stop))

@@ -7,7 +7,9 @@ applies the configured filter, builds a graph and node features, and
 feeds the raw window to the LSTM branch. Filter hyperparameters that
 are left unset are selected once by cross-validation on the training
 segment only, then reused for every window (including test windows), so
-no test information ever reaches parameter selection.
+no test information ever reaches parameter selection. Likewise the
+series are standardized with training-row statistics and the node
+features with statistics of the fit windows.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,21 +91,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "model", "graph_kind", "lookback", "train_fraction", "lstm_hidden",
-            "embed_dim", "gat_heads", "mlp_hidden", "activation", "learning_rate",
-            "epochs", "patience", "batch_size", "val_fraction", "use_differences",
-        )}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("seeds", "filter")}
         d["seeds"] = list(self.seeds)
-        d["filter"] = {
-            "method": self.filter.method,
-            "alpha": self.filter.alpha,
-            "lambda": self.filter.lam,
-            "min_clique": self.filter.min_clique,
-            "max_clique": self.filter.max_clique,
-            "mfcf_gain_threshold": self.filter.mfcf_gain_threshold,
-            "cv_folds": self.filter.cv_folds,
-        }
+        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(self.filter).items()}
         return d
 
     @classmethod
@@ -325,12 +315,6 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
         gweights[row] = graph.weights
         gmasks[row] = graph.mask
 
-    feat_cols = feats.reshape(-1, 4)
-    fmu = feat_cols.mean(axis=0)
-    fsd = feat_cols.std(axis=0, ddof=1) if feat_cols.shape[0] > 1 else np.ones(4)
-    fsd = np.where(fsd == 0.0, 1.0, fsd)
-    feats = (feats - fmu) / fsd
-
     targets_raw = values[targets]
     targets_std = (targets_raw - mu) / sd
 
@@ -344,6 +328,13 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
         n_val = 0
     val_idx = train_positions[len(train_positions) - n_val:] if n_val else np.array([], dtype=int)
     fit_idx = train_positions[: len(train_positions) - n_val]
+
+    # moment statistics come from the fit windows only, like mu and sd
+    feat_cols = feats[fit_idx].reshape(-1, 4)
+    fmu = feat_cols.mean(axis=0)
+    fsd = feat_cols.std(axis=0, ddof=1) if feat_cols.shape[0] > 1 else np.ones(4)
+    fsd = np.where(fsd == 0.0, 1.0, fsd)
+    feats = (feats - fmu) / fsd
     return _Examples(
         windows_std=windows,
         features_std=feats,
@@ -427,8 +418,7 @@ def _train_unit(model, ex: _Examples, config: ExperimentConfig, seed: int, item:
     return epochs_ran
 
 
-def _evaluate_unit(model, ex: _Examples, item: int, seed: int, *, sparsity_mean: float,
-                   fallbacks: int, epochs_ran: int) -> UnitResult:
+def _evaluate_unit(model, ex: _Examples, item: int, seed: int, epochs_ran: int) -> UnitResult:
     predictions = _predict_raw(model, ex, ex.test_idx)
     truth = ex.targets_raw[ex.test_idx]
     err = predictions - truth
@@ -442,8 +432,8 @@ def _evaluate_unit(model, ex: _Examples, item: int, seed: int, *, sparsity_mean:
         ape_sum=float(np.abs(err[nonzero] / truth[nonzero]).sum()),
         mape_terms=int(nonzero.sum()),
         mape_excluded=int((~nonzero).sum()),
-        sparsity_mean=sparsity_mean,
-        fallbacks=fallbacks,
+        sparsity_mean=ex.sparsity_mean,
+        fallbacks=ex.fallbacks,
         epochs_ran=epochs_ran,
     )
 
@@ -457,18 +447,15 @@ def _run_unit(args) -> UnitResult:
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
     epochs_ran = _train_unit(model, ex, config, seed, item)
     if checkpoint_dir is not None:
-        save_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)),
-                        model.parameters())
-    return _evaluate_unit(model, ex, item, seed, sparsity_mean=ex.sparsity_mean,
-                          fallbacks=ex.fallbacks, epochs_ran=epochs_ran)
+        save_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)), model.parameters())
+    return _evaluate_unit(model, ex, item, seed, epochs_ran)
 
 
 def _eval_unit(args) -> UnitResult:
     ex, n_series, config, item, seed, checkpoint_dir = args
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
     set_parameters(model, load_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed))))
-    return _evaluate_unit(model, ex, item, seed, sparsity_mean=ex.sparsity_mean,
-                          fallbacks=ex.fallbacks, epochs_ran=0)
+    return _evaluate_unit(model, ex, item, seed, epochs_ran=0)
 
 
 def _run_units(worker, unit_args, jobs: int):

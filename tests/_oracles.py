@@ -3,12 +3,16 @@
 Everything here deliberately avoids the code paths it checks: gradients
 come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
-descent, chordality is cross-checked through networkx, and the fused LSTM
-op is checked against the per-op tape it replaced.
+descent, chordality is cross-checked through networkx, and the fast paths
+(the fused LSTM op, the LAPACK Cholesky, the table-scored MFCF build) are
+checked against the slow references they replaced.
 """
+
+import itertools
 
 import numpy as np
 
+from fsstgnn.errors import DefinitenessError
 from fsstgnn.linalg import TimeSeriesPanel
 from fsstgnn.neural import autodiff as ad
 
@@ -153,3 +157,59 @@ def lstm_reference(cell, seq):
         state = ad.add(ad.mul(gate_forget, state), ad.mul(gate_in, gate_cell))
         hidden = ad.mul(gate_out, ad.tanh(state))
     return hidden
+
+
+def cholesky_reference(m, min_pivot=0.0):
+    """Column-by-column lower Cholesky factor; raises DefinitenessError
+    naming the first pivot that is not strictly greater than ``min_pivot``."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    lower = np.zeros_like(m)
+    for j in range(n):
+        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= min_pivot:
+            raise DefinitenessError(f"pivot {j} is {pivot:.6e}", pivot=j, value=float(pivot))
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def mfcf_insertion_reference(entries, max_clique, threshold):
+    """Greedy clique-forest build over the PD-corrected correlation
+    ``entries``, scoring one face at a time: returns (cliques, separator
+    multiplicities, insertion log of (vertex, face, gain))."""
+    n = entries.shape[0]
+    gain_sq = entries ** 2
+    np.fill_diagonal(gain_sq, 0.0)
+    face_size = max_clique - 1
+
+    def subsets(clique, vertex, size):
+        others = [v for v in clique if v != vertex]
+        return {tuple(sorted((vertex, *c))) for c in itertools.combinations(others, size - 1)}
+
+    strength = np.abs(entries).sum(axis=0) - 1.0
+    seed = tuple(sorted(np.argsort(-strength, kind="stable")[:max_clique].tolist()))
+    cliques, separators, log = [seed], {}, []
+    faces = set().union(*(subsets(seed, v, face_size) for v in seed))
+    remaining = sorted(set(range(n)) - set(seed))
+    while remaining:
+        best = (-1.0, None, None)
+        for face in sorted(faces):
+            for vertex in remaining:
+                contrib = gain_sq[vertex, list(face)]
+                gain = float(np.where(contrib > threshold, contrib, 0.0).sum()
+                             if threshold > 0.0 else contrib.sum())
+                if gain > best[0] or (gain == best[0] and vertex < best[1]):
+                    best = (gain, vertex, face)
+        gain, vertex, face = best
+        attached = tuple(u for u in face if threshold <= 0.0 or gain_sq[vertex, u] > threshold)
+        clique = tuple(sorted((vertex, *attached)))
+        cliques.append(clique)
+        if attached:
+            separators[attached] = separators.get(attached, 0) + 1
+        if len(attached) == face_size:
+            faces.discard(face)
+        faces |= subsets(clique, vertex, min(len(clique), face_size))
+        remaining.remove(vertex)
+        log.append((vertex, face, gain))
+    return cliques, separators, log

@@ -5,6 +5,7 @@ from fsstgnn.errors import ConvergenceError, DataError, ParameterError
 from fsstgnn.filtering import (
     ALPHA_GRID,
     LAMBDA_GRID,
+    PRECISION_ZERO_TOL,
     FilterConfig,
     apply_filter,
     empirical,
@@ -140,10 +141,10 @@ class TestGlasso:
         corr = random_correlation(np.random.default_rng(13), 6, rows=30)
         result = glasso(corr, 0.15)
         entries = result.precision.entries
-        for i in range(6):
-            for j in range(6):
-                if i != j:
-                    assert ((i, j) in result.precision.sparsity_pattern) == (entries[i, j] != 0.0)
+        off_diagonal_nonzero = (entries != 0.0) & ~np.eye(6, dtype=bool)
+        # every kept entry clears the snap tolerance; the rest are exact zeros
+        assert np.all(np.abs(entries[off_diagonal_nonzero]) >= PRECISION_ZERO_TOL)
+        assert result.sparsity == 1.0 - off_diagonal_nonzero.sum() / 30
 
     def test_unit_diagonal_on_filtered_correlation(self):
         # off-diagonal-only penalty pins the covariance diagonal at 1

@@ -15,7 +15,6 @@ from fsstgnn.neural import (
     Tensor,
     load_checkpoint,
     mse_loss,
-    node_features,
     save_checkpoint,
     window_moments,
 )
@@ -356,10 +355,10 @@ class TestMoments:
 
     def test_panel_wrapper_and_window_errors(self):
         panel = make_panel(np.arange(20.0).reshape(10, 2))
-        feats = node_features(panel, (0, 10))
+        feats = window_moments(panel.window(0, 10))
         assert feats.shape == (2, 4)
         with pytest.raises(RangeError):
-            node_features(panel, (3, 4))
+            window_moments(panel.window(3, 4))
 
 
 class TestGradientChecks:
@@ -486,6 +485,23 @@ class TestCheckpoints:
         path.write_text("something-else 1\n0\n")
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("fsstgnn-checkpoint one\n0\n", 1),
+        ("fsstgnn-checkpoint 1\n1\nw two 2\n1.0 2.0\n", 3),
+        ("fsstgnn-checkpoint 1\n1\nw 1 2.5\n1.0 2.0\n", 3),
+        ("fsstgnn-checkpoint 1\n1\nw 2 -1 -1\n1.0\n", 3),
+        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\nw 1 2\n1.0 abc\n", 6),
+        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\n", 5),
+    ])
+    def test_malformed_body_names_line(self, tmp_path, text, line):
+        from fsstgnn.errors import ParseError
+
+        path = tmp_path / "bad.ckpt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == line
 
     def test_set_parameters_into_model(self, tmp_path):
         rng = np.random.default_rng(26)

@@ -2,23 +2,26 @@ import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsstgnn.errors import DataError, DefinitenessError, RangeError, ShapeError
 from fsstgnn.linalg import (
+    PD_PIVOT_FLOOR,
     CorrelationMatrix,
     PrecisionMatrix,
     TimeSeriesPanel,
     cholesky_lower,
-    compute_correlation,
     correlation_from_rows,
     invert_spd,
+    invert_spd_stack,
     is_positive_definite,
     read_matrix,
     symmetrize,
     write_matrix,
 )
 
-from _oracles import make_panel, random_spd
+from _oracles import cholesky_reference, make_panel, random_spd
 
 
 class TestInvertSpd:
@@ -80,6 +83,26 @@ class TestIsPositiveDefinite:
             is_positive_definite(np.ones((2, 3)))
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Covariances and correlations of 5-40 rows of 4-15 series (rank
+    deficient when there are fewer rows than series), equicorrelated
+    matrices, and shifted random symmetric ones that are often indefinite."""
+    n = draw(st.integers(4, 15))
+    rows = draw(st.integers(5, 40))
+    kind = draw(st.sampled_from(["covariance", "correlation", "equicorrelated", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equicorrelated":
+        rho = draw(st.sampled_from([-1.0 / (n - 1), -0.05, 0.0, 0.3, 0.9, 1.0]))
+        return (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+    if kind == "indefinite":
+        return symmetrize(rng.normal(size=(n, n))) + rng.uniform(0.0, 3.0 * np.sqrt(n)) * np.eye(n)
+    x = rng.normal(size=(rows, n)) * rng.uniform(0.1, 10.0, size=n)
+    if kind == "correlation":
+        return correlation_from_rows(x).entries
+    return symmetrize(x.T @ x / rows)
+
+
 class TestCholesky:
     def test_factor_reconstructs(self):
         rng = np.random.default_rng(3)
@@ -87,27 +110,73 @@ class TestCholesky:
         lower = cholesky_lower(m)
         assert np.abs(lower @ lower.T - m).max() < 1e-9
 
+    @given(m=symmetric_matrices(), min_pivot=st.sampled_from([0.0, PD_PIVOT_FLOOR]))
+    def test_matches_column_reference(self, m, min_pivot):
+        try:
+            expected = cholesky_reference(m, min_pivot)
+        except DefinitenessError as err:
+            with pytest.raises(DefinitenessError) as got:
+                cholesky_lower(m, min_pivot)
+            assert got.value.pivot == err.pivot
+            assert got.value.value == err.value
+            return
+        lower = cholesky_lower(m, min_pivot)
+        scale = m.shape[0] * np.abs(expected).max()
+        assert np.abs(lower - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed, n", [(1, 5), (2, 6), (61, 5), (109, 5)])
+    def test_singular_to_working_precision_gets_column_verdict(self, seed, n):
+        # the correlation of 5 rows has rank 4; on these draws LAPACK and the
+        # column-by-column loop round the last pivot to opposite signs
+        m = correlation_from_rows(np.random.default_rng(seed).normal(size=(5, n))).entries
+        try:
+            expected = cholesky_reference(m)
+        except DefinitenessError as err:
+            with pytest.raises(DefinitenessError) as got:
+                cholesky_lower(m)
+            assert got.value.pivot == err.pivot
+        else:
+            assert np.array_equal(cholesky_lower(m), expected)
+
+    def test_empty_matrix(self):
+        assert cholesky_lower(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestInvertSpdStack:
+    def test_matches_per_block_inverse(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([random_spd(rng, 4) for _ in range(5)])
+        inverses = invert_spd_stack(stack)
+        for block, inverse in zip(stack, inverses):
+            assert np.abs(inverse - invert_spd(block)).max() < 1e-12
+
+    def test_non_pd_block_reports_pivot(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(DefinitenessError) as err:
+            invert_spd_stack(stack)
+        assert err.value.pivot == 1
+
 
 class TestComputeCorrelation:
     def test_identical_columns(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 1))
         panel = make_panel(np.hstack([x, x]))
-        corr = compute_correlation(panel, (0, 50))
+        corr = correlation_from_rows(panel.window(0, 50))
         assert corr.entries[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_column(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 1))
         panel = make_panel(np.hstack([x, -x]))
-        corr = compute_correlation(panel, (0, 50))
+        corr = correlation_from_rows(panel.window(0, 50))
         assert corr.entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_independent_noise_bounded(self):
         # sampling error is about 3/sqrt(T) = 0.095 at T=1000
         rng = np.random.default_rng(6)
         panel = make_panel(rng.normal(size=(1000, 10)))
-        corr = compute_correlation(panel, (0, 1000))
+        corr = correlation_from_rows(panel.window(0, 1000))
         off = corr.entries - np.eye(10)
         assert np.abs(off).max() < 0.15
 
@@ -115,7 +184,7 @@ class TestComputeCorrelation:
         rng = np.random.default_rng(7)
         for _ in range(10):
             panel = make_panel(rng.normal(size=(30, 6)))
-            corr = compute_correlation(panel, (0, 30))
+            corr = correlation_from_rows(panel.window(0, 30))
             assert np.abs(corr.entries - corr.entries.T).max() <= 1e-12
             assert np.all(np.diag(corr.entries) == 1.0)
             assert np.abs(corr.entries).max() <= 1.0
@@ -141,12 +210,12 @@ class TestComputeCorrelation:
     def test_window_out_of_bounds(self):
         panel = make_panel(np.random.default_rng(10).normal(size=(20, 3)))
         with pytest.raises(RangeError):
-            compute_correlation(panel, (5, 25))
+            correlation_from_rows(panel.window(5, 25))
 
     def test_window_too_short(self):
         panel = make_panel(np.random.default_rng(11).normal(size=(20, 3)))
         with pytest.raises(RangeError):
-            compute_correlation(panel, (4, 5))
+            correlation_from_rows(panel.window(4, 5))
 
 
 class TestPanel:
@@ -189,13 +258,10 @@ class TestMatrixTypes:
             PrecisionMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_precision_pattern_from_entries(self):
-        entries = np.array([[2.0, 0.0, 0.4], [0.0, 2.0, 0.0], [0.4, 0.0, 2.0]])
+        entries = np.array([[2.0, 1e-12, 0.4], [1e-12, 2.0, 0.0], [0.4, 0.0, 2.0]])
         prec = PrecisionMatrix.from_entries(entries)
-        assert prec.sparsity_pattern == frozenset({(0, 2), (2, 0)})
-
-    def test_precision_pattern_symmetry_enforced(self):
-        with pytest.raises(ShapeError):
-            PrecisionMatrix(np.eye(3), sparsity_pattern=frozenset({(0, 1)}))
+        off_diagonal_nonzero = (prec.entries != 0.0) & ~np.eye(3, dtype=bool)
+        assert set(zip(*np.nonzero(off_diagonal_nonzero))) == {(0, 2), (2, 0)}
 
 
 class TestMatrixFixtureIO:

@@ -1,16 +1,20 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsstgnn.errors import ParameterError
 from fsstgnn.filtering import (
+    PRECISION_ZERO_TOL,
     FilterConfig,
+    _ensure_pd,
     has_perfect_elimination_ordering,
     mfcf,
 )
-from fsstgnn.linalg import CorrelationMatrix, invert_spd
+from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
 
-from _oracles import random_correlation
+from _oracles import mfcf_insertion_reference, random_correlation
 
 
 def tmfg_config(threshold=0.0):
@@ -66,7 +70,8 @@ class TestTmfgStructure:
     def test_pattern_equals_forest_edges(self):
         corr = random_correlation(np.random.default_rng(7), 12)
         result = mfcf(corr, tmfg_config())
-        pattern_pairs = {(min(i, j), max(i, j)) for i, j in result.precision.sparsity_pattern}
+        rows, cols = np.nonzero(result.precision.entries)
+        pattern_pairs = {(min(i, j), max(i, j)) for i, j in zip(rows.tolist(), cols.tolist()) if i != j}
         assert pattern_pairs == result.forest.edge_pairs()
 
     def test_logo_consistency(self):
@@ -112,7 +117,7 @@ class TestGainThreshold:
     def test_no_cross_block_edges(self):
         corr = self._block_diagonal_corr()
         result = mfcf(corr, tmfg_config(threshold=0.01))
-        for (i, j) in result.precision.sparsity_pattern:
+        for i, j in zip(*np.nonzero(result.precision.entries)):
             assert (i < 5) == (j < 5), f"cross-block edge ({i}, {j})"
 
     def test_threshold_increases_sparsity(self):
@@ -131,6 +136,47 @@ class TestGainThreshold:
             assert has_perfect_elimination_ordering(result.forest.adjacency())
             assert np.linalg.eigvalsh(result.precision.entries).min() > 0.0
             result.forest.validate()
+
+
+@st.composite
+def correlations(draw):
+    """Correlations of 5-40 rows of 4-15 series (singular when there are
+    fewer rows than series), with exact ties from equicorrelation,
+    duplicated columns and small-integer data with constant columns."""
+    n = draw(st.integers(4, 15))
+    rows = draw(st.integers(5, 40))
+    kind = draw(st.sampled_from(["normal", "equicorrelated", "duplicated", "integer"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equicorrelated":
+        rho = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+        return CorrelationMatrix.from_entries((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
+    if kind == "integer":
+        return correlation_from_rows(rng.integers(0, 3, size=(rows, n)))
+    x = rng.normal(size=(rows, n))
+    if kind == "duplicated":
+        x[:, n - n // 2:] = x[:, : n // 2]
+    return correlation_from_rows(x)
+
+
+class TestAgainstFaceByFaceReference:
+    @given(corr=correlations(), threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    def test_same_forest_and_precision(self, corr, threshold):
+        result = mfcf(corr, tmfg_config(threshold))
+        entries, jitter = _ensure_pd(corr.entries)
+        cliques, separators, log = mfcf_insertion_reference(entries, 4, threshold)
+        assert result.jitter == jitter
+        assert list(result.forest.cliques) == cliques
+        assert result.forest.separators == tuple(sorted(separators.items()))
+        assert [tuple(step) for step in result.forest.insertion_log] == log
+
+        joint = np.zeros_like(entries)
+        for clique in cliques:
+            joint[np.ix_(clique, clique)] += invert_spd(entries[np.ix_(clique, clique)])
+        for sep, mult in separators.items():
+            joint[np.ix_(sep, sep)] -= mult * invert_spd(entries[np.ix_(sep, sep)])
+        expected = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL).entries
+        assert np.abs(result.precision.entries - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert result.sparsity == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
 
 
 class TestChordalityCheck:
