@@ -5,7 +5,9 @@ cross-validated parameter selection and sparsity measurement.
 All three filters take an empirical correlation matrix and return a
 ``FilterResult`` holding a filtered dense correlation, a (possibly
 sparse) positive-definite precision matrix that inverts back to it, and
-the realized off-diagonal sparsity.
+the realized off-diagonal sparsity. Graphical lasso also solves many
+problems at once (``glasso_stack``): the look-back windows of a panel
+and the cross-validation grid are each one lockstep batch.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from .errors import (
     DataError,
     DefinitenessError,
     ParameterError,
+    ShapeError,
 )
 from .linalg import (
     PD_PIVOT_FLOOR,
@@ -204,25 +207,118 @@ def shrink(corr: CorrelationMatrix, alpha: float) -> FilterResult:
     return _dense_result(shrunk, jitter=jitter)
 
 
-def _soft_threshold(x: float, cut: float) -> float:
-    if x > cut:
-        return x - cut
-    if x < -cut:
-        return x + cut
-    return 0.0
+def _l1_off(theta: np.ndarray) -> np.ndarray:
+    return np.abs(theta).sum(axis=(-2, -1)) - np.abs(np.diagonal(theta, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _glasso_objective(s: np.ndarray, theta: np.ndarray, lam: float) -> float:
+def _glasso_objective(s: np.ndarray, theta: np.ndarray, lam) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(theta)
-    if sign <= 0:
-        return math.inf
-    off = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
-    return float(-logdet + (s * theta).sum() + lam * off)
+    return np.where(sign > 0, -logdet + (s * theta).sum(axis=(-2, -1)) + lam * _l1_off(theta), math.inf)
 
 
-def _dual_gap(s: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    off = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
-    return float((s * theta).sum() - s.shape[0] + lam * off)
+def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
+    """Cyclic coordinate descent on each problem's column lasso from the
+    warm start ``u``, updated in place. A problem's lanes leave after the
+    first pass in which no coordinate moved by ``inner_tol``."""
+    diag_m = np.diagonal(m, axis1=1, axis2=2)
+    lanes = (np.arange(len(u)), m, s12, s22, lam, -lam, diag_m, -(s22[:, None] * diag_m), u)
+    for _ in range(max_inner):
+        live, m, s12, s22, lam, neg_lam, diag_m, neg_denom, x = lanes
+        start = x.copy()
+        for k in range(x.shape[1]):
+            residual = s12[:, k] + s22 * (np.add.reduce(m[:, k] * x, axis=1) - diag_m[:, k] * x[:, k])
+            # residual minus its clip to [-lam, lam] is the soft threshold
+            x[:, k] = (residual - np.minimum(np.maximum(residual, neg_lam), lam)) / neg_denom[:, k]
+        done = np.abs(x - start).max(axis=1, initial=0.0) < inner_tol
+        if done.any():
+            u[live[done]] = x[done]
+            lanes = tuple(a[~done] for a in lanes)
+            if not len(lanes[0]):
+                return u
+    u[lanes[0]] = lanes[-1]
+    return u
+
+
+def _glasso_result(theta, objective, sweeps, jitter):
+    try:
+        precision = PrecisionMatrix.from_entries(theta, zero_tol=PRECISION_ZERO_TOL)
+    except DefinitenessError as exc:
+        return exc
+    return FilterResult(correlation=CorrelationMatrix.from_entries(precision.inverse()),
+                        precision=precision, sparsity=sparsity(precision), jitter=jitter,
+                        objective_values=objective, sweeps=sweeps)
+
+
+def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
+                 inner_tol: float = 1e-8, max_inner: int = 100) -> list:
+    """Graphical lasso (see ``glasso``) for a batch of same-size problems
+    ``(corrs[i], lams[i])``, solved in lockstep; one ``lams`` value may
+    serve all. Each step of the sweep, column and coordinate loops is one
+    numpy operation over the problems still running; a problem leaves at
+    the inner pass and sweep where it would stop alone, and a drift
+    refresh that is not positive definite fails only its own problem, so
+    each result is bitwise the same alone or in any batch. Returns, per
+    problem, its FilterResult or the ConvergenceError (carrying the
+    duality gap) or DefinitenessError it ended with.
+    """
+    lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(corrs),))
+    if np.any(lams < 0.0):
+        raise ParameterError(f"lambda must be >= 0, got {lams.min()}")
+    if len({corr.n for corr in corrs}) > 1:
+        raise ShapeError(f"a batch holds one problem size, got {sorted({corr.n for corr in corrs})}")
+    out: list = [None] * len(corrs)
+    jitters, prepared = out.copy(), []
+    for i, corr in enumerate(corrs):
+        try:
+            s, jitters[i] = _ensure_pd(corr.entries)
+            prepared.append((i, s))
+        except DefinitenessError as exc:
+            out[i] = exc
+    if not prepared:
+        return out
+    idx, s = np.array([i for i, _ in prepared]), np.array([s for _, s in prepared])
+    lam, p = lams[idx], s.shape[1]
+    diag_s = np.diagonal(s, axis1=1, axis2=2)[:, None, :]
+    theta = np.where(np.eye(p, dtype=bool), 1.0 / diag_s, 0.0)
+    w = np.where(np.eye(p, dtype=bool), diag_s, 0.0)       # w tracks theta^{-1}
+    history = {i: [v] for i, v in zip(idx.tolist(), _glasso_objective(s, theta, lam).tolist())}
+    for sweep in range(1, max_sweeps + 1):
+        theta_prev = theta.copy()
+        for j in range(p):
+            rest = np.delete(np.arange(p), j)
+            w12, s22 = w[:, rest, j], s[:, j, j]
+            m = w[:, rest[:, None], rest] - w12[:, :, None] * w12[:, None, :] / w[:, j, j, None, None]
+            # every summed product is C-ordered, so numpy sums each problem's
+            # row the same way in any batch; a strided operand would not
+            u = _column_lasso(m, s[:, rest, j], s22, np.ascontiguousarray(theta[:, rest, j]),
+                              lam, inner_tol, max_inner)
+            mu = (m * u[:, None, :]).sum(axis=-1)
+            theta[:, rest, j] = theta[:, j, rest] = u
+            theta[:, j, j] = 1.0 / s22 + (u * mu).sum(axis=-1)
+            w[:, rest[:, None], rest] = m + s22[:, None, None] * (mu[:, :, None] * mu[:, None, :])
+            w[:, rest, j] = w[:, j, rest] = -s22[:, None] * mu
+            w[:, j, j] = s22
+        for i, value in zip(idx, _glasso_objective(s, theta, lam).tolist()):
+            history[i].append(value)
+        running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
+        for a in np.flatnonzero(~running):
+            out[idx[a]] = _glasso_result(theta[a], tuple(history[idx[a]]), sweep, jitters[idx[a]])
+        if not running.any():
+            return out
+        try:                                                # refresh w to kill float drift
+            w = invert_spd_stack(theta[running])
+        except DefinitenessError:                           # fail only the blocks that are not PD
+            for a in np.flatnonzero(running):
+                try:
+                    w[a] = invert_spd(theta[a])
+                except DefinitenessError as exc:
+                    out[idx[a]], running[a] = exc, False
+            w = w[running]
+        idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
+    for a, i in enumerate(idx):
+        gap = (s[a] * theta[a]).sum() - p + lam[a] * _l1_off(theta[a])
+        out[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))
+    return out
 
 
 def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
@@ -234,69 +330,14 @@ def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
     warm-started), so the recorded objective never increases between
     sweeps. The diagonal is unpenalized, hence the lam -> inf limit is
     diag(C)^-1. Off-diagonal entries below 1e-10 become structural zeros.
+    A batch of one for ``glasso_stack``; raises the ConvergenceError or
+    DefinitenessError the problem ends with.
     """
-    if lam < 0.0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
-    s, jitter = _ensure_pd(corr.entries)
-    p = s.shape[0]
-    if p == 1:
-        return _dense_result(s, jitter=jitter)
-
-    theta = np.diag(1.0 / np.diag(s)).copy()
-    w = np.diag(np.diag(s)).copy()                  # w tracks theta^{-1}
-    objective = [_glasso_objective(s, theta, lam)]
-    converged_sweeps = None
-    for sweep in range(1, max_sweeps + 1):
-        theta_prev = theta.copy()
-        for j in range(p):
-            rest = [k for k in range(p) if k != j]
-            w11 = w[np.ix_(rest, rest)]
-            w12 = w[rest, j]
-            w22 = w[j, j]
-            m = w11 - np.outer(w12, w12) / w22      # = (Theta_11)^{-1}
-            s12 = s[rest, j]
-            s22 = s[j, j]
-            u = theta[rest, j].copy()
-            diag_m = np.diag(m).copy()
-            for _ in range(max_inner):
-                delta = 0.0
-                for k in range(p - 1):
-                    residual = s12[k] + s22 * (m[k] @ u - diag_m[k] * u[k])
-                    new_u = -_soft_threshold(residual, lam) / (s22 * diag_m[k])
-                    delta = max(delta, abs(new_u - u[k]))
-                    u[k] = new_u
-                if delta < inner_tol:
-                    break
-            mu = m @ u
-            gamma = 1.0 / s22
-            theta[rest, j] = u
-            theta[j, rest] = u
-            theta[j, j] = gamma + u @ mu
-            w[np.ix_(rest, rest)] = m + s22 * np.outer(mu, mu)
-            w[rest, j] = -s22 * mu
-            w[j, rest] = -s22 * mu
-            w[j, j] = s22
-        objective.append(_glasso_objective(s, theta, lam))
-        if np.max(np.abs(theta - theta_prev)) < tol:
-            converged_sweeps = sweep
-            break
-        w = invert_spd(theta)                       # refresh to kill float drift
-    if converged_sweeps is None:
-        raise ConvergenceError(
-            f"graphical lasso did not converge in {max_sweeps} sweeps",
-            gap=_dual_gap(s, theta, lam),
-        )
-
-    precision = PrecisionMatrix.from_entries(theta, zero_tol=PRECISION_ZERO_TOL)
-    correlation = CorrelationMatrix.from_entries(invert_spd(precision.entries))
-    return FilterResult(
-        correlation=correlation,
-        precision=precision,
-        sparsity=sparsity(precision),
-        jitter=jitter,
-        objective_values=tuple(objective),
-        sweeps=converged_sweeps,
-    )
+    (outcome,) = glasso_stack([corr], lam, max_sweeps=max_sweeps, tol=tol,
+                              inner_tol=inner_tol, max_inner=max_inner)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _face_subsets(clique: tuple, vertex: int, size: int) -> list:
@@ -392,7 +433,7 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     joint = symmetrize(joint)
 
     precision = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL)
-    correlation = CorrelationMatrix.from_entries(invert_spd(precision.entries))
+    correlation = CorrelationMatrix.from_entries(precision.inverse())
     forest = CliqueForest(
         n=n,
         cliques=tuple(cliques),
@@ -421,6 +462,22 @@ def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
             raise ParameterError("glasso needs lambda; select it by CV or set it explicitly")
         return glasso(corr, config.lam)
     return mfcf(corr, config)
+
+
+def filter_windows(corrs, config: FilterConfig) -> list:
+    """Per window correlation, its FilterResult under a resolved config or
+    the ConvergenceError or DefinitenessError it raised. Glasso windows
+    are solved by one ``glasso_stack`` call, other methods one window at
+    a time through ``apply_filter``."""
+    if config.method == "glasso" and config.lam is not None:    # else apply_filter raises
+        return glasso_stack(corrs, config.lam)
+    outcomes = []
+    for corr in corrs:
+        try:
+            outcomes.append(apply_filter(corr, config))
+        except (ConvergenceError, DefinitenessError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:
@@ -505,16 +562,14 @@ def select_alpha_cv(panel: TimeSeriesPanel, folds: int) -> float:
 
 def select_lambda_cv(panel: TimeSeriesPanel, folds: int) -> float:
     """L1 penalty maximizing mean held-out Gaussian log-likelihood over a
-    logarithmic grid."""
-    scores = np.zeros(len(LAMBDA_GRID))
-    for train, val in _forward_folds(panel, folds):
-        corr_train, x_val = _standardized_validation(panel, train, val)
-        corr_obj = CorrelationMatrix.from_entries(corr_train)
-        for i, lam in enumerate(LAMBDA_GRID):
-            try:
-                result = glasso(corr_obj, lam)
-            except (ConvergenceError, DefinitenessError):
-                scores[i] += -math.inf
-                continue
-            scores[i] += _gaussian_score(x_val, result.correlation.entries)
+    logarithmic grid. All (fold, lambda) problems are solved by one
+    ``glasso_stack`` call; a problem that ends in an error scores -inf."""
+    splits = [_standardized_validation(panel, train, val) for train, val in _forward_folds(panel, folds)]
+    corrs = [CorrelationMatrix.from_entries(corr_train) for corr_train, _ in splits]
+    outcomes = glasso_stack([c for c in corrs for _ in LAMBDA_GRID], LAMBDA_GRID * len(splits))
+    scores, grid = np.zeros(len(LAMBDA_GRID)), len(LAMBDA_GRID)
+    for f, (_, x_val) in enumerate(splits):
+        for i, outcome in enumerate(outcomes[f * grid: (f + 1) * grid]):
+            failed = isinstance(outcome, Exception)
+            scores[i] += -math.inf if failed else _gaussian_score(x_val, outcome.correlation.entries)
     return float(LAMBDA_GRID[int(np.argmax(scores))])

@@ -9,7 +9,7 @@ the only Python-level loop decides matrices that are not, or only
 barely, positive definite and names their failing pivot.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,15 +226,20 @@ class PrecisionMatrix:
 
     Storage is always dense; structural zeros are exact zeros in
     ``entries``. Positive definiteness is verified by a LAPACK Cholesky
-    factorization on construction.
+    factorization on construction, and ``inverse`` reuses that factor.
     """
 
     entries: np.ndarray
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = _check_square_symmetric(self.entries)
-        cholesky_lower(entries, min_pivot=0.0)
+        object.__setattr__(self, "_lower", cholesky_lower(entries, min_pivot=0.0))
         object.__setattr__(self, "entries", entries)
+
+    def inverse(self) -> np.ndarray:
+        """``invert_spd(entries)``, bit for bit, without factoring again."""
+        return _inverse_from_cholesky(self._lower)
 
     @classmethod
     def from_entries(cls, entries: np.ndarray, zero_tol: float = 1e-10) -> "PrecisionMatrix":

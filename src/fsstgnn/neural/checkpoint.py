@@ -39,15 +39,18 @@ def save_checkpoint(path, params: dict) -> None:
 
 def _parse(convert, token: str, what: str, line: int):
     try:
-        return convert(token)
+        value = convert(token)
     except ValueError as exc:
         kind = "an integer" if convert is int else "a number"
         raise ParseError(f"{what} must be {kind}, got {token!r}", line=line) from exc
+    if convert is float and not np.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {token!r}", line=line)
+    return value
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> ndarray mapping; any malformed
-    line raises ParseError carrying its line number."""
+    """Read a checkpoint back into a name -> ndarray mapping; a malformed
+    line or a non-finite value raises ParseError carrying its line number."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:

@@ -32,6 +32,7 @@ from .errors import (
 from .filtering import (
     FilterConfig,
     apply_filter,
+    filter_windows,
     select_alpha_cv,
     select_lambda_cv,
 )
@@ -293,27 +294,24 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     fallbacks = 0
     bench = benchmark_graph(n_series, config.graph_kind) if needs_graph and not uses_filter else None
 
+    corrs = []
     for row, t in enumerate(targets):
         window = values[t - lookback: t]
         windows[row] = (window - mu) / sd
         feats[row] = window_moments(window)
-        if not needs_graph:
-            continue
-        if bench is not None:
-            graph = bench
-            sparsities.append(1.0 - graph.n_offdiag_edges() / (n_series * (n_series - 1)))
-        else:
-            corr_rows = np.diff(window, axis=0) if config.use_differences else window
-            corr = correlation_from_rows(corr_rows)
-            try:
-                result = apply_filter(corr, filt)
-            except (ConvergenceError, DefinitenessError):
-                fallbacks += 1
-                result = apply_filter(corr, FilterConfig(method="empirical"))
-            graph = from_filter_result(result, config.graph_kind)
-            sparsities.append(result.sparsity)
-        gweights[row] = graph.weights
-        gmasks[row] = graph.mask
+        if uses_filter:
+            corrs.append(correlation_from_rows(np.diff(window, axis=0) if config.use_differences
+                                               else window))
+    for row, result in enumerate(filter_windows(corrs, filt)):
+        if isinstance(result, Exception):
+            fallbacks += 1
+            result = apply_filter(corrs[row], FilterConfig(method="empirical"))
+        graph = from_filter_result(result, config.graph_kind)
+        gweights[row], gmasks[row] = graph.weights, graph.mask
+        sparsities.append(result.sparsity)
+    if bench is not None:
+        gweights[:], gmasks[:] = bench.weights, bench.mask
+        sparsities = [1.0 - bench.n_offdiag_edges() / (n_series * (n_series - 1))] * len(targets)
 
     targets_raw = values[targets]
     targets_std = (targets_raw - mu) / sd

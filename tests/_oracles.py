@@ -4,16 +4,18 @@ Everything here deliberately avoids the code paths it checks: gradients
 come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
 descent, chordality is cross-checked through networkx, and the fast paths
-(the fused LSTM op, the LAPACK Cholesky, the table-scored MFCF build) are
-checked against the slow references they replaced.
+(the fused LSTM op, the LAPACK Cholesky, the table-scored MFCF build, the
+lockstep glasso batch) are checked against the slow references they
+replaced.
 """
 
 import itertools
 
 import numpy as np
 
-from fsstgnn.errors import DefinitenessError
-from fsstgnn.linalg import TimeSeriesPanel
+from fsstgnn.errors import ConvergenceError, DefinitenessError
+from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterResult, _ensure_pd, sparsity
+from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, TimeSeriesPanel, invert_spd
 from fsstgnn.neural import autodiff as ad
 
 
@@ -213,3 +215,62 @@ def mfcf_insertion_reference(entries, max_clique, threshold):
         remaining.remove(vertex)
         log.append((vertex, face, gain))
     return cliques, separators, log
+
+
+def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_inner=100):
+    """One graphical lasso problem by primal block coordinate descent with
+    scalar coordinate updates; raises ConvergenceError (with the duality
+    gap) or DefinitenessError as the solver does."""
+    s, jitter = _ensure_pd(corr.entries)
+    p = s.shape[0]
+    theta = np.diag(1.0 / np.diag(s)).copy()
+    w = np.diag(np.diag(s)).copy()                  # w tracks theta^{-1}
+    objective = [glasso_objective(s, theta, lam)]
+    converged_sweeps = None
+    for sweep in range(1, max_sweeps + 1):
+        theta_prev = theta.copy()
+        for j in range(p):
+            rest = [k for k in range(p) if k != j]
+            w12 = w[rest, j]
+            m = w[np.ix_(rest, rest)] - np.outer(w12, w12) / w[j, j]
+            s12 = s[rest, j]
+            s22 = s[j, j]
+            u = theta[rest, j].copy()
+            diag_m = np.diag(m).copy()
+            for _ in range(max_inner):
+                delta = 0.0
+                for k in range(p - 1):
+                    residual = s12[k] + s22 * (m[k] @ u - diag_m[k] * u[k])
+                    shrunk = residual - lam if residual > lam else (
+                        residual + lam if residual < -lam else 0.0)
+                    new_u = -shrunk / (s22 * diag_m[k])
+                    delta = max(delta, abs(new_u - u[k]))
+                    u[k] = new_u
+                if delta < inner_tol:
+                    break
+            mu = m @ u
+            theta[rest, j] = u
+            theta[j, rest] = u
+            theta[j, j] = 1.0 / s22 + u @ mu
+            w[np.ix_(rest, rest)] = m + s22 * np.outer(mu, mu)
+            w[rest, j] = -s22 * mu
+            w[j, rest] = -s22 * mu
+            w[j, j] = s22
+        objective.append(glasso_objective(s, theta, lam))
+        if np.max(np.abs(theta - theta_prev)) < tol:
+            converged_sweeps = sweep
+            break
+        w = invert_spd(theta)                       # refresh to kill float drift
+    if converged_sweeps is None:
+        off = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
+        raise ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps",
+                               gap=float((s * theta).sum() - p + lam * off))
+    precision = PrecisionMatrix.from_entries(theta, zero_tol=PRECISION_ZERO_TOL)
+    return FilterResult(
+        correlation=CorrelationMatrix.from_entries(invert_spd(precision.entries)),
+        precision=precision,
+        sparsity=sparsity(precision),
+        jitter=jitter,
+        objective_values=tuple(objective),
+        sweeps=converged_sweeps,
+    )

@@ -3,18 +3,25 @@ from fsstgnn.filtering import FilterConfig
 from fsstgnn.pipeline import ExperimentConfig
 
 
+def evaluate_with_checkpoint(tmp_path, body):
+    csv = tmp_path / "sales.csv"
+    assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "60",
+                     "--out", str(csv)]) == 0
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "item1_seed0.ckpt").write_text("fsstgnn-checkpoint 1\n1\n" + body)
+    return cli.main(["evaluate", "--input", str(csv), "--checkpoints", str(ckpt),
+                     "--model", "lstm", "--seeds", "0"])
+
+
 class TestExitCodes:
     def test_corrupt_checkpoint_is_a_data_error(self, tmp_path, capsys):
-        csv = tmp_path / "sales.csv"
-        assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "60",
-                         "--out", str(csv)]) == 0
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        (ckpt / "item1_seed0.ckpt").write_text("fsstgnn-checkpoint 1\n1\nw 1 x\n1.0\n")
-        code = cli.main(["evaluate", "--input", str(csv), "--checkpoints", str(ckpt),
-                         "--model", "lstm", "--seeds", "0"])
-        assert code == 2
+        assert evaluate_with_checkpoint(tmp_path, "w 1 x\n1.0\n") == 2
         assert "data error: line 3:" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_value_is_a_data_error(self, tmp_path, capsys):
+        assert evaluate_with_checkpoint(tmp_path, "w 1 1\nnan\n") == 2
+        assert "data error: line 4:" in capsys.readouterr().err
 
 
 class TestExperimentConfig:

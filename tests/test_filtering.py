@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsstgnn.errors import ConvergenceError, DataError, ParameterError
+from fsstgnn import filtering
+from fsstgnn.errors import (
+    ConvergenceError,
+    DataError,
+    DefinitenessError,
+    ParameterError,
+    ShapeError,
+)
 from fsstgnn.filtering import (
     ALPHA_GRID,
     LAMBDA_GRID,
@@ -10,17 +19,19 @@ from fsstgnn.filtering import (
     apply_filter,
     empirical,
     glasso,
+    glasso_stack,
     select_alpha_cv,
     select_lambda_cv,
     shrink,
     sparsity,
 )
-from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, invert_spd
+from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
 
 from _oracles import (
     glasso_grid_oracle_2x2,
     glasso_objective,
     glasso_projected_oracle,
+    glasso_reference,
     make_panel,
     random_correlation,
 )
@@ -161,6 +172,133 @@ class TestGlasso:
         with pytest.raises(ConvergenceError) as err:
             glasso(corr, 1e-4, max_sweeps=1)
         assert err.value.gap is not None
+
+
+# Caps for the batch-versus-reference properties. Both sides get the same
+# caps, and a rank-deficient problem at a small lambda, which never meets
+# the tolerance, then costs a fraction of a second instead of a minute.
+CAPS = {"max_sweeps": 12, "max_inner": 15}
+
+
+@st.composite
+def glasso_batches(draw):
+    """1 to 4 problems of one size with mixed lambdas; 5-row windows of
+    12 series are rank deficient and need the PD jitter."""
+    n = draw(st.integers(2, 12))
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(5, 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.normal(size=(rows, n)) + draw(st.sampled_from([0.0, 1.0])) * rng.normal(size=(rows, 1))
+        problems.append((correlation_from_rows(x), draw(st.sampled_from((0.0, *LAMBDA_GRID)))))
+    return problems
+
+
+def reference_outcome(corr, lam, **kwargs):
+    try:
+        return glasso_reference(corr, lam, **kwargs)
+    except ConvergenceError as exc:
+        return exc
+
+
+def assert_bitwise_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, ConvergenceError):
+        assert a.gap == b.gap
+        return
+    assert np.array_equal(a.precision.entries, b.precision.entries)
+    assert np.array_equal(a.correlation.entries, b.correlation.entries)
+    assert (a.objective_values, a.sweeps, a.jitter) == (b.objective_values, b.sweeps, b.jitter)
+
+
+def relative_gap(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+
+
+class TestGlassoStack:
+    @given(problems=glasso_batches())
+    @settings(max_examples=25)
+    def test_matches_scalar_reference(self, problems):
+        corrs, lams = zip(*problems)
+        outcomes = glasso_stack(corrs, lams, **CAPS)
+        for (corr, lam), got in zip(problems, outcomes):
+            want = reference_outcome(corr, lam, **CAPS)
+            assert type(got) is type(want)
+            if isinstance(want, ConvergenceError):
+                assert abs(got.gap - want.gap) <= 1e-12 * max(1.0, abs(want.gap))
+                continue
+            assert got.sweeps == want.sweeps
+            assert got.jitter == want.jitter
+            assert np.array_equal(got.precision.entries == 0.0, want.precision.entries == 0.0)
+            assert relative_gap(got.precision.entries, want.precision.entries) <= 1e-12
+            assert relative_gap(got.correlation.entries, want.correlation.entries) <= 1e-12
+            assert relative_gap(got.objective_values, want.objective_values) <= 1e-12
+
+    @given(problems=glasso_batches())
+    @settings(max_examples=25)
+    def test_batch_does_not_change_any_problem(self, problems):
+        corrs, lams = zip(*problems)
+        together = glasso_stack(corrs, lams, **CAPS)
+        reversed_ = glasso_stack(corrs[::-1], lams[::-1], **CAPS)[::-1]
+        for (corr, lam), a, b in zip(problems, together, reversed_):
+            (alone,) = glasso_stack([corr], lam, **CAPS)
+            assert_bitwise_equal(alone, a)
+            assert_bitwise_equal(alone, b)
+
+    @given(problems=glasso_batches())
+    def test_sweep_limit_fails_only_the_hard_problems(self, problems):
+        # each problem twice: at lambda 1e-3, where one sweep does not
+        # settle it, and above the screening bound, where the start is
+        # the solution and the first sweep converges
+        batch = []
+        for corr, _ in problems:
+            bound = np.abs(corr.entries - np.eye(corr.n)).max()
+            batch += [(corr, 1e-3), (corr, bound + 1e-6)]
+        corrs, lams = zip(*batch)
+        outcomes = glasso_stack(corrs, lams, max_sweeps=1)
+        for (corr, _), hard, easy in zip(problems, outcomes[0::2], outcomes[1::2]):
+            want = reference_outcome(corr, 1e-3, max_sweeps=1)
+            assert type(hard) is type(want)
+            if isinstance(want, ConvergenceError):
+                assert np.isfinite(hard.gap)
+                assert abs(hard.gap - want.gap) <= 1e-12 * max(1.0, abs(want.gap))
+            assert easy.sweeps == 1 and easy.sparsity == 1.0
+
+    def test_sizes_and_empty_batch(self):
+        for n in (1, 3):
+            corrs = [random_correlation(np.random.default_rng(30 + k), n, rows=20) for k in range(3)]
+            for corr, got in zip(corrs, glasso_stack(corrs, 0.1)):
+                assert_bitwise_equal(glasso(corr, 0.1), got)
+        assert glasso_stack([], 0.1) == []
+        with pytest.raises(ShapeError):
+            glasso_stack([corr_of(np.eye(2)), corr_of(np.eye(3))], 0.1)
+
+    def test_refresh_that_is_not_pd_fails_only_its_problem(self, monkeypatch):
+        corrs = [random_correlation(np.random.default_rng(50 + k), 5, rows=30) for k in range(3)]
+        expected = glasso_stack(corrs, 0.05)
+        blocks = []
+
+        def refuse_stack(stack):
+            raise DefinitenessError("forced for the test", pivot=0)
+
+        def refuse_second_block(block):
+            blocks.append(block)
+            if len(blocks) == 2:
+                raise DefinitenessError("forced for the test", pivot=0)
+            return invert_spd(block)
+
+        # the first refresh now goes block by block and fails problem 1
+        monkeypatch.setattr(filtering, "invert_spd_stack", refuse_stack)
+        monkeypatch.setattr(filtering, "invert_spd", refuse_second_block)
+        got = glasso_stack(corrs, 0.05)
+        assert isinstance(got[1], DefinitenessError)
+        assert_bitwise_equal(expected[0], got[0])
+        assert_bitwise_equal(expected[2], got[2])
+
+    def test_negative_lambda_rejected_for_the_batch(self):
+        with pytest.raises(ParameterError):
+            glasso_stack([corr_of(np.eye(2)), corr_of(np.eye(2))], [0.1, -0.1])
 
 
 class TestSparsity:

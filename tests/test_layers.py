@@ -493,6 +493,9 @@ class TestCheckpoints:
         ("fsstgnn-checkpoint 1\n1\nw 2 -1 -1\n1.0\n", 3),
         ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\nw 1 2\n1.0 abc\n", 6),
         ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\n", 5),
+        ("fsstgnn-checkpoint 1\n1\nw 1 2\n1.0 nan\n", 4),
+        ("fsstgnn-checkpoint 1\n2\na 1 1\ninf\nw 1 1\n1.0\n", 4),
+        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\nw 1 2\n-inf 1.0\n", 6),
     ])
     def test_malformed_body_names_line(self, tmp_path, text, line):
         from fsstgnn.errors import ParseError
