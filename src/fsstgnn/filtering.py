@@ -303,8 +303,6 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
         running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
         for a in np.flatnonzero(~running):
             out[idx[a]] = _glasso_result(theta[a], tuple(history[idx[a]]), sweep, jitters[idx[a]])
-        if not running.any():
-            return out
         try:                                                # refresh w to kill float drift
             w = invert_spd_stack(theta[running])
         except DefinitenessError:                           # fail only the blocks that are not PD
@@ -315,6 +313,8 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
                     out[idx[a]], running[a] = exc, False
             w = w[running]
         idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
+        if not len(idx):
+            return out
     for a, i in enumerate(idx):
         gap = (s[a] * theta[a]).sum() - p + lam[a] * _l1_off(theta[a])
         out[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))

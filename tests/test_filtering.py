@@ -295,6 +295,9 @@ class TestGlassoStack:
         assert isinstance(got[1], DefinitenessError)
         assert_bitwise_equal(expected[0], got[0])
         assert_bitwise_equal(expected[2], got[2])
+        # with every block refused, every problem fails at its first refresh
+        monkeypatch.setattr(filtering, "invert_spd", refuse_stack)
+        assert all(isinstance(o, DefinitenessError) for o in glasso_stack(corrs, 0.05))
 
     def test_negative_lambda_rejected_for_the_batch(self):
         with pytest.raises(ParameterError):
