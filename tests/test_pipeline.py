@@ -1,7 +1,6 @@
 import functools
 
 import numpy as np
-import pytest
 
 from fsstgnn import filtering
 from fsstgnn.data import synthesize_dataset
@@ -21,9 +20,14 @@ from _oracles import make_panel
 
 
 class TestNoTestLeakage:
-    @pytest.mark.parametrize("filt", [FilterConfig(method="mfcf"),
-                                      FilterConfig(method="glasso", lam=0.1)])
-    def test_test_rows_do_not_move_fit_examples(self, filt):
+    def test_test_rows_do_not_move_fit_examples(self):
+        self._check_test_rows_do_not_move_fit_examples(FilterConfig(method="mfcf"))
+
+    def test_test_rows_do_not_move_glasso_fit_examples(self):
+        self._check_test_rows_do_not_move_fit_examples(FilterConfig(method="glasso", lam=0.1))
+
+    @staticmethod
+    def _check_test_rows_do_not_move_fit_examples(filt):
         rng = np.random.default_rng(40)
         values = 50.0 + rng.normal(size=(90, 6)).cumsum(axis=0)
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
