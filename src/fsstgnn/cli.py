@@ -146,7 +146,8 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--use-differences", action="store_const", const=True, default=None,
                         help="estimate correlations on first differences")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes over (item, seed) units; 1 = fully serial")
+                        help="worker processes over items (graph building) and (item, seed) "
+                             "units (training); 1 = fully serial")
 
 
 # Experiment flags are named after their ExperimentConfig field.

@@ -78,6 +78,12 @@ def from_filter_result(result: FilterResult, kind: str) -> FilteredGraph:
         weights = result.precision.entries.copy()
     else:
         raise ParameterError(f"filter results map to 'correlation' or 'inverse-correlation', not {kind!r}")
+    return from_weights(weights, kind)
+
+
+def from_weights(weights: np.ndarray, kind: str) -> FilteredGraph:
+    """The graph of filtered weights: zeros off the diagonal become
+    missing edges, and every node keeps its self-loop."""
     mask = weights != 0.0
     np.fill_diagonal(mask, True)
     return FilteredGraph(n=weights.shape[0], weights=weights, mask=mask, kind=kind)

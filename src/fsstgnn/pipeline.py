@@ -10,6 +10,9 @@ segment only, then reused for every window (including test windows), so
 no test information ever reaches parameter selection. Likewise the
 series are standardized with training-row statistics and the node
 features with statistics of the fit windows.
+
+Filtered windows are cached by content (``_prepare_units``), so a sweep
+over graph kinds, or an evaluation after training, filters each once.
 """
 
 import hashlib
@@ -36,7 +39,7 @@ from .filtering import (
     select_alpha_cv,
     select_lambda_cv,
 )
-from .graphs import GRAPH_KINDS, benchmark_graph, from_filter_result
+from .graphs import GRAPH_KINDS, benchmark_graph, from_weights
 from .linalg import TimeSeriesPanel, correlation_from_rows
 from .neural.features import window_moments
 from .neural.models import (
@@ -231,6 +234,10 @@ def _train_row_count(panel: TimeSeriesPanel, config: ExperimentConfig) -> int:
     return int(round(panel.n_steps * config.train_fraction))
 
 
+def _uses_filter(config: ExperimentConfig) -> bool:
+    return config.model != "lstm" and config.graph_kind in ("correlation", "inverse-correlation")
+
+
 def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> FilterConfig:
     """Fill in alpha/lambda by cross-validation when they are unset.
 
@@ -238,7 +245,7 @@ def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> Fi
     test time reuse the selected values.
     """
     filt = config.filter
-    if config.model == "lstm" or config.graph_kind not in ("correlation", "inverse-correlation"):
+    if not _uses_filter(config):
         return filt
     source = panel_train.differenced() if config.use_differences else panel_train
     if filt.method == "shrinkage" and filt.alpha is None:
@@ -265,8 +272,38 @@ class _Examples:
     fallbacks: int
 
 
+@dataclass(frozen=True)
+class _FilteredWindows:
+    """A panel's windows filtered under the resolved ``filt``: correlation and
+    precision stacks (windows, n, n); failed windows hold the empirical filter."""
+
+    filt: FilterConfig
+    correlation: np.ndarray
+    precision: np.ndarray
+    sparsity: np.ndarray
+    fallbacks: int
+
+
+def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
+                  filt: FilterConfig) -> _FilteredWindows:
+    corrs = []
+    for t in range(config.lookback, panel.n_steps):
+        window = panel.values[t - config.lookback: t]
+        corrs.append(correlation_from_rows(np.diff(window, axis=0) if config.use_differences
+                                           else window))
+    outcomes = filter_windows(corrs, filt)
+    failed = [isinstance(outcome, Exception) for outcome in outcomes]
+    results = [apply_filter(corr, FilterConfig(method="empirical")) if fell else outcome
+               for corr, outcome, fell in zip(corrs, outcomes, failed)]
+    return _FilteredWindows(filt, np.array([r.correlation.entries for r in results]),
+                            np.array([r.precision.entries for r in results]),
+                            np.array([r.sparsity for r in results]), sum(failed))
+
+
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
-                    filt: FilterConfig) -> _Examples:
+                    filt: FilterConfig, filtered: _FilteredWindows | None = None) -> _Examples:
+    """One panel's examples; its windows are filtered under ``filt`` here
+    unless ``filtered`` already holds them."""
     values = panel.values
     n_steps, n_series = values.shape
     lookback = config.lookback
@@ -284,7 +321,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
 
     targets = np.arange(lookback, n_steps)
     needs_graph = config.model != "lstm"
-    uses_filter = needs_graph and config.graph_kind in ("correlation", "inverse-correlation")
+    uses_filter = _uses_filter(config)
 
     windows = np.empty((len(targets), lookback, n_series))
     feats = np.empty((len(targets), n_series, 4))
@@ -294,21 +331,18 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     fallbacks = 0
     bench = benchmark_graph(n_series, config.graph_kind) if needs_graph and not uses_filter else None
 
-    corrs = []
     for row, t in enumerate(targets):
         window = values[t - lookback: t]
         windows[row] = (window - mu) / sd
         feats[row] = window_moments(window)
-        if uses_filter:
-            corrs.append(correlation_from_rows(np.diff(window, axis=0) if config.use_differences
-                                               else window))
-    for row, result in enumerate(filter_windows(corrs, filt)):
-        if isinstance(result, Exception):
-            fallbacks += 1
-            result = apply_filter(corrs[row], FilterConfig(method="empirical"))
-        graph = from_filter_result(result, config.graph_kind)
-        gweights[row], gmasks[row] = graph.weights, graph.mask
-        sparsities.append(result.sparsity)
+    if uses_filter:
+        if filtered is None:
+            filtered = _filter_panel(panel, config, filt)
+        stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
+        for row in range(len(targets)):
+            graph = from_weights(stack[row], config.graph_kind)
+            gweights[row], gmasks[row] = graph.weights, graph.mask
+        sparsities, fallbacks = filtered.sparsity, filtered.fallbacks
     if bench is not None:
         gweights[:], gmasks[:] = bench.weights, bench.mask
         sparsities = [1.0 - bench.n_offdiag_edges() / (n_series * (n_series - 1))] * len(targets)
@@ -345,7 +379,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
         test_idx=test_positions,
         mu=mu,
         sd=sd,
-        sparsity_mean=float(np.mean(sparsities)) if sparsities else 1.0,
+        sparsity_mean=float(np.mean(sparsities)) if len(sparsities) else 1.0,
         fallbacks=fallbacks,
     )
 
@@ -456,25 +490,67 @@ def _eval_unit(args) -> UnitResult:
     return _evaluate_unit(model, ex, item, seed, epochs_ran=0)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+
+
 def _run_units(worker, unit_args, jobs: int):
-    if jobs <= 1:
+    """``worker`` over ``unit_args`` in a pool of min(jobs, units) processes,
+    or in this process when that is 1."""
+    _check_jobs(jobs)
+    workers = min(jobs, len(unit_args))
+    if workers <= 1:
         return [worker(args) for args in unit_args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, unit_args))
 
 
-def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir):
+_FILTER_CACHE = {}     # _filter_key -> _FilteredWindows, see _prepare_units
+
+
+def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
+    digest = hashlib.sha256(panel.values.tobytes())
+    digest.update(repr((panel.values.shape, _train_row_count(panel, config), config.lookback,
+                        config.use_differences, config.filter)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _filter_item(args) -> _FilteredWindows:
+    """Resolve the filter on one panel's training rows, then filter its windows."""
+    panel, config = args
+    rows = _train_row_count(panel, config)
+    panel_train = TimeSeriesPanel(panel.values[:rows], panel.series_ids, panel.timestamps[:rows])
+    return _filter_panel(panel, config, resolve_filter(panel_train, config))
+
+
+def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir,
+                   jobs: int = 1):
     """Window, filter and standardize each item once; graphs and features
-    depend only on the data and config, so seeds share them."""
+    depend only on the data and config, so seeds share them.
+
+    Filtered windows are cached under the SHA-256 of the panel values and
+    shape, training-row count, lookback, use_differences and unresolved
+    filter config, which also fix the CV-selected alpha or lambda. Items
+    that miss are filtered by one ``_run_units`` call over ``jobs``; the
+    cache then keeps only the entries this call used.
+    """
+    panels = {item: dataset.panel(item) for item in dataset.items}
+    keys = ({item: _filter_key(panel, config) for item, panel in panels.items()}
+            if _uses_filter(config) else {})
+    misses = {key: item for item, key in keys.items() if key not in _FILTER_CACHE}
+    if misses:
+        built = _run_units(_filter_item, [(panels[item], config) for item in misses.values()], jobs)
+        for entry in built:
+            for array in (entry.correlation, entry.precision, entry.sparsity):
+                array.setflags(write=False)
+        _FILTER_CACHE.update(zip(misses, built))
+        for key in set(_FILTER_CACHE) - set(keys.values()):
+            del _FILTER_CACHE[key]
     unit_args = []
-    for item in dataset.items:
-        panel = dataset.panel(item)
-        train_rows = _train_row_count(panel, config)
-        panel_train = TimeSeriesPanel(
-            panel.values[:train_rows], panel.series_ids, panel.timestamps[:train_rows]
-        )
-        filt = resolve_filter(panel_train, config)
-        ex = _build_examples(panel, config, filt)
+    for item, panel in panels.items():
+        filtered = _FILTER_CACHE[keys[item]] if keys else None
+        ex = _build_examples(panel, config, filtered.filt if filtered else config.filter, filtered)
         for seed in config.seeds:
             unit_args.append((ex, panel.n_series, config, item, seed, checkpoint_dir))
     return unit_args
@@ -485,12 +561,13 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
     """Train and evaluate the configured model on every item and seed.
 
     Items and seeds are independent units; ``jobs`` bounds a process pool
-    over them. All randomness is derived from (seed, item) so the level
-    of parallelism cannot change any result.
+    over them, and over the items whose graphs are not cached. All
+    randomness is derived from (seed, item) so the level of parallelism
+    cannot change any result.
     """
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    unit_args = _prepare_units(dataset, config, checkpoint_dir)
+    unit_args = _prepare_units(dataset, config, checkpoint_dir, jobs)
     units = _run_units(_run_unit, unit_args, jobs)
     return MetricsReport.from_units(config, units)
 
@@ -498,7 +575,7 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
 def evaluate_experiment(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, *,
                         jobs: int = 1) -> MetricsReport:
     """Score saved checkpoints on the test segment without training."""
-    unit_args = _prepare_units(dataset, config, checkpoint_dir)
+    unit_args = _prepare_units(dataset, config, checkpoint_dir, jobs)
     units = _run_units(_eval_unit, unit_args, jobs)
     return MetricsReport.from_units(config, units)
 
@@ -547,6 +624,7 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
     values = list(values)
     if not values:
         raise ParameterError("sweep needs a nonempty list of values")
+    _check_jobs(jobs)
     rows = []
     for value in values:
         try:

@@ -1,19 +1,25 @@
+import dataclasses
 import functools
 
 import numpy as np
+import pytest
 
-from fsstgnn import filtering
+from fsstgnn import cli, filtering, pipeline
 from fsstgnn.data import synthesize_dataset
-from fsstgnn.errors import ConvergenceError
+from fsstgnn.errors import ConvergenceError, ParameterError
 from fsstgnn.filtering import FilterConfig, empirical
 from fsstgnn.graphs import from_filter_result
-from fsstgnn.linalg import correlation_from_rows
+from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows
 from fsstgnn.pipeline import (
     ExperimentConfig,
     _build_examples,
+    _prepare_units,
+    _run_units,
     _train_row_count,
+    evaluate_experiment,
     report_records,
     run_experiment,
+    sweep,
 )
 
 from _oracles import make_panel
@@ -80,3 +86,212 @@ class TestJobs:
                                   mlp_hidden=4)
         serial = report_records(run_experiment(dataset, config, jobs=1))
         assert report_records(run_experiment(dataset, config, jobs=2)) == serial
+
+    def test_jobs_do_not_change_mfcf_sweep_records(self):
+        dataset = synthesize_dataset(5, 2, 60, seed=6)
+        config = ExperimentConfig(model="fsst-gcn", filter=FilterConfig(method="mfcf"), lookback=7,
+                                  seeds=(0, 1), epochs=1, lstm_hidden=4, embed_dim=4, mlp_hidden=4)
+        kinds = ["correlation", "inverse-correlation"]
+        serial = [report_records(row.report) for row in sweep(dataset, config, "graph-kind", kinds)]
+        serial_cache = dict(pipeline._FILTER_CACHE)
+        pipeline._FILTER_CACHE.clear()          # so the pool builds the graphs again
+        pooled = [report_records(row.report)
+                  for row in sweep(dataset, config, "graph-kind", kinds, jobs=2)]
+        assert pooled == serial
+        assert pipeline._FILTER_CACHE.keys() == serial_cache.keys() and len(serial_cache) == 2
+        for key, entry in serial_cache.items():
+            assert_filtered_equal(pipeline._FILTER_CACHE[key], entry)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, worker, unit_args):
+        return map(worker, unit_args)
+
+
+class TestRunUnits:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool.sizes
+
+    def test_pool_is_no_larger_than_the_work(self, sizes):
+        assert _run_units(str, [1, 2], 8) == ["1", "2"]
+        assert _run_units(str, [1, 2, 3], 2) == ["1", "2", "3"]
+        assert sizes == [2, 2]
+
+    def test_one_unit_or_one_job_runs_in_process(self, sizes):
+        assert _run_units(str, [1], 8) == ["1"]
+        assert _run_units(str, [1, 2], 1) == ["1", "2"]
+        assert _run_units(str, [], 4) == []
+        assert sizes == []
+
+    def test_jobs_below_one_are_rejected(self, sizes):
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
+            _run_units(str, [1, 2], 0)
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got -1"):
+            sweep(synthesize_dataset(4, 1, 40, seed=0), ExperimentConfig(), "graph-kind",
+                  ["ones"], jobs=-1)
+
+    def test_cli_jobs_zero_exits_1(self, tmp_path, capsys):
+        csv = tmp_path / "sales.csv"
+        assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "40",
+                         "--out", str(csv)]) == 0
+        for command in ("train", "sweep"):
+            argv = [command, "--input", str(csv), "--model", "lstm", "--seeds", "0",
+                    "--epochs", "1", "--jobs", "0"]
+            if command == "sweep":
+                argv += ["--axis", "graph-kind", "--values", "ones"]
+            assert cli.main(argv) == 1
+            assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
+
+
+def assert_filtered_equal(got, want):
+    assert got.filt == want.filt and got.fallbacks == want.fallbacks
+    for name in ("correlation", "precision", "sparsity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_examples_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """The correlation lists that ``filter_windows`` was called with."""
+    calls = []
+
+    def spy(corrs, config):
+        calls.append(corrs)
+        return filtering.filter_windows(corrs, config)
+
+    monkeypatch.setattr(pipeline, "filter_windows", spy)
+    return calls
+
+
+def _examples(dataset, config):
+    return [args[0] for args in _prepare_units(dataset, config, None)]
+
+
+SMALL = dict(lookback=7, seeds=(0,), epochs=1, lstm_hidden=4, embed_dim=4, mlp_hidden=4)
+
+
+class TestFilterCache:
+    @pytest.mark.parametrize("filt", [FilterConfig(method="mfcf"),
+                                      FilterConfig(method="glasso", cv_folds=3)])
+    def test_cached_build_equals_cold_build(self, filt, filter_calls):
+        dataset = synthesize_dataset(5, 2, 60, seed=8)
+        configs = [ExperimentConfig(graph_kind=kind, filter=filt, **SMALL)
+                   for kind in ("correlation", "inverse-correlation")]
+        cold = []
+        for config in configs:
+            pipeline._FILTER_CACHE.clear()
+            cold.append(_examples(dataset, config))
+        assert len(filter_calls) == 2 * 2
+        # both graph kinds now build from the entries the last cold build cached
+        for config, want in zip(configs, cold):
+            for got, ex in zip(_examples(dataset, config), want):
+                assert_examples_equal(got, ex)
+        assert len(filter_calls) == 2 * 2
+        entry = pipeline._FILTER_CACHE[pipeline._filter_key(dataset.panel(1), configs[0])]
+        if filt.method == "glasso":
+            assert entry.filt.lam is not None
+        # the graphs are those of each window filtered on its own
+        values = dataset.panel(1).values
+        for config, examples in zip(configs, cold):
+            for row in (0, len(values) - 8):
+                corr = correlation_from_rows(values[row: row + 7])
+                want = from_filter_result(filtering.apply_filter(corr, entry.filt), config.graph_kind)
+                assert np.array_equal(examples[0].graph_weights[row], want.weights)
+                assert np.array_equal(examples[0].graph_masks[row], want.mask)
+
+    def test_changed_input_misses(self, filter_calls):
+        dataset = synthesize_dataset(5, 1, 60, seed=9)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
+        panel = dataset.panel(1)
+        values = panel.values.copy()
+        values[3, 2] += 1.0
+        changed = dataclasses.replace(dataset, panels={
+            1: TimeSeriesPanel(values, panel.series_ids, panel.timestamps)})
+        variants = [
+            (changed, config),
+            (dataset, dataclasses.replace(config, lookback=8)),
+            (dataset, dataclasses.replace(config, use_differences=True)),
+            (dataset, dataclasses.replace(config, filter=FilterConfig(method="mfcf",
+                                                                      mfcf_gain_threshold=0.01))),
+        ]
+        for variant_dataset, variant_config in variants:
+            _examples(dataset, config)
+            filter_calls.clear()
+            _examples(dataset, config)
+            assert filter_calls == []
+            _examples(variant_dataset, variant_config)
+            assert len(filter_calls) == 1
+
+    def test_cache_keeps_the_entries_of_the_latest_call_that_filtered(self, filter_calls):
+        dataset = synthesize_dataset(5, 2, 60, seed=13)
+        first = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
+        second = dataclasses.replace(first, lookback=8)
+        _examples(dataset, first)
+        _examples(dataset, second)
+        keys = {pipeline._filter_key(dataset.panel(item), second) for item in dataset.items}
+        assert pipeline._FILTER_CACHE.keys() == keys
+        _examples(dataset, dataclasses.replace(first, graph_kind="ones"))
+        _examples(dataset, dataclasses.replace(first, model="lstm"))
+        assert pipeline._FILTER_CACHE.keys() == keys
+        assert len(filter_calls) == 2 * 2
+
+    def test_cached_arrays_refuse_writes(self):
+        _examples(synthesize_dataset(5, 2, 60, seed=10),
+                  ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL))
+        assert len(pipeline._FILTER_CACHE) == 2
+        for entry in pipeline._FILTER_CACHE.values():
+            for array in (entry.correlation, entry.precision, entry.sparsity):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_evaluate_after_training_reuses_graphs_and_reproduces_records(self, tmp_path,
+                                                                         filter_calls):
+        dataset = synthesize_dataset(5, 2, 60, seed=11)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
+        trained = run_experiment(dataset, config, checkpoint_dir=str(tmp_path))
+        assert len(filter_calls) == 2
+        scored = evaluate_experiment(dataset, config, str(tmp_path))
+        assert len(filter_calls) == 2
+        assert report_records(scored) == report_records(trained)
+
+
+class TestSweep:
+    def test_sweep_continues_past_a_failing_value(self, filter_calls):
+        dataset = synthesize_dataset(5, 2, 60, seed=12)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
+        rows = sweep(dataset, config, "graph-kind",
+                     ["correlation", "bogus", "inverse-correlation"])
+        assert [row.failed for row in rows] == [False, True, False]
+        with pytest.raises(ParameterError) as raised:
+            ExperimentConfig(graph_kind="bogus")
+        assert rows[1].error == str(raised.value)
+        # only the first row filtered; the third row's graphs came from the cache
+        assert len(filter_calls) == 2
+        for row in (rows[0], rows[2]):
+            standalone = run_experiment(dataset, dataclasses.replace(config, graph_kind=row.value))
+            assert row.report == standalone
