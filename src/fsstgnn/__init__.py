@@ -35,15 +35,12 @@ from .linalg import (
     correlation_from_rows,
     invert_spd,
     is_positive_definite,
-    read_matrix,
     symmetrize,
     write_matrix,
 )
 from .pipeline import (
     ExperimentConfig,
-    Metrics,
     MetricsReport,
-    compute_metrics,
     evaluate_experiment,
     format_table,
     run_experiment,
@@ -61,14 +58,12 @@ __all__ = [
     "FilterConfig",
     "FilterResult",
     "FilteredGraph",
-    "Metrics",
     "MetricsReport",
     "PrecisionMatrix",
     "SalesDataset",
     "TimeSeriesPanel",
     "apply_filter",
     "benchmark_graph",
-    "compute_metrics",
     "correlation_from_rows",
     "empirical",
     "errors",
@@ -81,7 +76,6 @@ __all__ = [
     "invert_spd",
     "is_positive_definite",
     "mfcf",
-    "read_matrix",
     "run_experiment",
     "select_alpha_cv",
     "select_lambda_cv",

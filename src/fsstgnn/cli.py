@@ -1,6 +1,15 @@
 """Command-line interface: data synthesis, filter inspection, training,
 evaluation and sweep reporting.
 
+``train``, ``evaluate`` and ``sweep`` take one flag per field of
+``ExperimentConfig`` and of ``FilterConfig``, derived from the fields and
+their metadata. ``--config`` names a file of ``key = value`` lines that
+set the same fields; ``#`` starts a comment. The key is the field name,
+except ``filter_method`` for the filter method and ``lambda`` for the
+glasso penalty. A value is parsed by the field's type: booleans as
+true/false, yes/no, on/off or 1/0, and seeds as comma-separated
+integers. Flags override the file, which overrides the defaults.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric/convergence error. Outputs contain no timestamps, so repeated
 invocations with identical flags are byte-identical.
@@ -9,6 +18,7 @@ invocations with identical flags are byte-identical.
 import argparse
 import sys
 from dataclasses import fields
+from typing import Optional
 
 from .data import ingest_csv, synthesize_dataset
 from .errors import (
@@ -22,10 +32,8 @@ from .errors import (
     RangeError,
 )
 from .filtering import FILTER_METHODS, FilterConfig, apply_filter
-from .graphs import GRAPH_KINDS
 from .linalg import correlation_from_rows, is_positive_definite, write_matrix
 from .pipeline import (
-    MODELS,
     SWEEP_AXES,
     ExperimentConfig,
     evaluate_experiment,
@@ -35,33 +43,6 @@ from .pipeline import (
     sweep,
     write_records,
 )
-
-# Keys accepted in a --config file; each maps to the matching flag.
-CONFIG_FILE_KEYS = {
-    "model": str,
-    "graph_kind": str,
-    "lookback": int,
-    "train_fraction": float,
-    "seeds": "seed_list",
-    "lstm_hidden": int,
-    "embed_dim": int,
-    "gat_heads": int,
-    "mlp_hidden": int,
-    "activation": str,
-    "learning_rate": float,
-    "epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "val_fraction": float,
-    "use_differences": "bool",
-    "filter_method": str,
-    "alpha": float,
-    "lambda": float,
-    "min_clique": int,
-    "max_clique": int,
-    "mfcf_gain_threshold": float,
-    "cv_folds": int,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +69,25 @@ def _parse_seed_list(text: str) -> tuple:
         raise ParameterError(f"seeds must be comma-separated integers, got {text!r}") from None
 
 
+def _config_fields() -> list:
+    """The fields a run is configured by, in order, with those of
+    FilterConfig in place of ExperimentConfig.filter."""
+    return [g for f in fields(ExperimentConfig)
+            for g in (fields(FilterConfig) if f.name == "filter" else (f,))]
+
+
+def _value_parser(f):
+    """The function that parses a flag or file value of field ``f``. The
+    ParameterError of the seed list parser passes through argparse to main."""
+    return {bool: _parse_bool, tuple: _parse_seed_list, Optional[float]: float}.get(f.type, f.type)
+
+
+_FILE_KEYS = {f.metadata.get("key", f.name): f for f in _config_fields()}
+
+
 def read_config_file(path) -> dict:
-    """Parse `key = value` lines; unknown keys are rejected by name."""
+    """Parse `key = value` lines into field values by field name; unknown
+    keys are rejected by name."""
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -101,90 +99,47 @@ def read_config_file(path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in CONFIG_FILE_KEYS:
+            if key not in _FILE_KEYS:
                 raise ParameterError(f"unknown configuration key {key!r} (line {line_no})")
-            kind = CONFIG_FILE_KEYS[key]
-            if kind == "bool":
-                values[key] = _parse_bool(value)
-            elif kind == "seed_list":
-                values[key] = _parse_seed_list(value)
-            else:
-                try:
-                    values[key] = kind(value)
-                except ValueError:
-                    raise ParameterError(f"bad value {value!r} for key {key!r} (line {line_no})") from None
+            f = _FILE_KEYS[key]
+            try:
+                values[f.name] = _value_parser(f)(value)
+            except ValueError:
+                raise ParameterError(f"bad value {value!r} for key {key!r} (line {line_no})") from None
     return values
 
 
 def _add_experiment_flags(parser) -> None:
     parser.add_argument("--config", help="key=value configuration file; flags override it")
-    parser.add_argument("--model", choices=MODELS, help="forecasting model")
-    parser.add_argument("--graph", dest="graph_kind", choices=GRAPH_KINDS, help="graph fed to the GNN")
-    parser.add_argument("--filter", dest="filter_method", choices=FILTER_METHODS,
-                        help="correlation filtering method")
-    parser.add_argument("--alpha", type=float, help="shrinkage weight in [0,1]; omit to select by CV")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="glasso penalty >= 0; omit to select by CV")
-    parser.add_argument("--threshold", dest="mfcf_gain_threshold", type=float,
-                        help="clique-forest gain threshold (squared correlation scale)")
-    parser.add_argument("--min-clique", type=int, help="minimum clique size")
-    parser.add_argument("--max-clique", type=int, help="maximum clique size")
-    parser.add_argument("--cv-folds", type=int, help="folds for hyperparameter selection")
-    parser.add_argument("--lookback", type=int, help="look-back window length")
-    parser.add_argument("--train-fraction", type=float, help="chronological train split fraction")
-    parser.add_argument("--seeds", type=str, help="comma-separated run seeds")
-    parser.add_argument("--lstm-hidden", type=int, help="LSTM hidden width")
-    parser.add_argument("--embed-dim", type=int, help="GNN embedding width")
-    parser.add_argument("--gat-heads", type=int, help="attention heads")
-    parser.add_argument("--mlp-hidden", type=int, help="readout hidden width")
-    parser.add_argument("--activation", choices=("relu", "tanh", "none"), help="GNN activation")
-    parser.add_argument("--learning-rate", type=float, help="Adam learning rate")
-    parser.add_argument("--epochs", type=int, help="training epochs")
-    parser.add_argument("--patience", type=int, help="early-stopping patience")
-    parser.add_argument("--batch-size", type=int, help="minibatch size")
-    parser.add_argument("--val-fraction", type=float, help="tail fraction of training targets held out")
-    parser.add_argument("--use-differences", action="store_const", const=True, default=None,
-                        help="estimate correlations on first differences")
+    for f in _config_fields():
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        kwargs = {"help": f.metadata["help"]}
+        if "choices" in f.metadata:
+            kwargs["choices"] = f.metadata["choices"]
+        if f.type is bool:
+            kwargs.update(action="store_const", const=True)
+        else:
+            kwargs["type"] = _value_parser(f)
+        parser.add_argument(flag, dest=f.name, **kwargs)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes over items (graph building) and (item, seed) "
                              "units (training); 1 = fully serial")
 
 
-# Experiment flags are named after their ExperimentConfig field.
-_CONFIG_FLAGS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "filter")
-
-_FLAG_TO_FILTER = {
-    "filter_method": "method",
-    "alpha": "alpha",
-    "lam": "lam",
-    "min_clique": "min_clique",
-    "max_clique": "max_clique",
-    "mfcf_gain_threshold": "mfcf_gain_threshold",
-    "cv_folds": "cv_folds",
-}
+def _given(args, settings) -> dict:
+    """Field name -> value of each flag in ``args`` that was given."""
+    return {f.name: getattr(args, f.name) for f in settings if getattr(args, f.name, None) is not None}
 
 
 def build_experiment_config(args) -> ExperimentConfig:
     """Merge defaults, config-file values and explicit flags (in that order)."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    config_kwargs = {}
-    filter_kwargs = {}
-    for key, value in file_values.items():
-        if key in _FLAG_TO_FILTER:
-            filter_kwargs[_FLAG_TO_FILTER[key]] = value
-        elif key == "lambda":
-            filter_kwargs["lam"] = value
-        else:
-            config_kwargs[key] = value
-    for flag in _CONFIG_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            config_kwargs[flag] = _parse_seed_list(value) if flag == "seeds" else value
-    for flag, target in _FLAG_TO_FILTER.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            filter_kwargs[target] = value
-    return ExperimentConfig(filter=FilterConfig(**filter_kwargs), **config_kwargs)
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update(_given(args, _config_fields()))
+    filter_names = {f.name for f in fields(FilterConfig)}
+    return ExperimentConfig(
+        filter=FilterConfig(**{k: v for k, v in values.items() if k in filter_names}),
+        **{k: v for k, v in values.items() if k not in filter_names},
+    )
 
 
 def _cmd_gen_data(args) -> int:
@@ -212,14 +167,7 @@ def _cmd_filter(args) -> int:
             raise ParameterError(f"--window must be START:STOP, got {args.window!r}") from None
     rows = panel.window(start, stop)
     corr = correlation_from_rows(rows)
-    filt = FilterConfig(
-        method=args.method,
-        alpha=args.alpha,
-        lam=args.lam,
-        min_clique=args.min_clique if args.min_clique is not None else 4,
-        max_clique=args.max_clique if args.max_clique is not None else 4,
-        mfcf_gain_threshold=args.threshold if args.threshold is not None else 0.0,
-    )
+    filt = FilterConfig(**_given(args, fields(FilterConfig)))
     if filt.method == "shrinkage" and filt.alpha is None:
         raise ParameterError("filter method shrinkage needs --alpha")
     if filt.method == "glasso" and filt.lam is None:
@@ -337,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--method", choices=FILTER_METHODS, required=True, help="filter method")
     filt.add_argument("--alpha", type=float, help="shrinkage weight")
     filt.add_argument("--lambda", dest="lam", type=float, help="glasso penalty")
-    filt.add_argument("--threshold", type=float, help="clique-forest gain threshold")
+    filt.add_argument("--threshold", dest="mfcf_gain_threshold", metavar="THRESHOLD", type=float,
+                      help="clique-forest gain threshold")
     filt.add_argument("--min-clique", type=int, help="minimum clique size")
     filt.add_argument("--max-clique", type=int, help="maximum clique size")
     filt.add_argument("--out", required=True, help="output path prefix for matrix fixtures")

@@ -12,7 +12,7 @@ and the cross-validation grid are each one lockstep batch.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,16 +56,22 @@ class FilterConfig:
     meaning "select by cross-validation on the training segment".
     ``mfcf_gain_threshold`` drops squared-correlation gain contributions
     at or below its value; 0 keeps every contribution and reproduces the
-    fixed-clique-size-4 triangulated filter exactly.
+    fixed-clique-size-4 triangulated filter exactly. Field metadata
+    describes the settings for the CLI, as on ``ExperimentConfig``.
     """
 
-    method: str = "mfcf"
-    alpha: Optional[float] = None
-    lam: Optional[float] = None
-    min_clique: int = 4
-    max_clique: int = 4
-    mfcf_gain_threshold: float = 0.0
-    cv_folds: int = 5
+    method: str = field(default="mfcf", metadata={
+        "help": "correlation filtering method", "choices": FILTER_METHODS,
+        "flag": "--filter", "key": "filter_method"})
+    alpha: Optional[float] = field(default=None, metadata={
+        "help": "shrinkage weight in [0,1]; omit to select by CV"})
+    lam: Optional[float] = field(default=None, metadata={
+        "help": "glasso penalty >= 0; omit to select by CV", "flag": "--lambda", "key": "lambda"})
+    min_clique: int = field(default=4, metadata={"help": "minimum clique size"})
+    max_clique: int = field(default=4, metadata={"help": "maximum clique size"})
+    mfcf_gain_threshold: float = field(default=0.0, metadata={
+        "help": "clique-forest gain threshold (squared correlation scale)", "flag": "--threshold"})
+    cv_folds: int = field(default=5, metadata={"help": "folds for hyperparameter selection"})
 
     def __post_init__(self):
         if self.method not in FILTER_METHODS:

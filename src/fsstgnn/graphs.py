@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filtering import FilterResult
-from .linalg import write_matrix
 
 GRAPH_KINDS = ("correlation", "inverse-correlation", "ones", "zeros", "identity")
 BENCHMARK_KINDS = ("ones", "zeros", "identity")
@@ -48,15 +47,6 @@ class FilteredGraph:
             raise ParameterError(f"unknown graph kind {self.kind!r}; expected one of {GRAPH_KINDS}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mask", mask)
-
-    def edge_list(self) -> list:
-        """Off-diagonal undirected edges as (i, j, weight) with i < j."""
-        edges = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.mask[i, j]:
-                    edges.append((i, j, float(self.weights[i, j])))
-        return edges
 
     def n_offdiag_edges(self) -> int:
         """Count of masked off-diagonal entries (directed count)."""
@@ -110,23 +100,3 @@ def benchmark_graph(n: int, kind: str) -> FilteredGraph:
         raise ParameterError(f"unknown benchmark kind {kind!r}; expected one of {BENCHMARK_KINDS}")
     return FilteredGraph(n=n, weights=weights, mask=mask, kind=kind)
 
-
-def permute_graph(graph: FilteredGraph, perm) -> FilteredGraph:
-    """Relabel nodes by ``perm`` (row and column reordering)."""
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(graph.n)):
-        raise ParameterError("perm must be a permutation of node indices")
-    idx = np.ix_(perm, perm)
-    return FilteredGraph(n=graph.n, weights=graph.weights[idx], mask=graph.mask[idx], kind=graph.kind)
-
-
-def write_graph(path, graph: FilteredGraph) -> None:
-    """Serialize edge weights in the plain-text matrix fixture format."""
-    write_matrix(path, graph.weights)
-
-
-def write_edge_list(path, graph: FilteredGraph) -> None:
-    """Debug export: one `i j weight` line per undirected edge."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, j, weight in graph.edge_list():
-            handle.write(f"{i} {j} {repr(weight)}\n")

@@ -278,19 +278,6 @@ def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
     return CorrelationMatrix.from_entries(corr)
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read the plain-text fixture format: first line N, then N rows of N values."""
-    with open(path, "r", encoding="utf-8") as handle:
-        tokens = handle.read().split()
-    if not tokens:
-        raise DataError(f"{path}: empty matrix file")
-    n = int(tokens[0])
-    expected = 1 + n * n
-    if len(tokens) != expected:
-        raise DataError(f"{path}: expected {expected} tokens for a {n}x{n} matrix, got {len(tokens)}")
-    return np.array([float(t) for t in tokens[1:]], dtype=float).reshape(n, n)
-
-
 def write_matrix(path, m: np.ndarray) -> None:
     """Write the plain-text fixture format used by tests and the CLI."""
     m = np.asarray(m, dtype=float)

@@ -40,9 +40,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
-
     def backward(self, free_graph: bool = True) -> None:
         backward(self, free_graph=free_graph)
 
@@ -204,18 +201,6 @@ def tanh(a) -> Tensor:
     def grad_fn(g):
         if a.requires_grad:
             _accumulate(a, g * (1.0 - out.values ** 2))
-
-    out._backward = grad_fn
-    return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(1.0 / (1.0 + np.exp(-a.values)), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * out.values * (1.0 - out.values))
 
     out._backward = grad_fn
     return out

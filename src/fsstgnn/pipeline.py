@@ -42,6 +42,7 @@ from .filtering import (
 from .graphs import GRAPH_KINDS, benchmark_graph, from_weights
 from .linalg import TimeSeriesPanel, correlation_from_rows
 from .neural.features import window_moments
+from .neural.layers import ACTIVATIONS
 from .neural.models import (
     SpatialTemporalModel,
     TemporalOnlyModel,
@@ -57,31 +58,45 @@ MODELS = ("lstm", "fsst-gcn", "fsst-gat")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; defaults follow the desk-scale setup."""
+    """Everything a run needs; defaults follow the desk-scale setup.
 
-    model: str = "fsst-gcn"
-    graph_kind: str = "inverse-correlation"
+    The CLI derives one flag and one config-file key per field, and per
+    ``FilterConfig`` field, from the field metadata: ``help`` and
+    ``choices``, plus ``flag`` and ``key`` where the flag or file key is
+    not named after the field.
+    """
+
+    model: str = field(default="fsst-gcn", metadata={"help": "forecasting model", "choices": MODELS})
+    graph_kind: str = field(default="inverse-correlation", metadata={
+        "help": "graph fed to the GNN", "choices": GRAPH_KINDS, "flag": "--graph"})
     filter: FilterConfig = field(default_factory=FilterConfig)
-    lookback: int = 14
-    train_fraction: float = 0.8
-    seeds: tuple = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-    lstm_hidden: int = 32
-    embed_dim: int = 16
-    gat_heads: int = 4
-    mlp_hidden: int = 32
-    activation: str = "tanh"
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    patience: int = 10
-    batch_size: int = 64
-    val_fraction: float = 0.1
-    use_differences: bool = False
+    lookback: int = field(default=14, metadata={"help": "look-back window length"})
+    train_fraction: float = field(default=0.8, metadata={"help": "chronological train split fraction"})
+    seeds: tuple = field(default=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), metadata={
+        "help": "comma-separated run seeds"})
+    lstm_hidden: int = field(default=32, metadata={"help": "LSTM hidden width"})
+    embed_dim: int = field(default=16, metadata={"help": "GNN embedding width"})
+    gat_heads: int = field(default=4, metadata={"help": "attention heads"})
+    mlp_hidden: int = field(default=32, metadata={"help": "readout hidden width"})
+    activation: str = field(default="tanh", metadata={
+        "help": "GNN activation", "choices": tuple(ACTIVATIONS)})
+    learning_rate: float = field(default=1e-3, metadata={"help": "Adam learning rate"})
+    epochs: int = field(default=100, metadata={"help": "training epochs"})
+    patience: int = field(default=10, metadata={"help": "early-stopping patience"})
+    batch_size: int = field(default=64, metadata={"help": "minibatch size"})
+    val_fraction: float = field(default=0.1, metadata={
+        "help": "tail fraction of training targets held out"})
+    use_differences: bool = field(default=False, metadata={
+        "help": "estimate correlations on first differences"})
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ParameterError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ParameterError(f"unknown graph kind {self.graph_kind!r}; expected one of {GRAPH_KINDS}")
+        if self.activation not in ACTIVATIONS:
+            raise ParameterError(
+                f"unknown activation {self.activation!r}; expected one of {tuple(ACTIVATIONS)}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ParameterError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.lookback < 2:
@@ -90,6 +105,10 @@ class ExperimentConfig:
             raise ParameterError("at least one seed is required")
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ParameterError("epochs, patience and batch_size must all be >= 1")
+        if min(self.lstm_hidden, self.embed_dim, self.gat_heads, self.mlp_hidden) < 1:
+            raise ParameterError("lstm_hidden, embed_dim, gat_heads and mlp_hidden must all be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ParameterError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -100,49 +119,10 @@ class ExperimentConfig:
         d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(self.filter).items()}
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        filt = dict(d.pop("filter", {}))
-        if "lambda" in filt:
-            filt["lam"] = filt.pop("lambda")
-        d["seeds"] = tuple(d.get("seeds", cls.seeds))
-        return cls(filter=FilterConfig(**filt), **d)
-
     @property
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Forecast errors; MAPE is a percentage with zero-truth terms
-    excluded and counted."""
-
-    rmse: float
-    mae: float
-    mape: float
-    mape_excluded: int = 0
-
-
-def compute_metrics(predictions, truth) -> Metrics:
-    predictions = np.asarray(predictions, dtype=float).ravel()
-    truth = np.asarray(truth, dtype=float).ravel()
-    if predictions.shape != truth.shape or predictions.size < 1:
-        raise ShapeError(
-            f"predictions and truth must have equal nonzero length, got {predictions.size} and {truth.size}"
-        )
-    err = predictions - truth
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(np.abs(err)))
-    nonzero = truth != 0.0
-    excluded = int((~nonzero).sum())
-    if nonzero.any():
-        mape = float(np.mean(np.abs(err[nonzero] / truth[nonzero]))) * 100.0
-    else:
-        mape = 0.0
-    return Metrics(rmse=rmse, mae=mae, mape=mape, mape_excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -162,27 +142,15 @@ class UnitResult:
     fallbacks: int
     epochs_ran: int
 
-    @property
-    def metrics(self) -> Metrics:
-        mape = 100.0 * self.ape_sum / self.mape_terms if self.mape_terms else 0.0
-        return Metrics(
-            rmse=math.sqrt(self.sse / self.n_points),
-            mae=self.sae / self.n_points,
-            mape=mape,
-            mape_excluded=self.mape_excluded,
-        )
-
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-seed and aggregate (mean +/- sample std) metrics plus a
-    per-product breakdown."""
+    """Per-seed and aggregate (mean +/- sample std) metrics."""
 
     config: dict
     config_hash: str
     per_seed: tuple          # ({seed, rmse, mae, mape, sparsity, fallbacks, mape_excluded}, ...)
     aggregate: dict          # {rmse_mean, rmse_std, mae_mean, ..., sparsity_mean}
-    per_product: dict        # item -> {rmse_mean, mae_mean, mape_mean}
     units: tuple = ()
 
     @staticmethod
@@ -208,20 +176,11 @@ class MetricsReport:
             values = np.array([row[key] for row in per_seed], dtype=float)
             aggregate[f"{key}_mean"] = float(values.mean())
             aggregate[f"{key}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-        per_product = {}
-        for item in sorted({u.item for u in units}):
-            group = [u for u in units if u.item == item]
-            per_product[item] = {
-                "rmse_mean": float(np.mean([u.metrics.rmse for u in group])),
-                "mae_mean": float(np.mean([u.metrics.mae for u in group])),
-                "mape_mean": float(np.mean([u.metrics.mape for u in group])),
-            }
         return MetricsReport(
             config=config.to_dict(),
             config_hash=config.config_hash,
             per_seed=tuple(per_seed),
             aggregate=aggregate,
-            per_product=per_product,
             units=units,
         )
 
@@ -301,9 +260,9 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
 
 
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
-                    filt: FilterConfig, filtered: _FilteredWindows | None = None) -> _Examples:
-    """One panel's examples; its windows are filtered under ``filt`` here
-    unless ``filtered`` already holds them."""
+                    filtered: _FilteredWindows | None) -> _Examples:
+    """One panel's examples; ``filtered`` holds its filtered windows, or is
+    None when the config uses no filter."""
     values = panel.values
     n_steps, n_series = values.shape
     lookback = config.lookback
@@ -336,8 +295,6 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
         windows[row] = (window - mu) / sd
         feats[row] = window_moments(window)
     if uses_filter:
-        if filtered is None:
-            filtered = _filter_panel(panel, config, filt)
         stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
         for row in range(len(targets)):
             graph = from_weights(stack[row], config.graph_kind)
@@ -549,8 +506,7 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
             del _FILTER_CACHE[key]
     unit_args = []
     for item, panel in panels.items():
-        filtered = _FILTER_CACHE[keys[item]] if keys else None
-        ex = _build_examples(panel, config, filtered.filt if filtered else config.filter, filtered)
+        ex = _build_examples(panel, config, _FILTER_CACHE[keys[item]] if keys else None)
         for seed in config.seeds:
             unit_args.append((ex, panel.n_series, config, item, seed, checkpoint_dir))
     return unit_args

@@ -142,6 +142,19 @@ def random_correlation(rng, n, rows=None):
     return correlation_from_rows(x)
 
 
+def sigmoid(a):
+    """The logistic function as one tape node, for ``lstm_reference``."""
+    a = ad.as_tensor(a)
+    out = ad.Tensor(1.0 / (1.0 + np.exp(-a.values)), _parents=(a,))
+
+    def grad_fn(g):
+        if a.requires_grad:
+            ad._accumulate(a, g * out.values * (1.0 - out.values))
+
+    out._backward = grad_fn
+    return out
+
+
 def lstm_reference(cell, seq):
     """The LSTM as one tape node per gate op: final hidden state of ``cell``
     over a (B, T, F) tensor, recording about a dozen nodes per step."""
@@ -152,10 +165,10 @@ def lstm_reference(cell, seq):
     state = ad.Tensor(np.zeros((batch, h_dim)))
     for t in range(seq.values.shape[1]):
         z = ad.add(ad.add(projected[:, t, :], ad.matmul(hidden, cell.w_hidden)), cell.bias)
-        gate_in = ad.sigmoid(z[:, :h_dim])
-        gate_forget = ad.sigmoid(z[:, h_dim: 2 * h_dim])
+        gate_in = sigmoid(z[:, :h_dim])
+        gate_forget = sigmoid(z[:, h_dim: 2 * h_dim])
         gate_cell = ad.tanh(z[:, 2 * h_dim: 3 * h_dim])
-        gate_out = ad.sigmoid(z[:, 3 * h_dim:])
+        gate_out = sigmoid(z[:, 3 * h_dim:])
         state = ad.add(ad.mul(gate_forget, state), ad.mul(gate_in, gate_cell))
         hidden = ad.mul(gate_out, ad.tanh(state))
     return hidden

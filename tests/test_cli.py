@@ -1,6 +1,46 @@
+import dataclasses
+
+import pytest
+
+import fsstgnn
+import fsstgnn.neural
 from fsstgnn import cli
 from fsstgnn.filtering import FilterConfig
 from fsstgnn.pipeline import ExperimentConfig
+
+# A non-default value for every config field, as text and as parsed.
+SAMPLES = {
+    "model": ("lstm", "lstm"),
+    "graph_kind": ("ones", "ones"),
+    "method": ("glasso", "glasso"),
+    "alpha": ("0.25", 0.25),
+    "lam": ("0.2", 0.2),
+    "min_clique": ("3", 3),
+    "max_clique": ("5", 5),
+    "mfcf_gain_threshold": ("0.01", 0.01),
+    "cv_folds": ("3", 3),
+    "lookback": ("7", 7),
+    "train_fraction": ("0.7", 0.7),
+    "seeds": ("3,5", (3, 5)),
+    "lstm_hidden": ("8", 8),
+    "embed_dim": ("4", 4),
+    "gat_heads": ("2", 2),
+    "mlp_hidden": ("6", 6),
+    "activation": ("relu", "relu"),
+    "learning_rate": ("0.01", 0.01),
+    "epochs": ("7", 7),
+    "patience": ("3", 3),
+    "batch_size": ("16", 16),
+    "val_fraction": ("0.2", 0.2),
+    "use_differences": ("yes", True),
+}
+# Flags and config-file keys not named after their field.
+FLAGS = {"graph_kind": "--graph", "method": "--filter", "lam": "--lambda",
+         "mfcf_gain_threshold": "--threshold"}
+FILE_KEYS = {"method": "filter_method", "lam": "lambda"}
+CONFIG_FIELDS = ([(ExperimentConfig, f) for f in dataclasses.fields(ExperimentConfig)
+                  if f.name != "filter"]
+                 + [(FilterConfig, f) for f in dataclasses.fields(FilterConfig)])
 
 
 def evaluate_with_checkpoint(tmp_path, body):
@@ -14,7 +54,34 @@ def evaluate_with_checkpoint(tmp_path, body):
                      "--model", "lstm", "--seeds", "0"])
 
 
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    csv = tmp_path_factory.mktemp("data") / "sales.csv"
+    assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "80",
+                     "--out", str(csv)]) == 0
+    return csv
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("flags, config_text", [
+        *[pytest.param([flag, value], None, id=f"{flag} {value}") for flag, value in [
+            ("--lstm-hidden", "0"), ("--lstm-hidden", "-2"), ("--embed-dim", "0"),
+            ("--gat-heads", "0"), ("--mlp-hidden", "0"), ("--learning-rate", "0"),
+            ("--learning-rate", "-1"), ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ]],
+        pytest.param([], "activation = sigmoid\n", id="activation = sigmoid"),
+    ])
+    def test_invalid_model_setting_is_a_usage_error(self, small_csv, tmp_path, capsys,
+                                                    flags, config_text):
+        argv = ["train", "--input", str(small_csv), "--seeds", "0", "--epochs", "1", *flags]
+        if config_text is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config_text)
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_corrupt_checkpoint_is_a_data_error(self, tmp_path, capsys):
         assert evaluate_with_checkpoint(tmp_path, "w 1 x\n1.0\n") == 2
         assert "data error: line 3:" in capsys.readouterr().err
@@ -36,3 +103,28 @@ class TestExperimentConfig:
             filter=FilterConfig(method="glasso", lam=0.2, cv_folds=3),
             seeds=(5,), use_differences=True, epochs=7,
         )
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("owner, field", CONFIG_FIELDS, ids=[f.name for _, f in CONFIG_FIELDS])
+    def test_every_field_is_reachable(self, tmp_path, owner, field, source):
+        text, value = SAMPLES[field.name]
+        argv = ["train", "--input", "x.csv"]
+        if source == "flag":
+            argv.append(FLAGS.get(field.name, "--" + field.name.replace("_", "-")))
+            if field.type is not bool:
+                argv.append(text)
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{FILE_KEYS.get(field.name, field.name)} = {text}\n")
+            argv += ["--config", str(path)]
+        base = ExperimentConfig()
+        expected = (dataclasses.replace(base, **{field.name: value}) if owner is ExperimentConfig
+                    else dataclasses.replace(base, filter=dataclasses.replace(
+                        base.filter, **{field.name: value})))
+        assert cli.build_experiment_config(cli.build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("package", [fsstgnn, fsstgnn.neural], ids=lambda p: p.__name__)
+def test_every_export_resolves(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == []

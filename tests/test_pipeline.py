@@ -13,6 +13,7 @@ from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows
 from fsstgnn.pipeline import (
     ExperimentConfig,
     _build_examples,
+    _filter_panel,
     _prepare_units,
     _run_units,
     _train_row_count,
@@ -42,8 +43,9 @@ class TestNoTestLeakage:
         changed = values.copy()
         changed[train_rows:] = 1e3 * rng.normal(size=changed[train_rows:].shape) ** 2
 
-        before = _build_examples(panel, config, filt)
-        after = _build_examples(make_panel(changed), config, filt)
+        before = _build_examples(panel, config, _filter_panel(panel, config, filt))
+        changed_panel = make_panel(changed)
+        after = _build_examples(changed_panel, config, _filter_panel(changed_panel, config, filt))
         seen = np.concatenate([before.fit_idx, before.val_idx])
         assert np.array_equal(before.fit_idx, after.fit_idx)
         for name in ("windows_std", "features_std", "targets_std", "graph_weights"):
@@ -63,10 +65,10 @@ class TestGlassoFallback:
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
         filt = FilterConfig(method="glasso", lam=0.1)
         panel = make_panel(values)
-        solved = _build_examples(panel, config, filt)
+        solved = _build_examples(panel, config, _filter_panel(panel, config, filt))
         capped_stack = functools.partial(filtering.glasso_stack, max_sweeps=1)
         monkeypatch.setattr(filtering, "glasso_stack", capped_stack)
-        capped = _build_examples(panel, config, filt)
+        capped = _build_examples(panel, config, _filter_panel(panel, config, filt))
 
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 70)]
         failed = [isinstance(o, ConvergenceError) for o in capped_stack(corrs, 0.1)]
