@@ -5,9 +5,10 @@ cross-validated parameter selection and sparsity measurement.
 All three filters take an empirical correlation matrix and return a
 ``FilterResult`` holding a filtered dense correlation, a (possibly
 sparse) positive-definite precision matrix that inverts back to it, and
-the realized off-diagonal sparsity. Graphical lasso also solves many
-problems at once (``glasso_stack``): the look-back windows of a panel
-and the cross-validation grid are each one lockstep batch.
+the realized off-diagonal sparsity. Graphical lasso and MFCF also
+filter many problems at once (``glasso_stack``, ``mfcf_stack``): the
+look-back windows of a panel, and the glasso cross-validation grid, are
+each one lockstep batch.
 """
 
 import itertools
@@ -30,7 +31,10 @@ from .linalg import (
     PrecisionMatrix,
     TimeSeriesPanel,
     cholesky_lower,
+    cholesky_stack,
     correlation_from_rows,
+    correlation_stack,
+    inverse_stack,
     invert_spd,
     invert_spd_stack,
     symmetrize,
@@ -46,6 +50,10 @@ LAMBDA_GRID = tuple(np.logspace(-3.0, 0.0, 20))
 # empirical correlation is too close to singular to invert.
 BASE_JITTER = 1e-8
 PRECISION_ZERO_TOL = 1e-10
+
+# ``mfcf_stack`` builds at most as many windows at once as keep each
+# (windows, vertices, faces, face size) gain lookup under this many entries.
+MFCF_LOOKUP_LIMIT = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ class FilterConfig:
             raise ParameterError(f"unknown filter method {self.method!r}; expected one of {FILTER_METHODS}")
         if self.alpha is not None and not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.lam is not None and self.lam < 0.0:
+        if self.lam is not None and not self.lam >= 0.0:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
         if not (2 <= self.min_clique <= self.max_clique):
             raise ParameterError(
@@ -86,7 +94,7 @@ class FilterConfig:
             )
         if self.cv_folds < 2:
             raise ParameterError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.mfcf_gain_threshold < 0.0:
+        if not self.mfcf_gain_threshold >= 0.0:
             raise ParameterError(f"mfcf_gain_threshold must be >= 0, got {self.mfcf_gain_threshold}")
 
 
@@ -149,14 +157,17 @@ class FilterResult:
     sweeps: Optional[int] = None
 
 
-def sparsity(precision) -> float:
-    """Fraction of zero off-diagonal precision entries over n*(n-1)."""
+def sparsity(precision):
+    """Fraction of zero off-diagonal precision entries over n*(n-1): a
+    float for one matrix, an array for a (k, n, n) stack."""
     entries = np.asarray(getattr(precision, "entries", precision), dtype=float)
-    n = entries.shape[0]
+    n = entries.shape[-1]
     if n < 2:
         return 1.0
-    nonzero = np.count_nonzero(entries) - np.count_nonzero(np.diag(entries))
-    return 1.0 - nonzero / (n * (n - 1))
+    nonzero = (np.count_nonzero(entries, axis=(-2, -1))
+               - np.count_nonzero(np.diagonal(entries, axis1=-2, axis2=-1), axis=-1))
+    share = 1.0 - nonzero / (n * (n - 1))
+    return float(share) if entries.ndim == 2 else share
 
 
 def _ensure_pd(entries: np.ndarray, base_jitter: float = BASE_JITTER):
@@ -346,31 +357,191 @@ def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
     return outcome
 
 
-def _face_subsets(clique: tuple, vertex: int, size: int) -> list:
-    """Subsets of ``clique`` of the given size that contain ``vertex``."""
-    others = [v for v in clique if v != vertex]
-    take = size - 1
-    if take < 0 or take > len(others):
+def _ensure_pd_stack(corrs) -> list:
+    """``_ensure_pd`` of each correlation, or the DefinitenessError it
+    raises. One stacked LAPACK Cholesky clears most windows at jitter 0;
+    the windows its rule cannot decide take ``_ensure_pd`` alone."""
+    entries = symmetrize(np.array([corr.entries for corr in corrs]))
+    _, decided = cholesky_stack(entries, PD_PIVOT_FLOOR)
+    out = []
+    for k, ok in enumerate(decided.tolist()):
+        try:
+            out.append((entries[k], 0.0) if ok else _ensure_pd(entries[k]))
+        except DefinitenessError as exc:
+            out.append(exc)
+    return out
+
+
+def _insertions(entries: np.ndarray, max_clique: int, threshold: float):
+    """The greedy clique-forest build (see ``mfcf``) of every window of a
+    (W, n, n) stack, in lockstep. Returns the cliques (W, steps + 1,
+    max_clique), seed first, and per insertion the vertices (W, steps),
+    the faces they joined (W, steps, face_size), the gains (W, steps) and
+    the separators (W, steps, face_size): the face members attached, none
+    where no member cleared the threshold. Tuples are padded with -1.
+
+    Inside, vertex v is held as v + 1, so that 0 can pad a face that has
+    fewer than face_size vertices: it indexes a zero gain column, whose
+    +0.0 leaves every gain sum exact (numpy sums fewer than 8 terms in
+    order), and it sorts before every vertex, as a shorter tuple does.
+    Each window's faces are kept in sorted-tuple order. Index n + 1 marks
+    a face slot out of use (as its first member) and an inserted vertex:
+    it sorts last and indexes a -inf gain row and column, so neither wins.
+    """
+    n_windows, n = entries.shape[:2]
+    face_size, n_steps, gone = max_clique - 1, n - max_clique, n + 1
+    diag = np.arange(1, n + 1)
+    gain = np.zeros((n_windows, n + 2, n + 2))
+    gain[:, 1:-1, 1:-1] = entries ** 2
+    gain[:, diag, diag] = 0.0
+    gain = np.where(gain > threshold, gain, 0.0)
+    gain[:, gone], gain[:, :, gone] = -np.inf, -np.inf
+    strength = np.abs(entries).sum(axis=1) - 1.0
+    ranked = np.argsort(-strength, axis=1, kind="stable") + 1
+    seeds, remaining = np.sort(ranked[:, :max_clique], axis=1), np.sort(ranked[:, max_clique:], axis=1)
+    # the face_size-subsets of a sorted clique, in sorted order; the i-th
+    # drops the member at position max_clique - 1 - i
+    subsets = np.array(list(itertools.combinations(range(max_clique), face_size)))
+    faces = seeds[:, subsets]
+    w = np.arange(n_windows)
+    w_col, w_table = w[:, None], w[:, None, None, None]
+    # an insertion adds at most max(max_clique - 2, 1) live faces to a window
+    live_bound = faces.shape[1] + max(max_clique - 2, 1) * np.arange(1, n_steps + 1)
+    vertices, gains = np.empty((n_windows, n_steps), dtype=int), np.empty((n_windows, n_steps))
+    used = np.empty((n_windows, n_steps, face_size), dtype=int)
+    attached = np.empty(used.shape, dtype=bool)
+    for step in range(n_steps):
+        table = gain[w_table, remaining[:, :, None, None], faces[:, None]].sum(axis=-1)
+        # the first maximum in (vertex, face) order: the largest gain, then
+        # the smallest vertex, then the first face in sorted order
+        row, col = np.divmod(table.reshape(n_windows, -1).argmax(axis=1), faces.shape[1])
+        best, vertex, face = table[w, row, col], remaining[w, row], faces[w, col]
+        joins = gain[w_col, vertex[:, None], face] > threshold if threshold > 0.0 else face > 0
+        vertices[:, step], used[:, step], gains[:, step], attached[:, step] = vertex, face, best, joins
+        # a wholly attached face is used up and the clique's faces through
+        # the new vertex join; else the clique itself, a smaller face, joins
+        full = joins.all(axis=1)
+        clique = np.sort(np.concatenate([np.where(joins, face, gone), vertex[:, None]], axis=1), axis=1)
+        clique[clique == gone] = 0
+        unused = clique[:, ::-1] == vertex[:, None]
+        unused[:, 1:] |= ~full[:, None]
+        added = clique[:, subsets]
+        added[unused, 0] = gone
+        faces[w, col, 0] = np.where(full, gone, face[:, 0])
+        remaining[w, row] = gone
+        faces = np.concatenate([faces, added], axis=1)
+        order = np.lexsort([faces[..., p] for p in reversed(range(face_size))], axis=-1)
+        faces = faces[w_col, order[:, :live_bound[step]]]
+    joined = np.sort(np.where(attached, used, gone), axis=2)        # attached members first
+    cliques = np.sort(np.concatenate([joined, vertices[..., None]], axis=2), axis=2)
+    joined[joined == gone] = 0
+    cliques[cliques == gone] = 0
+    cliques = np.concatenate([seeds[:, None], cliques], axis=1)
+    return cliques - 1, vertices - 1, used - 1, gains, joined - 1
+
+
+def _distinct(separators: np.ndarray):
+    """Each window's separators (W, steps, size) in sorted-tuple order, the
+    empty ones (all -1) first, with each distinct one kept at its first
+    copy and the other copies emptied, and their multiplicities (0 at the
+    empty ones)."""
+    order = np.lexsort([separators[..., p] for p in reversed(range(separators.shape[2]))], axis=-1)
+    separators = separators[np.arange(len(order))[:, None], order]
+    same = (separators[:, :, None] == separators[:, None, :]).all(axis=3)
+    first = separators[..., 0] >= 0
+    first[:, 1:] &= ~same[:, 1:, :-1].diagonal(axis1=1, axis2=2)
+    return np.where(first[..., None], separators, -1), np.where(first, same.sum(axis=2), 0)
+
+
+def _forests(n: int, cliques, vertices, faces, gains, separators, multiplicity) -> list:
+    """Per window, the CliqueForest of its ``_insertions`` and ``_distinct``
+    arrays."""
+    def trimmed(rows):
+        return [[tuple(t[:k]) for t, k in zip(ts, ks)]
+                for ts, ks in zip(rows.tolist(), (rows >= 0).sum(axis=-1).tolist())]
+
+    return [CliqueForest(n=n, cliques=tuple(cl), insertion_log=tuple(map(InsertionStep._make, zip(v, f, g))),
+                         separators=tuple((sep, m) for sep, m in zip(sp, ms) if m))
+            for cl, v, f, g, sp, ms in zip(trimmed(cliques), vertices.tolist(), trimmed(faces),
+                                           gains.tolist(), trimmed(separators), multiplicity.tolist())]
+
+
+def _assemble(entries: np.ndarray, cliques: np.ndarray, separators: np.ndarray,
+              multiplicity: np.ndarray) -> np.ndarray:
+    """Per window, the sum of its embedded inverted clique blocks minus its
+    embedded inverted separator blocks times their multiplicity, not yet
+    symmetrized. Blocks of one size are inverted by one stacked LAPACK
+    call over all windows; then one ``np.add.at`` adds them up in each
+    window's order: cliques, then separators in sorted order, grouped by
+    block size in order of first appearance."""
+    n_windows, n = entries.shape[:2]
+    width = cliques.shape[2]
+    pad = np.full(separators.shape[:2] + (width - separators.shape[2],), -1)
+    members = np.concatenate([cliques, np.concatenate([separators, pad], axis=2)], axis=1)
+    weights = np.concatenate([np.ones(cliques.shape[:2]), -multiplicity], axis=1)
+    sizes = (members >= 0).sum(axis=2)
+    # a stable sort by the position of the first block of the same size
+    order = np.argsort((sizes[:, :, None] == sizes[:, None, :]).argmax(axis=2), axis=1, kind="stable")
+    rows = np.arange(n_windows)[:, None]
+    members, weights, sizes = members[rows, order], weights[rows, order], sizes[rows, order]
+    values = np.zeros(members.shape + (width,))
+    for size in (np.flatnonzero(np.bincount(sizes.ravel())[1:]) + 1).tolist():
+        at = sizes == size
+        block, window = members[at][:, :size], np.nonzero(at)[0]
+        inverses = invert_spd_stack(entries[window[:, None, None], block[:, :, None], block[:, None, :]])
+        values[at, :size, :size] = weights[at][:, None, None] * inverses
+    joint = np.zeros((n_windows, n + 1, n + 1))         # the padding, -1, indexes row and column n
+    np.add.at(joint, (rows[:, :, None, None], members[..., None], members[..., None, :]), values)
+    return joint[:, :n, :n]
+
+
+def mfcf_stack(corrs, config: FilterConfig) -> list:
+    """``mfcf`` of a batch of same-size correlations, built in lockstep:
+    each insertion scores one (windows, remaining, faces) gain table, and
+    the positive-definiteness checks and block inverses each run as one
+    stacked LAPACK call. Each result is bitwise the same alone or in any
+    batch. Returns, per window, its FilterResult or the DefinitenessError
+    it ended with; a window whose precision is not positive definite fails
+    alone.
+    """
+    if len({corr.n for corr in corrs}) > 1:
+        raise ShapeError(f"a batch holds one problem size, got {sorted({corr.n for corr in corrs})}")
+    if not corrs:
         return []
-    return [tuple(sorted((vertex, *combo))) for combo in itertools.combinations(others, take)]
-
-
-def _face_gain_table(gain_sq: np.ndarray, rem: np.ndarray, faces: list,
-                     threshold: float) -> np.ndarray:
-    """Gain of attaching each remaining vertex (rows) to each face
-    (columns, in the order given), scored with one fancy-indexed
-    (remaining, faces, size) lookup per face size."""
-    by_size: dict[int, list] = {}
-    for col, face in enumerate(faces):
-        by_size.setdefault(len(face), []).append(col)
-    table = np.empty((len(rem), len(faces)))
-    for cols in by_size.values():
-        members = np.array([faces[c] for c in cols])
-        contrib = gain_sq[rem[:, None, None], members[None, :, :]]
-        if threshold > 0.0:
-            contrib = np.where(contrib > threshold, contrib, 0.0)
-        table[:, cols] = contrib.sum(axis=2)
-    return table
+    n = corrs[0].n
+    if n < config.max_clique:
+        raise ParameterError(f"need at least max_clique={config.max_clique} series, got {n}")
+    size = config.max_clique
+    chunk = max(1, MFCF_LOOKUP_LIMIT // ((n - size + 1) * (size + max(size - 2, 1) * (n - size)) * size))
+    if len(corrs) > chunk:
+        return [outcome for start in range(0, len(corrs), chunk)
+                for outcome in mfcf_stack(corrs[start: start + chunk], config)]
+    out = _ensure_pd_stack(corrs)
+    idx = [k for k, outcome in enumerate(out) if not isinstance(outcome, Exception)]
+    if not idx:
+        return out
+    entries = np.array([out[k][0] for k in idx])
+    cliques, vertices, faces, gains, separators = _insertions(entries, config.max_clique,
+                                                              config.mfcf_gain_threshold)
+    separators, multiplicity = _distinct(separators)
+    forests = _forests(n, cliques, vertices, faces, gains, separators, multiplicity)
+    precisions = PrecisionMatrix.stack(_assemble(entries, cliques, separators, multiplicity),
+                                       zero_tol=PRECISION_ZERO_TOL)
+    pd = []
+    for a, precision in enumerate(precisions):
+        if isinstance(precision, Exception):
+            out[idx[a]] = precision
+        else:
+            pd.append(a)
+    if not pd:
+        return out
+    correlations = correlation_stack(inverse_stack([precisions[a] for a in pd]))
+    sparsities = sparsity(np.array([precisions[a].entries for a in pd])).tolist()
+    for a, corr, share in zip(pd, correlations, sparsities):
+        k = idx[a]
+        out[k] = FilterResult(correlation=corr, precision=precisions[a], sparsity=share,
+                              forest=forests[a], jitter=out[k][1])
+    return out
 
 
 def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
@@ -386,73 +557,13 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     construction. The precision matrix is the sum of embedded inverted
     clique blocks minus embedded inverted separator blocks, which is
     positive definite and matches the input correlation on every
-    within-clique pair. The blocks of each size are inverted together by
-    one stacked LAPACK Cholesky and inverse.
+    within-clique pair. A batch of one for ``mfcf_stack``; raises the
+    DefinitenessError the window ends with.
     """
-    n = corr.n
-    if n < config.max_clique:
-        raise ParameterError(f"need at least max_clique={config.max_clique} series, got {n}")
-    entries, jitter = _ensure_pd(corr.entries)
-    gain_sq = entries ** 2
-    np.fill_diagonal(gain_sq, 0.0)
-    threshold = config.mfcf_gain_threshold
-    face_size = config.max_clique - 1
-
-    strength = np.abs(entries).sum(axis=0) - 1.0
-    seed = tuple(sorted(np.argsort(-strength, kind="stable")[: config.max_clique].tolist()))
-    cliques = [seed]
-    separators: dict[tuple, int] = {}
-    log: list[InsertionStep] = []
-    faces = {face for v in seed for face in _face_subsets(seed, v, face_size)}
-    remaining = sorted(set(range(n)) - set(seed))
-
-    while remaining:
-        rem = np.array(remaining)
-        ordered = sorted(faces)
-        table = _face_gain_table(gain_sq, rem, ordered, threshold)
-        best_gain = float(table.max())
-        hits = table == best_gain
-        row = int(np.argmax(hits.any(axis=1)))      # smallest vertex reaching the max
-        best_vertex = int(rem[row])
-        best_face = ordered[int(np.argmax(hits[row]))]
-        attached = tuple(u for u in best_face
-                         if threshold <= 0.0 or gain_sq[best_vertex, u] > threshold)
-        clique = tuple(sorted((best_vertex, *attached)))
-        cliques.append(clique)
-        if attached:
-            separators[attached] = separators.get(attached, 0) + 1
-        if len(attached) == face_size:
-            faces.discard(best_face)
-        new_size = min(len(clique), face_size)
-        faces.update(_face_subsets(clique, best_vertex, new_size))
-        remaining.remove(best_vertex)
-        log.append(InsertionStep(best_vertex, best_face, best_gain))
-
-    # cliques are added, separators subtracted with their multiplicity
-    signed = [(c, 1.0) for c in cliques] + [(s, -float(m)) for s, m in sorted(separators.items())]
-    joint = np.zeros((n, n))
-    for size in dict.fromkeys(len(block) for block, _ in signed):
-        idx = np.array([block for block, _ in signed if len(block) == size])
-        weights = np.array([w for block, w in signed if len(block) == size])
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        np.add.at(joint, (rows, cols), weights[:, None, None] * invert_spd_stack(entries[rows, cols]))
-    joint = symmetrize(joint)
-
-    precision = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL)
-    correlation = CorrelationMatrix.from_entries(precision.inverse())
-    forest = CliqueForest(
-        n=n,
-        cliques=tuple(cliques),
-        separators=tuple(sorted(separators.items())),
-        insertion_log=tuple(log),
-    )
-    return FilterResult(
-        correlation=correlation,
-        precision=precision,
-        sparsity=sparsity(precision),
-        forest=forest,
-        jitter=jitter,
-    )
+    (outcome,) = mfcf_stack([corr], config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
@@ -472,11 +583,13 @@ def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
 
 def filter_windows(corrs, config: FilterConfig) -> list:
     """Per window correlation, its FilterResult under a resolved config or
-    the ConvergenceError or DefinitenessError it raised. Glasso windows
-    are solved by one ``glasso_stack`` call, other methods one window at
-    a time through ``apply_filter``."""
+    the ConvergenceError or DefinitenessError it raised. Glasso and MFCF
+    windows are each filtered by one ``glasso_stack`` or ``mfcf_stack``
+    call, other methods one window at a time through ``apply_filter``."""
     if config.method == "glasso" and config.lam is not None:    # else apply_filter raises
         return glasso_stack(corrs, config.lam)
+    if config.method == "mfcf":
+        return mfcf_stack(corrs, config)
     outcomes = []
     for corr in corrs:
         try:

@@ -19,6 +19,23 @@ GRAPH_KINDS = ("correlation", "inverse-correlation", "ones", "zeros", "identity"
 BENCHMARK_KINDS = ("ones", "zeros", "identity")
 
 
+def _check_graphs(weights: np.ndarray, mask: np.ndarray, kind: str) -> None:
+    """The FilteredGraph invariants, on one graph or a stack of them."""
+    if np.max(np.abs(weights - weights.swapaxes(-1, -2)), initial=0.0) > 1e-12:
+        raise ShapeError("graph weights must be symmetric")
+    if not np.array_equal(mask, mask.swapaxes(-1, -2)):
+        raise ShapeError("graph mask must be symmetric")
+    if not np.all(mask.diagonal(axis1=-2, axis2=-1)):
+        raise ShapeError("graph mask diagonal must be true (self-loops are retained)")
+    diag = np.arange(mask.shape[-1])
+    off_violation = (~mask) & (weights != 0.0)
+    off_violation[..., diag, diag] = False
+    if np.any(off_violation):
+        raise ShapeError("unmasked off-diagonal entries must have zero weight")
+    if kind not in GRAPH_KINDS:
+        raise ParameterError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
+
+
 @dataclass(frozen=True)
 class FilteredGraph:
     """Weighted graph over series nodes with an explicit edge mask."""
@@ -33,18 +50,7 @@ class FilteredGraph:
         mask = np.asarray(self.mask, dtype=bool)
         if weights.shape != (self.n, self.n) or mask.shape != (self.n, self.n):
             raise ShapeError(f"graph arrays must be {(self.n, self.n)}, got {weights.shape} and {mask.shape}")
-        if np.max(np.abs(weights - weights.T), initial=0.0) > 1e-12:
-            raise ShapeError("graph weights must be symmetric")
-        if not np.array_equal(mask, mask.T):
-            raise ShapeError("graph mask must be symmetric")
-        if not np.all(np.diag(mask)):
-            raise ShapeError("graph mask diagonal must be true (self-loops are retained)")
-        off_violation = (~mask) & (weights != 0.0)
-        np.fill_diagonal(off_violation, False)
-        if np.any(off_violation):
-            raise ShapeError("unmasked off-diagonal entries must have zero weight")
-        if self.kind not in GRAPH_KINDS:
-            raise ParameterError(f"unknown graph kind {self.kind!r}; expected one of {GRAPH_KINDS}")
+        _check_graphs(weights, mask, self.kind)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mask", mask)
 
@@ -68,15 +74,18 @@ def from_filter_result(result: FilterResult, kind: str) -> FilteredGraph:
         weights = result.precision.entries.copy()
     else:
         raise ParameterError(f"filter results map to 'correlation' or 'inverse-correlation', not {kind!r}")
-    return from_weights(weights, kind)
+    return FilteredGraph(n=weights.shape[0], weights=weights, mask=edge_masks(weights, kind), kind=kind)
 
 
-def from_weights(weights: np.ndarray, kind: str) -> FilteredGraph:
-    """The graph of filtered weights: zeros off the diagonal become
-    missing edges, and every node keeps its self-loop."""
+def edge_masks(weights: np.ndarray, kind: str) -> np.ndarray:
+    """Edge masks of a (k, n, n) stack of filtered weights, checked as
+    FilteredGraph checks one: zeros off the diagonal become missing
+    edges, and every node keeps its self-loop."""
     mask = weights != 0.0
-    np.fill_diagonal(mask, True)
-    return FilteredGraph(n=weights.shape[0], weights=weights, mask=mask, kind=kind)
+    diag = np.arange(weights.shape[-1])
+    mask[..., diag, diag] = True
+    _check_graphs(weights, mask, kind)
+    return mask
 
 
 def benchmark_graph(n: int, kind: str) -> FilteredGraph:

@@ -30,8 +30,8 @@ LAPACK_PIVOT_MARGIN = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its transpose."""
-    return 0.5 * (m + m.T)
+    """Average a square matrix, or each of a stack, with its transpose."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
@@ -46,16 +46,31 @@ def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.nd
     return m
 
 
-def _lapack_factor(m: np.ndarray, min_pivot: float):
-    """LAPACK lower Cholesky factor of a matrix or a stack of matrices, or
-    None unless every pivot clears ``min_pivot`` and the margin."""
+def _prechecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` whose checks already ran
+    over the whole stack it comes from."""
+    instance = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+def cholesky_stack(m: np.ndarray, min_pivot: float = 0.0):
+    """LAPACK lower Cholesky factors of a (k, s, s) stack, and per matrix
+    whether every pivot clears ``min_pivot`` and the margin, the rule by
+    which ``cholesky_lower`` decides. LAPACK fails a whole stack for one
+    matrix, so a failing stack is split in halves until that matrix stands
+    alone; its factor is then left as zeros."""
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return None
-    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
-    scale = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)
-    return lower if np.all(pivots > np.maximum(min_pivot, LAPACK_PIVOT_MARGIN * scale)) else None
+        if len(m) == 1:
+            return np.zeros_like(m), np.zeros(1, dtype=bool)
+        parts = [cholesky_stack(half, min_pivot) for half in np.array_split(m, 2)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    pivots = lower.diagonal(axis1=-2, axis2=-1) ** 2
+    scale = m.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    return lower, pivots.min(axis=-1) > np.maximum(min_pivot, LAPACK_PIVOT_MARGIN * scale)
 
 
 def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
@@ -68,8 +83,11 @@ def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
     factorization that runs only on this rare path.
     """
     m = _check_square_symmetric(m)
-    lower = _lapack_factor(m, min_pivot) if m.size else None
-    return lower if lower is not None else _column_cholesky(m, min_pivot)
+    if m.size:
+        (lower,), (decided,) = cholesky_stack(m[None], min_pivot)
+        if decided:
+            return lower
+    return _column_cholesky(m, min_pivot)
 
 
 def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
@@ -92,8 +110,8 @@ def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
 def _inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
     """Symmetrized L^-T L^-1 for one lower factor or a stack of them."""
     lower_inv = np.linalg.inv(lower)
-    inv = np.swapaxes(lower_inv, -1, -2) @ lower_inv
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    inv = lower_inv.swapaxes(-1, -2) @ lower_inv
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 def invert_spd(m: np.ndarray) -> np.ndarray:
@@ -111,15 +129,18 @@ def invert_spd_stack(stack: np.ndarray) -> np.ndarray:
     """Inverses of a (k, s, s) stack of symmetric positive-definite
     matrices by one stacked LAPACK Cholesky and inverse.
 
-    A stack with a block that is not clearly positive definite is
-    inverted block by block through ``invert_spd``, so that block raises
-    the same DefinitenessError it would alone.
+    A block that is not clearly positive definite is inverted alone
+    through ``invert_spd``, so it gets, or raises, what it would alone.
     """
     stack = np.asarray(stack, dtype=float)
-    lower = _lapack_factor(stack, 0.0)
-    if lower is None:
-        return np.array([invert_spd(block) for block in stack])
-    return _inverse_from_cholesky(lower)
+    lower, decided = cholesky_stack(stack, 0.0)
+    if decided.all():
+        return _inverse_from_cholesky(lower)
+    inverses = np.empty_like(stack)
+    inverses[decided] = _inverse_from_cholesky(lower[decided])
+    for k in np.flatnonzero(~decided):
+        inverses[k] = invert_spd(stack[k])
+    return inverses
 
 
 def is_positive_definite(m: np.ndarray) -> bool:
@@ -210,10 +231,8 @@ class CorrelationMatrix:
     def from_entries(cls, entries: np.ndarray) -> "CorrelationMatrix":
         """Build after symmetrizing, pinning the diagonal to 1 and clipping
         float overshoot outside [-1, 1]."""
-        entries = symmetrize(np.asarray(entries, dtype=float))
-        entries = np.clip(entries, -1.0, 1.0)
-        np.fill_diagonal(entries, 1.0)
-        return cls(entries)
+        (corr,) = correlation_stack(np.asarray(entries, dtype=float)[None])
+        return corr
 
     @property
     def n(self) -> int:
@@ -245,16 +264,56 @@ class PrecisionMatrix:
     def from_entries(cls, entries: np.ndarray, zero_tol: float = 1e-10) -> "PrecisionMatrix":
         """Build after symmetrizing; off-diagonal entries below ``zero_tol``
         in magnitude are snapped to exact zero."""
+        (precision,) = cls.stack(np.asarray(entries, dtype=float)[None], zero_tol)
+        if isinstance(precision, DefinitenessError):
+            raise precision
+        return precision
+
+    @staticmethod
+    def stack(entries: np.ndarray, zero_tol: float = 1e-10) -> list:
+        """``from_entries`` for each matrix of a (k, n, n) stack, or the
+        DefinitenessError it raises. The checks run once over the stack and
+        the definiteness check is one stacked LAPACK Cholesky; a matrix
+        that they cannot decide is built alone, so it gets the verdict and
+        the error it would get alone."""
         entries = symmetrize(np.asarray(entries, dtype=float))
+        n = entries.shape[-1]
         off = np.abs(entries) < zero_tol
-        np.fill_diagonal(off, False)
-        entries = entries.copy()
+        off[:, np.arange(n), np.arange(n)] = False
         entries[off] = 0.0
-        return cls(entries)
+        lower, decided = cholesky_stack(entries, 0.0)
+        decided &= np.isfinite(entries).all(axis=(1, 2))      # and symmetric, as symmetrized
+        out = []
+        for k, ok in enumerate(decided.tolist()):
+            if ok:
+                out.append(_prechecked(PrecisionMatrix, entries=entries[k], _lower=lower[k]))
+                continue
+            try:
+                out.append(PrecisionMatrix(entries[k]))
+            except DefinitenessError as exc:
+                out.append(exc)
+        return out
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def inverse_stack(precisions) -> np.ndarray:
+    """``p.inverse()`` of each PrecisionMatrix, bit for bit, as one stacked
+    inverse of their factors."""
+    return _inverse_from_cholesky(np.array([p._lower for p in precisions]))
+
+
+def correlation_stack(entries: np.ndarray) -> list:
+    """``CorrelationMatrix.from_entries`` of each matrix of a (k, n, n)
+    stack, with the checks run once over the stack."""
+    entries = np.clip(symmetrize(entries), -1.0, 1.0)
+    n = entries.shape[-1]
+    entries[:, np.arange(n), np.arange(n)] = 1.0
+    if n < 1 or not np.isfinite(entries).all():     # symmetric, as symmetrized
+        return [CorrelationMatrix(m) for m in entries]     # raises the first matrix's error
+    return [_prechecked(CorrelationMatrix, entries=m) for m in entries]
 
 
 def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
@@ -264,18 +323,23 @@ def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
     themselves) so that downstream graphs stay valid when a series is
     constant over the window.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise RangeError(f"correlation needs a 2-D window with >= 2 rows, got shape {rows.shape}")
-    centered = rows - rows.mean(axis=0)
-    scale = np.sqrt((centered ** 2).sum(axis=0))
+    (corr,) = window_correlations(np.asarray(rows, dtype=float)[None])
+    return corr
+
+
+def window_correlations(windows: np.ndarray) -> list:
+    """``correlation_from_rows`` of each (steps, series) window of a
+    (k, steps, series) stack, computed over the whole stack."""
+    windows = np.ascontiguousarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[1] < 2:
+        raise RangeError(f"correlation needs a 2-D window with >= 2 rows, got shape {windows.shape[1:]}")
+    centered = windows - windows.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centered ** 2).sum(axis=1, keepdims=True))
     degenerate = scale == 0.0
-    safe_scale = np.where(degenerate, 1.0, scale)
-    standardized = centered / safe_scale
-    corr = standardized.T @ standardized
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
-    return CorrelationMatrix.from_entries(corr)
+    standardized = centered / np.where(degenerate, 1.0, scale)
+    corr = np.swapaxes(standardized, 1, 2) @ standardized
+    corr[degenerate[:, 0, :, None] | degenerate] = 0.0
+    return correlation_stack(corr)
 
 
 def write_matrix(path, m: np.ndarray) -> None:

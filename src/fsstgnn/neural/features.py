@@ -7,25 +7,26 @@ from ..errors import RangeError
 
 
 def window_moments(rows: np.ndarray) -> np.ndarray:
-    """Per-column (mean, sample std, skewness, excess kurtosis) of a window.
+    """Per-column (mean, sample std, skewness, excess kurtosis) of a
+    (steps, series) window, or of each window of a (..., steps, series)
+    stack, as (..., series, 4).
 
     Std uses divisor n-1; skewness and kurtosis use the population-moment
     ratios m3 / m2^1.5 and m4 / m2^2 - 3. Zero-variance columns yield
     (mean, 0, 0, 0) so constant windows cannot inject NaNs downstream.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim < 2 or rows.shape[-2] < 2:
         raise RangeError(f"moment window needs at least 2 rows, got shape {rows.shape}")
-    count = rows.shape[0]
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    m2 = (centered ** 2).mean(axis=0)
+    count = rows.shape[-2]
+    mean = rows.mean(axis=-2)
+    centered = rows - mean[..., None, :]
+    m2 = (centered ** 2).mean(axis=-2)
     degenerate = m2 == 0.0
     safe_m2 = np.where(degenerate, 1.0, m2)
-    std = np.sqrt((centered ** 2).sum(axis=0) / (count - 1))
-    skew = (centered ** 3).mean(axis=0) / safe_m2 ** 1.5
-    kurt = (centered ** 4).mean(axis=0) / safe_m2 ** 2 - 3.0
+    std = np.sqrt((centered ** 2).sum(axis=-2) / (count - 1))
+    skew = (centered ** 3).mean(axis=-2) / safe_m2 ** 1.5
+    kurt = (centered ** 4).mean(axis=-2) / safe_m2 ** 2 - 3.0
     skew[degenerate] = 0.0
     kurt[degenerate] = 0.0
-    return np.column_stack([mean, std, skew, kurt])
-
+    return np.stack([mean, std, skew, kurt], axis=-1)

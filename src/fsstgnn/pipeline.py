@@ -39,8 +39,8 @@ from .filtering import (
     select_alpha_cv,
     select_lambda_cv,
 )
-from .graphs import GRAPH_KINDS, benchmark_graph, from_weights
-from .linalg import TimeSeriesPanel, correlation_from_rows
+from .graphs import GRAPH_KINDS, benchmark_graph, edge_masks
+from .linalg import TimeSeriesPanel, window_correlations
 from .neural.features import window_moments
 from .neural.layers import ACTIVATIONS
 from .neural.models import (
@@ -112,6 +112,9 @@ class ExperimentConfig:
         if not (0.0 <= self.val_fraction < 1.0):
             raise ParameterError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ParameterError(f"seeds must be distinct; {repeated[0]} is given more than once")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("seeds", "filter")}
@@ -243,13 +246,17 @@ class _FilteredWindows:
     fallbacks: int
 
 
+def _windows(panel: TimeSeriesPanel, lookback: int) -> np.ndarray:
+    """The (targets, lookback, series) look-back window of every target
+    row, from row ``lookback`` on."""
+    view = np.lib.stride_tricks.sliding_window_view(panel.values, lookback, axis=0)
+    return np.ascontiguousarray(view[:-1].swapaxes(1, 2))
+
+
 def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
                   filt: FilterConfig) -> _FilteredWindows:
-    corrs = []
-    for t in range(config.lookback, panel.n_steps):
-        window = panel.values[t - config.lookback: t]
-        corrs.append(correlation_from_rows(np.diff(window, axis=0) if config.use_differences
-                                           else window))
+    windows = _windows(panel, config.lookback)
+    corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
     outcomes = filter_windows(corrs, filt)
     failed = [isinstance(outcome, Exception) for outcome in outcomes]
     results = [apply_filter(corr, FilterConfig(method="empirical")) if fell else outcome
@@ -279,29 +286,18 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     sd = np.where(sd == 0.0, 1.0, sd)
 
     targets = np.arange(lookback, n_steps)
-    needs_graph = config.model != "lstm"
-    uses_filter = _uses_filter(config)
-
-    windows = np.empty((len(targets), lookback, n_series))
-    feats = np.empty((len(targets), n_series, 4))
-    gweights = np.empty((len(targets), n_series, n_series)) if needs_graph else None
-    gmasks = np.empty((len(targets), n_series, n_series), dtype=bool) if needs_graph else None
-    sparsities = []
-    fallbacks = 0
-    bench = benchmark_graph(n_series, config.graph_kind) if needs_graph and not uses_filter else None
-
-    for row, t in enumerate(targets):
-        window = values[t - lookback: t]
-        windows[row] = (window - mu) / sd
-        feats[row] = window_moments(window)
-    if uses_filter:
+    windows = _windows(panel, lookback)
+    feats = window_moments(windows)
+    gweights = gmasks = None
+    sparsities, fallbacks = [], 0
+    if _uses_filter(config):
         stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
-        for row in range(len(targets)):
-            graph = from_weights(stack[row], config.graph_kind)
-            gweights[row], gmasks[row] = graph.weights, graph.mask
+        gweights, gmasks = stack.copy(), edge_masks(stack, config.graph_kind)
         sparsities, fallbacks = filtered.sparsity, filtered.fallbacks
-    if bench is not None:
-        gweights[:], gmasks[:] = bench.weights, bench.mask
+    elif config.model != "lstm":
+        bench = benchmark_graph(n_series, config.graph_kind)
+        gweights = np.repeat(bench.weights[None], len(targets), axis=0)
+        gmasks = np.repeat(bench.mask[None], len(targets), axis=0)
         sparsities = [1.0 - bench.n_offdiag_edges() / (n_series * (n_series - 1))] * len(targets)
 
     targets_raw = values[targets]
@@ -325,7 +321,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     fsd = np.where(fsd == 0.0, 1.0, fsd)
     feats = (feats - fmu) / fsd
     return _Examples(
-        windows_std=windows,
+        windows_std=(windows - mu) / sd,
         features_std=feats,
         graph_weights=gweights,
         graph_masks=gmasks,

@@ -82,6 +82,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--method", "mfcf", "--threshold", "nan"],
+                                       ["--method", "glasso", "--lambda", "nan"]],
+                             ids=["threshold nan", "lambda nan"])
+    def test_nan_filter_parameter_is_a_usage_error(self, small_csv, tmp_path, capsys, flags):
+        argv = ["filter", "--input", str(small_csv), "--item", "1", "--out", str(tmp_path / "w"), *flags]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err and "nan" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_seed_is_a_usage_error(self, small_csv, capsys):
+        argv = ["train", "--input", str(small_csv), "--model", "lstm", "--seeds", "1,2,1",
+                "--epochs", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds must be distinct; 1") and "Traceback" not in err
+
     def test_corrupt_checkpoint_is_a_data_error(self, tmp_path, capsys):
         assert evaluate_with_checkpoint(tmp_path, "w 1 x\n1.0\n") == 2
         assert "data error: line 3:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from fsstgnn.filtering import FilterConfig, glasso, mfcf, shrink
 from fsstgnn.graphs import (
     FilteredGraph,
     benchmark_graph,
+    edge_masks,
     from_filter_result,
 )
 from fsstgnn.linalg import correlation_from_rows
@@ -119,3 +120,16 @@ class TestGraphValidation:
         weights = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ShapeError):
             FilteredGraph(2, weights, np.ones((2, 2), dtype=bool), "correlation")
+
+    def test_stacked_masks_match_each_graph_and_are_checked(self):
+        results = [mfcf(random_correlation(np.random.default_rng(60 + k), 6), FilterConfig(method="mfcf"))
+                   for k in range(3)]
+        stack = np.array([r.precision.entries for r in results])
+        masks = edge_masks(stack, "inverse-correlation")
+        for mask, result in zip(masks, results):
+            assert np.array_equal(mask, from_filter_result(result, "inverse-correlation").mask)
+        stack[1, 0, 2] += 0.5           # one asymmetric graph fails the stack
+        with pytest.raises(ShapeError):
+            edge_masks(stack, "inverse-correlation")
+        with pytest.raises(ParameterError):
+            edge_masks(stack[:1], "ring")

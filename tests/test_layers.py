@@ -353,6 +353,15 @@ class TestMoments:
         assert feats[1] == pytest.approx(np.sqrt(17.5))   # 4.1833...
         assert abs(feats[2]) < 1e-12
 
+    def test_stack_equals_each_window(self):
+        values = np.random.default_rng(21).normal(size=(30, 4)).cumsum(axis=0)
+        values[:12, 1] = 2.0                # constant in the early windows
+        windows = np.lib.stride_tricks.sliding_window_view(values, 7, axis=0).swapaxes(1, 2)
+        stacked = window_moments(windows)
+        assert stacked.shape == (24, 4, 4)
+        for got, window in zip(stacked, windows):
+            assert np.array_equal(got, window_moments(window))
+
     def test_panel_wrapper_and_window_errors(self):
         panel = make_panel(np.arange(20.0).reshape(10, 2))
         feats = window_moments(panel.window(0, 10))

@@ -17,6 +17,7 @@ from fsstgnn.linalg import (
     invert_spd_stack,
     is_positive_definite,
     symmetrize,
+    window_correlations,
     write_matrix,
 )
 
@@ -205,6 +206,24 @@ class TestComputeCorrelation:
         assert corr.entries[1, 1] == 1.0
         assert np.all(corr.entries[1, [0, 2]] == 0.0)
         assert np.all(corr.entries[[0, 2], 1] == 0.0)
+
+    def test_stack_equals_each_window(self):
+        values = np.random.default_rng(12).normal(size=(30, 5)).cumsum(axis=0)
+        values[:12, 3] = 7.0                # constant in the early windows
+        windows = np.lib.stride_tricks.sliding_window_view(values, 8, axis=0).swapaxes(1, 2)
+        stacked = window_correlations(windows)
+        assert len(stacked) == 23
+        for got, window in zip(stacked, windows):
+            assert np.array_equal(got.entries, correlation_from_rows(window).entries)
+        with pytest.raises(RangeError):
+            window_correlations(windows[:, :1])
+
+    def test_column_whose_variance_underflows_correlates_zero(self):
+        x = np.random.default_rng(13).normal(size=(9, 3))
+        x[:, 1] = 0.0
+        x[4, 1] = 1e-170                    # its squared deviations underflow to 0
+        for corr in (correlation_from_rows(x), window_correlations(x[None])[0]):
+            assert np.array_equal(corr.entries[1], [0.0, 1.0, 0.0])
 
     def test_window_out_of_bounds(self):
         panel = make_panel(np.random.default_rng(10).normal(size=(20, 3)))
