@@ -348,32 +348,40 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
 
     ``w_input`` is (F, 4H), ``w_hidden`` (H, 4H) and ``bias`` (1, 4H) in gate
     order input, forget, cell, output; the state starts at zero and the
-    caller checks shapes. The forward keeps each step's gates, cell state and
-    its tanh; the backward runs backpropagation through time over them.
+    caller checks shapes. Each step projects its own input into one reused
+    (B, 4H) buffer and keeps its gates gate-major, as contiguous (B, H)
+    blocks, with the cell state and its tanh; the backward runs
+    backpropagation through time over them. At input width 1 every value
+    and gradient equals, bit for bit, that of the op with the input
+    projection hoisted out of the loop (``tests/_oracles.py``); at larger
+    widths the per-step product may round differently.
     """
     seq, w_input, w_hidden, bias = (as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
     h_dim = w_hidden.values.shape[0]
-    cell_gate = slice(2 * h_dim, 3 * h_dim)
-    projected = seq.values @ w_input.values           # (B, T, 4H), one matmul for all steps
-    gates = np.empty((steps, batch, 4 * h_dim))
+    blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
+    # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
+    # so the three sigmoid gates form one contiguous block.
+    gates = np.empty((steps, 4, batch, h_dim))
     cells, cells_tanh = np.empty((2, steps, batch, h_dim))
+    z, x_term = np.empty((2, batch, 4 * h_dim))
     hidden = cell = np.zeros((batch, h_dim))
     for t in range(steps):
-        # z = (x_t W_in + h W_h) + b in the per-op tape's order, summed in
-        # place; the values match that tape bit for bit.
-        act = gates[t]
-        np.matmul(hidden, w_hidden.values, out=act)
-        act += projected[:, t, :]
-        act += bias.values
-        candidate = np.tanh(act[:, cell_gate])
-        np.exp(-act, out=act)
-        np.divide(1.0, act + 1.0, out=act)
-        act[:, cell_gate] = candidate
-        gate_in, gate_forget, gate_cell, gate_out = np.split(act, 4, axis=1)
-        cell = cells[t] = gate_forget * cell + gate_in * gate_cell
-        cells_tanh[t] = np.tanh(cell)
-        hidden = gate_out * cells_tanh[t]
+        # z = (h W_h + x_t W_in) + b, summed in the per-op tape's order.
+        np.matmul(hidden, w_hidden.values, out=z)
+        z += np.matmul(seq.values[:, t, :], w_input.values, out=x_term)
+        z += bias.values
+        sigmoids, gate_cell = gates[t, :3], gates[t, 3]
+        for slot, block in zip(sigmoids, (blocks[0], blocks[1], blocks[3])):
+            np.negative(z[:, block], out=slot)
+        np.tanh(z[:, blocks[2]], out=gate_cell)
+        np.exp(sigmoids, out=sigmoids)
+        sigmoids += 1.0
+        np.divide(1.0, sigmoids, out=sigmoids)
+        gate_in, gate_forget, gate_out = sigmoids
+        cell = np.multiply(gate_forget, cell, out=cells[t])
+        cell += gate_in * gate_cell
+        hidden = gate_out * np.tanh(cell, out=cells_tanh[t])
     out = Tensor(hidden, _parents=(seq, w_input, w_hidden, bias))
 
     def grad_fn(g):
@@ -382,17 +390,19 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
         d_hidden = g
         d_cell = np.zeros((batch, h_dim))
         for t in reversed(range(steps)):
-            act = gates[t]
-            gate_in, gate_forget, gate_cell, gate_out = np.split(act, 4, axis=1)
+            gate_in, gate_forget, gate_out, gate_cell = gates[t]
             d_cell = d_cell + d_hidden * gate_out * (1.0 - cells_tanh[t] ** 2)
             d_z = d_gates[:, t, :]
-            d_z[:, :h_dim] = d_cell * gate_cell * gate_in * (1.0 - gate_in)
-            d_z[:, h_dim: 2 * h_dim] = d_cell * cells[t - 1] * gate_forget * (1.0 - gate_forget) if t else 0.0
-            d_z[:, cell_gate] = d_cell * gate_in * (1.0 - gate_cell ** 2)
-            d_z[:, 3 * h_dim:] = d_hidden * cells_tanh[t] * gate_out * (1.0 - gate_out)
+            np.multiply(d_cell * gate_cell * gate_in, 1.0 - gate_in, out=d_z[:, blocks[0]])
+            if t:
+                np.multiply(d_cell * cells[t - 1] * gate_forget, 1.0 - gate_forget, out=d_z[:, blocks[1]])
+            else:
+                d_z[:, blocks[1]] = 0.0
+            np.multiply(d_cell * gate_in, 1.0 - gate_cell ** 2, out=d_z[:, blocks[2]])
+            np.multiply(d_hidden * cells_tanh[t] * gate_out, 1.0 - gate_out, out=d_z[:, blocks[3]])
             d_cell = d_cell * gate_forget
             if t:
-                d_w_hidden += (gates[t - 1, :, 3 * h_dim:] * cells_tanh[t - 1]).T @ d_z
+                d_w_hidden += (gates[t - 1, 2] * cells_tanh[t - 1]).T @ d_z
                 d_hidden = d_z @ w_hidden.values.T
         d_flat = d_gates.reshape(batch * steps, 4 * h_dim)
         if seq.requires_grad:

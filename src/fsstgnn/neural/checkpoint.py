@@ -1,32 +1,34 @@
 """Plain-text model checkpoints.
 
-Format (version 1), whitespace-delimited:
+Format (version 2), whitespace-delimited:
 
-    fsstgnn-checkpoint 1
+    fsstgnn-checkpoint 2 <config-hash>
     <param-count>
     <name> <ndim> <dim0> <dim1> ...
     <values on one line, full repr precision>
     ... repeated per parameter, sorted by name ...
 
-Values round-trip exactly because they are written with repr().
+Values round-trip exactly because they are written with repr(). The
+config hash names the experiment config that trained the parameters, so
+a checkpoint is only scored under that config; "-" records none.
 """
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import ParameterError, ParseError
 
 FORMAT_NAME = "fsstgnn-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def save_checkpoint(path, params: dict) -> None:
-    """Write named arrays (Tensors or ndarrays) to ``path``."""
+def save_checkpoint(path, params: dict, config_hash: str = "-") -> None:
+    """Write named arrays (Tensors or ndarrays) to ``path`` under ``config_hash``."""
     arrays = {}
     for name, p in params.items():
         values = getattr(p, "values", p)
         arrays[str(name)] = np.asarray(values, dtype=float)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{FORMAT_NAME} {FORMAT_VERSION}\n")
+        handle.write(f"{FORMAT_NAME} {FORMAT_VERSION} {config_hash}\n")
         handle.write(f"{len(arrays)}\n")
         for name in sorted(arrays):
             arr = arrays[name]
@@ -48,22 +50,28 @@ def _parse(convert, token: str, what: str, line: int):
     return value
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path, config_hash=None) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> ndarray mapping; a malformed
-    line or a non-finite value raises ParseError carrying its line number."""
+    line or a non-finite value raises ParseError carrying its line number.
+    A well-formed checkpoint written under another hash than a given
+    ``config_hash`` raises ParameterError."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise ParseError("empty checkpoint file", line=1)
     header = lines[0].split()
-    if len(header) != 2 or header[0] != FORMAT_NAME:
+    if len(header) < 2 or header[0] != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file", line=1)
     if _parse(int, header[1], "checkpoint version", 1) != FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {header[1]}", line=1)
+    if len(header) != 3:
+        raise ParseError("header must name one config hash", line=1)
     try:
         count = int(lines[1])
     except (IndexError, ValueError) as exc:
         raise ParseError("missing parameter count", line=2) from exc
+    if count < 0:
+        raise ParseError(f"negative parameter count {count}", line=2)
     params: dict[str, np.ndarray] = {}
     cursor = 2
     for _ in range(count):
@@ -90,4 +98,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                              line=cursor + 2)
         params[name] = flat.reshape(shape)
         cursor += 2
+    if cursor < len(lines):
+        raise ParseError(f"line after the last of {count} declared parameters", line=cursor + 1)
+    if config_hash is not None and header[2] != config_hash:
+        raise ParameterError(f"checkpoint {path} was trained under config {header[2]}, "
+                             f"not this run's config {config_hash}")
     return params

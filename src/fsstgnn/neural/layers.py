@@ -160,8 +160,10 @@ class LstmCell:
     Gate order in the fused weight matrices is input, forget, cell, output.
     The forget-gate bias starts at 1 so early training does not wipe the
     cell state. Returns the final hidden state, computed as one fused tape
-    node with hand-written backpropagation through time; the unfused
-    reference it must match lives in ``tests/_oracles.py``.
+    node (``autodiff.lstm_sequence``) that keeps its gates gate-major and
+    runs hand-written backpropagation through time. The unfused reference
+    it must match, and the earlier fused op it equals bit for bit at input
+    width 1, live in ``tests/_oracles.py``.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, *, rng=None):

@@ -427,19 +427,26 @@ def _checkpoint_name(item: int, seed: int) -> str:
     return f"item{item}_seed{seed}.ckpt"
 
 
+def _unit_config_hash(config: ExperimentConfig, seed: int) -> str:
+    """Hash of ``config`` run with ``seed`` alone, so a subset of the seeds still matches."""
+    return replace(config, seeds=(seed,)).config_hash
+
+
 def _run_unit(args) -> UnitResult:
     ex, n_series, config, item, seed, checkpoint_dir = args
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
     epochs_ran = _train_unit(model, ex, config, seed, item)
     if checkpoint_dir is not None:
-        save_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)), model.parameters())
+        save_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)), model.parameters(),
+                        _unit_config_hash(config, seed))
     return _evaluate_unit(model, ex, item, seed, epochs_ran)
 
 
 def _eval_unit(args) -> UnitResult:
     ex, n_series, config, item, seed, checkpoint_dir = args
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
-    set_parameters(model, load_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed))))
+    set_parameters(model, load_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)),
+                                          _unit_config_hash(config, seed)))
     return _evaluate_unit(model, ex, item, seed, epochs_ran=0)
 
 

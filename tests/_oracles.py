@@ -174,6 +174,67 @@ def lstm_reference(cell, seq):
     return hidden
 
 
+def lstm_fused_reference(seq, w_input, w_hidden, bias):
+    """The fused LSTM op with the input projection hoisted out of the loop
+    and gate-interleaved (T, B, 4H) saved gates: the op ``lstm_sequence``
+    replaced, which it must match bit for bit at input width 1."""
+    seq, w_input, w_hidden, bias = (ad.as_tensor(t) for t in (seq, w_input, w_hidden, bias))
+    batch, steps, width = seq.values.shape
+    h_dim = w_hidden.values.shape[0]
+    cell_gate = slice(2 * h_dim, 3 * h_dim)
+    projected = seq.values @ w_input.values           # (B, T, 4H), one matmul for all steps
+    gates = np.empty((steps, batch, 4 * h_dim))
+    cells, cells_tanh = np.empty((2, steps, batch, h_dim))
+    hidden = cell = np.zeros((batch, h_dim))
+    for t in range(steps):
+        # z = (x_t W_in + h W_h) + b in the per-op tape's order, summed in
+        # place; the values match that tape bit for bit.
+        act = gates[t]
+        np.matmul(hidden, w_hidden.values, out=act)
+        act += projected[:, t, :]
+        act += bias.values
+        candidate = np.tanh(act[:, cell_gate])
+        np.exp(-act, out=act)
+        np.divide(1.0, act + 1.0, out=act)
+        act[:, cell_gate] = candidate
+        gate_in, gate_forget, gate_cell, gate_out = np.split(act, 4, axis=1)
+        cell = cells[t] = gate_forget * cell + gate_in * gate_cell
+        cells_tanh[t] = np.tanh(cell)
+        hidden = gate_out * cells_tanh[t]
+    out = ad.Tensor(hidden, _parents=(seq, w_input, w_hidden, bias))
+
+    def grad_fn(g):
+        d_gates = np.empty((batch, steps, 4 * h_dim))
+        d_w_hidden = np.zeros_like(w_hidden.values)
+        d_hidden = g
+        d_cell = np.zeros((batch, h_dim))
+        for t in reversed(range(steps)):
+            act = gates[t]
+            gate_in, gate_forget, gate_cell, gate_out = np.split(act, 4, axis=1)
+            d_cell = d_cell + d_hidden * gate_out * (1.0 - cells_tanh[t] ** 2)
+            d_z = d_gates[:, t, :]
+            d_z[:, :h_dim] = d_cell * gate_cell * gate_in * (1.0 - gate_in)
+            d_z[:, h_dim: 2 * h_dim] = d_cell * cells[t - 1] * gate_forget * (1.0 - gate_forget) if t else 0.0
+            d_z[:, cell_gate] = d_cell * gate_in * (1.0 - gate_cell ** 2)
+            d_z[:, 3 * h_dim:] = d_hidden * cells_tanh[t] * gate_out * (1.0 - gate_out)
+            d_cell = d_cell * gate_forget
+            if t:
+                d_w_hidden += (gates[t - 1, :, 3 * h_dim:] * cells_tanh[t - 1]).T @ d_z
+                d_hidden = d_z @ w_hidden.values.T
+        d_flat = d_gates.reshape(batch * steps, 4 * h_dim)
+        if seq.requires_grad:
+            ad._accumulate(seq, d_gates @ w_input.values.T)
+        if w_input.requires_grad:
+            ad._accumulate(w_input, seq.values.reshape(batch * steps, width).T @ d_flat)
+        if w_hidden.requires_grad:
+            ad._accumulate(w_hidden, d_w_hidden)
+        if bias.requires_grad:
+            ad._accumulate(bias, d_flat.sum(axis=0, keepdims=True))
+
+    out._backward = grad_fn
+    return out
+
+
 def cholesky_reference(m, min_pivot=0.0):
     """Column-by-column lower Cholesky factor; raises DefinitenessError
     naming the first pivot that is not strictly greater than ``min_pivot``."""

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -49,7 +53,7 @@ def evaluate_with_checkpoint(tmp_path, body):
                      "--out", str(csv)]) == 0
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
-    (ckpt / "item1_seed0.ckpt").write_text("fsstgnn-checkpoint 1\n1\n" + body)
+    (ckpt / "item1_seed0.ckpt").write_text("fsstgnn-checkpoint 2 0123456789ab\n1\n" + body)
     return cli.main(["evaluate", "--input", str(csv), "--checkpoints", str(ckpt),
                      "--model", "lstm", "--seeds", "0"])
 
@@ -106,6 +110,46 @@ class TestExitCodes:
     def test_non_finite_checkpoint_value_is_a_data_error(self, tmp_path, capsys):
         assert evaluate_with_checkpoint(tmp_path, "w 1 1\nnan\n") == 2
         assert "data error: line 4:" in capsys.readouterr().err
+
+
+def run_cli(*argv):
+    """``python -m fsstgnn`` in a fresh process that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(fsstgnn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "fsstgnn", *argv], env=env, capture_output=True)
+
+
+SMALL_RUN = ["--lookback", "7", "--epochs", "2", "--lstm-hidden", "4", "--embed-dim", "4",
+             "--mlp-hidden", "4"]
+
+
+class TestCliContracts:
+    def test_train_output_is_reproducible_and_evaluate_rescores_it(self, small_csv, tmp_path):
+        ckpt, trained, scored = tmp_path / "ckpt", tmp_path / "trained.jsonl", tmp_path / "scored.jsonl"
+        train = ["train", "--input", str(small_csv), "--seeds", "0,1", *SMALL_RUN,
+                 "--checkpoints", str(ckpt), "--records", str(trained)]
+        first = run_cli(*train)
+        assert first.returncode == 0, first.stderr
+        first_records = trained.read_bytes()
+        second = run_cli(*train)
+        assert second.returncode == 0, second.stderr
+        assert second.stdout == first.stdout
+        assert trained.read_bytes() == first_records
+        evaluated = run_cli("evaluate", "--input", str(small_csv), "--seeds", "0,1", *SMALL_RUN,
+                            "--checkpoints", str(ckpt), "--records", str(scored))
+        assert evaluated.returncode == 0, evaluated.stderr
+        assert scored.read_bytes() == first_records
+
+    def test_checkpoint_is_scored_only_under_its_config(self, small_csv, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        common = ["--input", str(small_csv), *SMALL_RUN, "--checkpoints", str(ckpt)]
+        assert cli.main(["train", *common, "--seeds", "0,1", "--graph", "inverse-correlation"]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", *common, "--seeds", "0,1", "--graph", "correlation"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and "Traceback" not in err
+        assert len(set(re.findall(r"\b[0-9a-f]{12}\b", err))) == 2
+        assert cli.main(["evaluate", *common, "--seeds", "1", "--graph", "inverse-correlation"]) == 0
 
 
 class TestExperimentConfig:

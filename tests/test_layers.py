@@ -21,7 +21,7 @@ from fsstgnn.neural import (
 from fsstgnn.neural import autodiff as ad
 from fsstgnn.neural.models import SpatialTemporalModel, TemporalOnlyModel, set_parameters
 
-from _oracles import lstm_reference, make_panel, max_relative_error, numeric_grad
+from _oracles import lstm_fused_reference, lstm_reference, make_panel, max_relative_error, numeric_grad
 
 
 def _sigmoid(x):
@@ -307,6 +307,45 @@ class TestFusedLstm:
         assert freed._backward is None and freed._parents == ()
         assert all(ref() is None for ref in freed_refs)
 
+
+class TestLstmAgainstHoistedOp:
+    """The gate-major op against the op with the hoisted input projection
+    that it replaced: bit for bit at input width 1, to rounding above it."""
+
+    @staticmethod
+    def _outputs(op, cell, values, mix):
+        params = {name: Tensor(p.values.copy(), requires_grad=True)
+                  for name, p in cell.parameters().items()}
+        seq = Tensor(values, requires_grad=True)
+        out = op(seq, params["w_input"], params["w_hidden"], params["bias"])
+        ad.tensor_sum(ad.mul(out, mix)).backward()
+        return [out.values, seq.grad] + [p.grad for p in params.values()]
+
+    def _compare(self, batch, steps, width, hidden, seed):
+        rng = np.random.default_rng(seed)
+        cell = LstmCell(width, hidden, rng=rng)
+        cell.bias.values[...] = rng.normal(size=cell.bias.values.shape)
+        values = rng.normal(size=(batch, steps, width))
+        mix = rng.normal(size=(batch, hidden))
+        return (self._outputs(ad.lstm_sequence, cell, values, mix),
+                self._outputs(lstm_fused_reference, cell, values, mix))
+
+    @pytest.mark.parametrize("hidden", [5, 32])
+    @pytest.mark.parametrize("steps", [1, 14])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 130])
+    def test_width_one_is_bitwise(self, batch, steps, hidden):
+        fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden)
+        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("width", [2, 3, 5, 10])
+    @pytest.mark.parametrize("batch", [1, 3, 7])
+    def test_wider_inputs_agree_to_rounding(self, batch, width):
+        fast, reference = self._compare(batch, 14, width, 5, seed=60 + batch + width)
+        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 class TestReadouts:
     def test_zero_weights_yield_bias(self):
         rng = np.random.default_rng(18)
@@ -484,8 +523,15 @@ class TestCheckpoints:
 
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2))})
-        assert path.read_text().splitlines()[0] == "fsstgnn-checkpoint 1"
+        save_checkpoint(path, {"w": np.ones((2, 2))}, "0123456789ab")
+        assert path.read_text().splitlines()[0] == "fsstgnn-checkpoint 2 0123456789ab"
+
+    def test_other_config_hash_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2))}, "0123456789ab")
+        assert np.array_equal(load_checkpoint(path, "0123456789ab")["w"], np.ones((2, 2)))
+        with pytest.raises(ParameterError, match="0123456789ab.*ba9876543210"):
+            load_checkpoint(path, "ba9876543210")
 
     def test_bad_header_rejected(self, tmp_path):
         from fsstgnn.errors import ParseError
@@ -497,14 +543,18 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("text, line", [
         ("fsstgnn-checkpoint one\n0\n", 1),
-        ("fsstgnn-checkpoint 1\n1\nw two 2\n1.0 2.0\n", 3),
-        ("fsstgnn-checkpoint 1\n1\nw 1 2.5\n1.0 2.0\n", 3),
-        ("fsstgnn-checkpoint 1\n1\nw 2 -1 -1\n1.0\n", 3),
-        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\nw 1 2\n1.0 abc\n", 6),
-        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\n", 5),
-        ("fsstgnn-checkpoint 1\n1\nw 1 2\n1.0 nan\n", 4),
-        ("fsstgnn-checkpoint 1\n2\na 1 1\ninf\nw 1 1\n1.0\n", 4),
-        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\nw 1 2\n-inf 1.0\n", 6),
+        ("fsstgnn-checkpoint 2 -\n1\nw two 2\n1.0 2.0\n", 3),
+        ("fsstgnn-checkpoint 2 -\n1\nw 1 2.5\n1.0 2.0\n", 3),
+        ("fsstgnn-checkpoint 2 -\n1\nw 2 -1 -1\n1.0\n", 3),
+        ("fsstgnn-checkpoint 2 -\n2\na 1 1\n0.5\nw 1 2\n1.0 abc\n", 6),
+        ("fsstgnn-checkpoint 2 -\n2\na 1 1\n0.5\n", 5),
+        ("fsstgnn-checkpoint 2 -\n1\nw 1 2\n1.0 nan\n", 4),
+        ("fsstgnn-checkpoint 2 -\n2\na 1 1\ninf\nw 1 1\n1.0\n", 4),
+        ("fsstgnn-checkpoint 2 -\n2\na 1 1\n0.5\nw 1 2\n-inf 1.0\n", 6),
+        ("fsstgnn-checkpoint 2 -\n-2\n", 2),
+        ("fsstgnn-checkpoint 2 -\n1\na 1 1\n0.5\nw 1 1\n1.0\n", 5),
+        ("fsstgnn-checkpoint 2\n1\nw 1 1\n1.0\n", 1),
+        ("fsstgnn-checkpoint 1\n1\nw 1 1\n1.0\n", 1),
     ])
     def test_malformed_body_names_line(self, tmp_path, text, line):
         from fsstgnn.errors import ParseError
