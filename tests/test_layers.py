@@ -555,6 +555,9 @@ class TestCheckpoints:
         ("fsstgnn-checkpoint 2 -\n1\na 1 1\n0.5\nw 1 1\n1.0\n", 5),
         ("fsstgnn-checkpoint 2\n1\nw 1 1\n1.0\n", 1),
         ("fsstgnn-checkpoint 1\n1\nw 1 1\n1.0\n", 1),
+        # a version-1 header is refused before a malformed body is read
+        ("fsstgnn-checkpoint 1\n2\na 1 1\n0.5\n", 1),
+        ("fsstgnn-checkpoint 1\n2\na 1 1\ninf\nw 1 1\n1.0\n", 1),
     ])
     def test_malformed_body_names_line(self, tmp_path, text, line):
         from fsstgnn.errors import ParseError
