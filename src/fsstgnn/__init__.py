@@ -2,8 +2,9 @@
 GNN forecaster for multivariate sales series.
 
 The package estimates (inverse) correlation matrices from look-back
-windows, filters them by shrinkage, graphical lasso or a greedy clique
-forest, turns the results into weighted graphs, and trains an
+windows, filters each panel's windows as one stack by shrinkage,
+graphical lasso or a greedy clique forest (or leaves them unfiltered),
+turns the results into weighted graphs, and trains an
 LSTM + GNN + MLP forecaster on top of a small reverse-mode autodiff
 engine. A CLI exposes data synthesis, filter inspection, training,
 evaluation and sweep reporting.
@@ -18,13 +19,11 @@ from .filtering import (
     FilterConfig,
     FilterResult,
     apply_filter,
-    empirical,
     glasso,
     has_perfect_elimination_ordering,
     mfcf,
     select_alpha_cv,
     select_lambda_cv,
-    shrink,
     sparsity,
 )
 from .graphs import FilteredGraph, benchmark_graph, from_filter_result
@@ -65,7 +64,6 @@ __all__ = [
     "apply_filter",
     "benchmark_graph",
     "correlation_from_rows",
-    "empirical",
     "errors",
     "evaluate_experiment",
     "format_table",
@@ -79,7 +77,6 @@ __all__ = [
     "run_experiment",
     "select_alpha_cv",
     "select_lambda_cv",
-    "shrink",
     "sparsity",
     "sweep",
     "symmetrize",

@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--lambda", dest="lam", type=float, help="glasso penalty")
     filt.add_argument("--threshold", dest="mfcf_gain_threshold", metavar="THRESHOLD", type=float,
                       help="clique-forest gain threshold")
-    filt.add_argument("--min-clique", type=int, help="minimum clique size")
     filt.add_argument("--max-clique", type=int, help="maximum clique size")
     filt.add_argument("--out", required=True, help="output path prefix for matrix fixtures")
     filt.set_defaults(func=_cmd_filter)

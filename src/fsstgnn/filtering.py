@@ -1,14 +1,17 @@
-"""Correlation and precision filtering: covariance shrinkage, graphical
-lasso, and the maximally filtered clique forest (MFCF), plus
-cross-validated parameter selection and sparsity measurement.
+"""Correlation and precision filtering: none (empirical), covariance
+shrinkage, graphical lasso and the maximally filtered clique forest
+(MFCF), plus cross-validated parameter selection and sparsity
+measurement.
 
-All three filters take an empirical correlation matrix and return a
+Every filter takes an empirical correlation matrix and gives a
 ``FilterResult`` holding a filtered dense correlation, a (possibly
 sparse) positive-definite precision matrix that inverts back to it, and
-the realized off-diagonal sparsity. Graphical lasso and MFCF also
-filter many problems at once (``glasso_stack``, ``mfcf_stack``): the
-look-back windows of a panel, and the glasso cross-validation grid, are
-each one lockstep batch.
+the realized off-diagonal sparsity. ``filter_windows`` is the one
+dispatch on the method: it filters a stack of same-size windows (the
+look-back windows of a panel) as one lockstep batch, by
+``_shrink_stack``, ``glasso_stack`` or ``mfcf_stack``, and the glasso
+cross-validation grid is one ``glasso_stack`` batch too. A single
+window (``apply_filter``, ``glasso``, ``mfcf``) is a batch of one.
 """
 
 import itertools
@@ -75,7 +78,6 @@ class FilterConfig:
         "help": "shrinkage weight in [0,1]; omit to select by CV"})
     lam: Optional[float] = field(default=None, metadata={
         "help": "glasso penalty >= 0; omit to select by CV", "flag": "--lambda", "key": "lambda"})
-    min_clique: int = field(default=4, metadata={"help": "minimum clique size"})
     max_clique: int = field(default=4, metadata={"help": "maximum clique size"})
     mfcf_gain_threshold: float = field(default=0.0, metadata={
         "help": "clique-forest gain threshold (squared correlation scale)", "flag": "--threshold"})
@@ -88,10 +90,8 @@ class FilterConfig:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.lam is not None and not self.lam >= 0.0:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
-        if not (2 <= self.min_clique <= self.max_clique):
-            raise ParameterError(
-                f"clique bounds must satisfy 2 <= min <= max, got {self.min_clique}..{self.max_clique}"
-            )
+        if self.max_clique < 2:
+            raise ParameterError(f"max_clique must be >= 2, got {self.max_clique}")
         if self.cv_folds < 2:
             raise ParameterError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if not self.mfcf_gain_threshold >= 0.0:
@@ -108,7 +108,7 @@ class InsertionStep(NamedTuple):
 class CliqueForest:
     """Cliques and separators produced by the greedy clique-forest build.
 
-    With min = max clique size 4 and no gain threshold the forest is the
+    With clique size 4 and no gain threshold the forest is the
     triangulated maximally filtered graph: n - 3 cliques of size 4 joined
     through n - 4 separators of size 3.
     """
@@ -159,14 +159,12 @@ class FilterResult:
 
 def sparsity(precision):
     """Fraction of zero off-diagonal precision entries over n*(n-1): a
-    float for one matrix, an array for a (k, n, n) stack."""
+    float for one matrix, an array for a (k, n, n) stack; 1 for 1x1."""
     entries = np.asarray(getattr(precision, "entries", precision), dtype=float)
     n = entries.shape[-1]
-    if n < 2:
-        return 1.0
     nonzero = (np.count_nonzero(entries, axis=(-2, -1))
                - np.count_nonzero(np.diagonal(entries, axis1=-2, axis2=-1), axis=-1))
-    share = 1.0 - nonzero / (n * (n - 1))
+    share = 1.0 - nonzero / max(n * (n - 1), 1)
     return float(share) if entries.ndim == 2 else share
 
 
@@ -191,37 +189,82 @@ def _ensure_pd(entries: np.ndarray, base_jitter: float = BASE_JITTER):
     raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitter}")
 
 
-def _dense_result(entries: np.ndarray, jitter: float = 0.0) -> FilterResult:
-    corr = CorrelationMatrix.from_entries(entries)
-    precision = PrecisionMatrix.from_entries(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
-    return FilterResult(
-        correlation=corr,
-        precision=precision,
-        sparsity=sparsity(precision),
-        jitter=jitter,
-    )
+def _stack(corrs) -> np.ndarray:
+    """The (k, n, n) entries of a batch of same-size correlations."""
+    sizes = sorted({corr.n for corr in corrs})
+    if len(sizes) > 1:
+        raise ShapeError(f"a batch holds one problem size, got {sizes}")
+    return np.array([corr.entries for corr in corrs])
 
 
-def empirical(corr: CorrelationMatrix) -> FilterResult:
-    """No filtering: the empirical correlation and its straight inverse."""
-    entries, jitter = _ensure_pd(corr.entries)
-    return _dense_result(entries, jitter=jitter)
+def _ensure_pd_stack(entries: np.ndarray):
+    """``_ensure_pd`` of each matrix of a nonempty (k, n, n) stack. Returns
+    the outcome list, holding the DefinitenessError of each matrix that
+    stays indefinite and None elsewhere, the indices of the other
+    matrices, their PD stack and their jitters. One stacked LAPACK
+    Cholesky clears most matrices at jitter 0; those its rule cannot
+    decide take ``_ensure_pd`` alone."""
+    entries = symmetrize(entries)
+    _, decided = cholesky_stack(entries, PD_PIVOT_FLOOR)
+    out, idx, jitters = [None] * len(entries), [], []
+    for k, ok in enumerate(decided.tolist()):
+        try:
+            if not ok:
+                entries[k], jitter = _ensure_pd(entries[k])
+        except DefinitenessError as exc:
+            out[k] = exc
+            continue
+        idx.append(k)
+        jitters.append(0.0 if ok else jitter)
+    return out, idx, entries[idx], jitters
 
 
-def shrink(corr: CorrelationMatrix, alpha: float) -> FilterResult:
-    """Convex shrinkage toward the scaled identity.
+def _filter_results(out: list, idx, precisions: np.ndarray, extras: list, correlations=None) -> list:
+    """Set ``out[idx[a]]``, for each matrix a of a (k, n, n) precision
+    stack, to its FilterResult with the fields ``extras[a]``, or to the
+    DefinitenessError ``PrecisionMatrix.stack`` gives it; returns ``out``.
+    The correlation is ``correlations[a]`` where given, else the inverse
+    of the precision, by one stacked inverse."""
+    if not len(idx):
+        return out
+    precisions = PrecisionMatrix.stack(precisions, zero_tol=PRECISION_ZERO_TOL)
+    for i, precision in zip(idx, precisions):
+        out[i] = precision                  # replaced below unless it is the error
+    pd = [a for a, precision in enumerate(precisions) if not isinstance(precision, Exception)]
+    if not pd:
+        return out
+    if correlations is None:
+        correlations = dict(zip(pd, correlation_stack(inverse_stack([precisions[a] for a in pd]))))
+    shares = sparsity(np.array([precisions[a].entries for a in pd])).tolist()
+    for a, share in zip(pd, shares):
+        out[idx[a]] = FilterResult(correlation=correlations[a], precision=precisions[a], sparsity=share,
+                                   **extras[a])
+    return out
+
+
+def _shrink_stack(corrs, alpha: Optional[float]) -> list:
+    """The empirical filter (``alpha`` None) or convex shrinkage toward the
+    scaled identity of a batch of same-size correlations: per window, the
+    correlation made positive definite and its straight inverse, or the
+    DefinitenessError it ended with.
 
     shrunk = (1 - alpha) * C + alpha * (tr C / n) * I, which for a
     correlation matrix scales every off-diagonal by (1 - alpha) and every
     eigenvalue to (1 - alpha) * e_i + alpha.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    entries = corr.entries
-    target = np.trace(entries) / entries.shape[0]
-    shrunk = (1.0 - alpha) * entries + alpha * target * np.eye(entries.shape[0])
-    shrunk, jitter = _ensure_pd(shrunk)
-    return _dense_result(shrunk, jitter=jitter)
+    entries = _stack(corrs)
+    if not corrs:
+        return []
+    if alpha is not None:
+        n = entries.shape[-1]
+        target = np.trace(entries, axis1=1, axis2=2) / n
+        entries = (1.0 - alpha) * entries + (alpha * target)[:, None, None] * np.eye(n)
+    out, idx, entries, jitters = _ensure_pd_stack(entries)
+    if not idx:
+        return out
+    correlations = correlation_stack(entries)
+    inverses = invert_spd_stack(np.array([corr.entries for corr in correlations]))
+    return _filter_results(out, idx, inverses, [{"jitter": jitter} for jitter in jitters], correlations)
 
 
 def _l1_off(theta: np.ndarray) -> np.ndarray:
@@ -256,16 +299,6 @@ def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
     return u
 
 
-def _glasso_result(theta, objective, sweeps, jitter):
-    try:
-        precision = PrecisionMatrix.from_entries(theta, zero_tol=PRECISION_ZERO_TOL)
-    except DefinitenessError as exc:
-        return exc
-    return FilterResult(correlation=CorrelationMatrix.from_entries(precision.inverse()),
-                        precision=precision, sparsity=sparsity(precision), jitter=jitter,
-                        objective_values=objective, sweeps=sweeps)
-
-
 def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
                  inner_tol: float = 1e-8, max_inner: int = 100) -> list:
     """Graphical lasso (see ``glasso``) for a batch of same-size problems
@@ -281,24 +314,19 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(corrs),))
     if np.any(lams < 0.0):
         raise ParameterError(f"lambda must be >= 0, got {lams.min()}")
-    if len({corr.n for corr in corrs}) > 1:
-        raise ShapeError(f"a batch holds one problem size, got {sorted({corr.n for corr in corrs})}")
-    out: list = [None] * len(corrs)
-    jitters, prepared = out.copy(), []
-    for i, corr in enumerate(corrs):
-        try:
-            s, jitters[i] = _ensure_pd(corr.entries)
-            prepared.append((i, s))
-        except DefinitenessError as exc:
-            out[i] = exc
-    if not prepared:
+    entries = _stack(corrs)
+    if not corrs:
+        return []
+    out, idx, s, jitters = _ensure_pd_stack(entries)
+    if not idx:
         return out
-    idx, s = np.array([i for i, _ in prepared]), np.array([s for _, s in prepared])
+    jitters, idx = dict(zip(idx, jitters)), np.array(idx)
     lam, p = lams[idx], s.shape[1]
     diag_s = np.diagonal(s, axis1=1, axis2=2)[:, None, :]
     theta = np.where(np.eye(p, dtype=bool), 1.0 / diag_s, 0.0)
     w = np.where(np.eye(p, dtype=bool), diag_s, 0.0)       # w tracks theta^{-1}
     history = {i: [v] for i, v in zip(idx.tolist(), _glasso_objective(s, theta, lam).tolist())}
+    converged, thetas, extras = [], [], []
     for sweep in range(1, max_sweeps + 1):
         theta_prev = theta.copy()
         for j in range(p):
@@ -319,7 +347,10 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
             history[i].append(value)
         running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
         for a in np.flatnonzero(~running):
-            out[idx[a]] = _glasso_result(theta[a], tuple(history[idx[a]]), sweep, jitters[idx[a]])
+            converged.append(idx[a])
+            thetas.append(theta[a])
+            extras.append({"objective_values": tuple(history[idx[a]]), "sweeps": sweep,
+                           "jitter": jitters[idx[a]]})
         try:                                                # refresh w to kill float drift
             w = invert_spd_stack(theta[running])
         except DefinitenessError:                           # fail only the blocks that are not PD
@@ -331,11 +362,11 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
             w = w[running]
         idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
         if not len(idx):
-            return out
+            break
     for a, i in enumerate(idx):
         gap = (s[a] * theta[a]).sum() - p + lam[a] * _l1_off(theta[a])
         out[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))
-    return out
+    return _filter_results(out, converged, np.array(thetas), extras)
 
 
 def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
@@ -350,26 +381,8 @@ def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
     A batch of one for ``glasso_stack``; raises the ConvergenceError or
     DefinitenessError the problem ends with.
     """
-    (outcome,) = glasso_stack([corr], lam, max_sweeps=max_sweeps, tol=tol,
-                              inner_tol=inner_tol, max_inner=max_inner)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _ensure_pd_stack(corrs) -> list:
-    """``_ensure_pd`` of each correlation, or the DefinitenessError it
-    raises. One stacked LAPACK Cholesky clears most windows at jitter 0;
-    the windows its rule cannot decide take ``_ensure_pd`` alone."""
-    entries = symmetrize(np.array([corr.entries for corr in corrs]))
-    _, decided = cholesky_stack(entries, PD_PIVOT_FLOOR)
-    out = []
-    for k, ok in enumerate(decided.tolist()):
-        try:
-            out.append((entries[k], 0.0) if ok else _ensure_pd(entries[k]))
-        except DefinitenessError as exc:
-            out.append(exc)
-    return out
+    return _alone(glasso_stack([corr], lam, max_sweeps=max_sweeps, tol=tol,
+                               inner_tol=inner_tol, max_inner=max_inner))
 
 
 def _insertions(entries: np.ndarray, max_clique: int, threshold: float):
@@ -504,8 +517,7 @@ def mfcf_stack(corrs, config: FilterConfig) -> list:
     it ended with; a window whose precision is not positive definite fails
     alone.
     """
-    if len({corr.n for corr in corrs}) > 1:
-        raise ShapeError(f"a batch holds one problem size, got {sorted({corr.n for corr in corrs})}")
+    entries = _stack(corrs)
     if not corrs:
         return []
     n = corrs[0].n
@@ -516,32 +528,15 @@ def mfcf_stack(corrs, config: FilterConfig) -> list:
     if len(corrs) > chunk:
         return [outcome for start in range(0, len(corrs), chunk)
                 for outcome in mfcf_stack(corrs[start: start + chunk], config)]
-    out = _ensure_pd_stack(corrs)
-    idx = [k for k, outcome in enumerate(out) if not isinstance(outcome, Exception)]
+    out, idx, entries, jitters = _ensure_pd_stack(entries)
     if not idx:
         return out
-    entries = np.array([out[k][0] for k in idx])
     cliques, vertices, faces, gains, separators = _insertions(entries, config.max_clique,
                                                               config.mfcf_gain_threshold)
     separators, multiplicity = _distinct(separators)
     forests = _forests(n, cliques, vertices, faces, gains, separators, multiplicity)
-    precisions = PrecisionMatrix.stack(_assemble(entries, cliques, separators, multiplicity),
-                                       zero_tol=PRECISION_ZERO_TOL)
-    pd = []
-    for a, precision in enumerate(precisions):
-        if isinstance(precision, Exception):
-            out[idx[a]] = precision
-        else:
-            pd.append(a)
-    if not pd:
-        return out
-    correlations = correlation_stack(inverse_stack([precisions[a] for a in pd]))
-    sparsities = sparsity(np.array([precisions[a].entries for a in pd])).tolist()
-    for a, corr, share in zip(pd, correlations, sparsities):
-        k = idx[a]
-        out[k] = FilterResult(correlation=corr, precision=precisions[a], sparsity=share,
-                              forest=forests[a], jitter=out[k][1])
-    return out
+    return _filter_results(out, idx, _assemble(entries, cliques, separators, multiplicity),
+                           [{"forest": forest, "jitter": jitter} for forest, jitter in zip(forests, jitters)])
 
 
 def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
@@ -560,43 +555,38 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     within-clique pair. A batch of one for ``mfcf_stack``; raises the
     DefinitenessError the window ends with.
     """
-    (outcome,) = mfcf_stack([corr], config)
+    return _alone(mfcf_stack([corr], config))
+
+
+def filter_windows(corrs, config: FilterConfig) -> list:
+    """Per window correlation, its FilterResult under a resolved config or
+    the ConvergenceError or DefinitenessError it ended with. The one
+    dispatch on the filter method: every method filters the windows as
+    one lockstep stack, and each window's result is bitwise the same
+    alone or in any batch."""
+    if config.method == "mfcf":
+        return mfcf_stack(corrs, config)
+    if config.method == "glasso":
+        if config.lam is None:
+            raise ParameterError("glasso needs lambda; select it by CV or set it explicitly")
+        return glasso_stack(corrs, config.lam)
+    if config.method == "shrinkage" and config.alpha is None:
+        raise ParameterError("shrinkage needs alpha; select it by CV or set it explicitly")
+    return _shrink_stack(corrs, config.alpha if config.method == "shrinkage" else None)
+
+
+def _alone(outcomes: list) -> FilterResult:
+    """The result of a batch of one, or the error it ended with, raised."""
+    (outcome,) = outcomes
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
-    """Dispatch to the configured filter; alpha/lambda must be resolved."""
-    if config.method == "empirical":
-        return empirical(corr)
-    if config.method == "shrinkage":
-        if config.alpha is None:
-            raise ParameterError("shrinkage needs alpha; select it by CV or set it explicitly")
-        return shrink(corr, config.alpha)
-    if config.method == "glasso":
-        if config.lam is None:
-            raise ParameterError("glasso needs lambda; select it by CV or set it explicitly")
-        return glasso(corr, config.lam)
-    return mfcf(corr, config)
-
-
-def filter_windows(corrs, config: FilterConfig) -> list:
-    """Per window correlation, its FilterResult under a resolved config or
-    the ConvergenceError or DefinitenessError it raised. Glasso and MFCF
-    windows are each filtered by one ``glasso_stack`` or ``mfcf_stack``
-    call, other methods one window at a time through ``apply_filter``."""
-    if config.method == "glasso" and config.lam is not None:    # else apply_filter raises
-        return glasso_stack(corrs, config.lam)
-    if config.method == "mfcf":
-        return mfcf_stack(corrs, config)
-    outcomes = []
-    for corr in corrs:
-        try:
-            outcomes.append(apply_filter(corr, config))
-        except (ConvergenceError, DefinitenessError) as exc:
-            outcomes.append(exc)
-    return outcomes
+    """``filter_windows`` of one window: its FilterResult, or the error it
+    ended with, raised; alpha/lambda must be resolved."""
+    return _alone(filter_windows([corr], config))
 
 
 def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .filtering import (
     FilterConfig,
-    apply_filter,
     filter_windows,
     select_alpha_cv,
     select_lambda_cv,
@@ -101,6 +100,9 @@ class ExperimentConfig:
             raise ParameterError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.lookback < 2:
             raise ParameterError(f"lookback must be >= 2, got {self.lookback}")
+        if self.use_differences and self.lookback < 3:
+            raise ParameterError(
+                f"use_differences needs lookback >= 3 (2 differenced rows), got {self.lookback}")
         if not self.seeds:
             raise ParameterError("at least one seed is required")
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
@@ -257,13 +259,17 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
                   filt: FilterConfig) -> _FilteredWindows:
     windows = _windows(panel, config.lookback)
     corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
-    outcomes = filter_windows(corrs, filt)
-    failed = [isinstance(outcome, Exception) for outcome in outcomes]
-    results = [apply_filter(corr, FilterConfig(method="empirical")) if fell else outcome
-               for corr, outcome, fell in zip(corrs, outcomes, failed)]
+    results = filter_windows(corrs, filt)
+    failed = [k for k, outcome in enumerate(results) if isinstance(outcome, Exception)]
+    if failed:
+        fallbacks = filter_windows([corrs[k] for k in failed], FilterConfig(method="empirical"))
+        for k, fallback in zip(failed, fallbacks):
+            if isinstance(fallback, Exception):
+                raise fallback
+            results[k] = fallback
     return _FilteredWindows(filt, np.array([r.correlation.entries for r in results]),
                             np.array([r.precision.entries for r in results]),
-                            np.array([r.sparsity for r in results]), sum(failed))
+                            np.array([r.sparsity for r in results]), len(failed))
 
 
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,

@@ -5,8 +5,8 @@ come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
 descent, chordality is cross-checked through networkx, and the fast paths
 (the fused LSTM op, the LAPACK Cholesky, the table-scored MFCF build, the
-lockstep glasso batch) are checked against the slow references they
-replaced.
+lockstep glasso batch, the stacked empirical and shrinkage filters) are
+checked against the slow references they replaced.
 """
 
 import itertools
@@ -348,3 +348,18 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
         objective_values=tuple(objective),
         sweeps=converged_sweeps,
     )
+
+
+def shrink_reference(corr, alpha=None):
+    """The empirical filter (``alpha`` None) or shrinkage of one window,
+    one window at a time: shrink, make positive definite, then invert
+    the correlation alone. Raises DefinitenessError as the filter does."""
+    entries = corr.entries
+    if alpha is not None:
+        target = np.trace(entries) / entries.shape[0]
+        entries = (1.0 - alpha) * entries + alpha * target * np.eye(entries.shape[0])
+    entries, jitter = _ensure_pd(entries)
+    corr = CorrelationMatrix.from_entries(entries)
+    precision = PrecisionMatrix.from_entries(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
+    return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision),
+                        jitter=jitter)

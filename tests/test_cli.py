@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import fsstgnn
 import fsstgnn.neural
-from fsstgnn import cli
+from fsstgnn import cli, filtering
 from fsstgnn.filtering import FilterConfig
 from fsstgnn.pipeline import ExperimentConfig
 
@@ -19,7 +20,6 @@ SAMPLES = {
     "method": ("glasso", "glasso"),
     "alpha": ("0.25", 0.25),
     "lam": ("0.2", 0.2),
-    "min_clique": ("3", 3),
     "max_clique": ("5", 5),
     "mfcf_gain_threshold": ("0.01", 0.01),
     "cv_folds": ("3", 3),
@@ -94,6 +94,26 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err and "nan" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_differences_of_two_rows_are_a_usage_error(self, tmp_path, capsys):
+        # refused before the input is read: the file does not exist
+        argv = ["train", "--input", str(tmp_path / "missing.csv"), "--use-differences",
+                "--lookback", "2"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: use_differences needs lookback >= 3") and "Traceback" not in err
+
+    def test_glasso_that_does_not_converge_is_a_numeric_error(self, small_csv, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(filtering, "glasso_stack",
+                            functools.partial(filtering.glasso_stack, max_sweeps=1))
+        argv = ["filter", "--input", str(small_csv), "--item", "1", "--method", "glasso",
+                "--lambda", "0.1", "--out", str(tmp_path / "w")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: graphical lasso did not converge in 1 sweeps")
+        assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     def test_repeated_seed_is_a_usage_error(self, small_csv, capsys):

@@ -17,12 +17,11 @@ from fsstgnn.filtering import (
     PRECISION_ZERO_TOL,
     FilterConfig,
     apply_filter,
-    empirical,
+    filter_windows,
     glasso,
     glasso_stack,
     select_alpha_cv,
     select_lambda_cv,
-    shrink,
     sparsity,
 )
 from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
@@ -34,11 +33,20 @@ from _oracles import (
     glasso_reference,
     make_panel,
     random_correlation,
+    shrink_reference,
 )
 
 
 def corr_of(entries) -> CorrelationMatrix:
     return CorrelationMatrix.from_entries(np.asarray(entries, dtype=float))
+
+
+def shrink(corr, alpha):
+    return apply_filter(corr, FilterConfig(method="shrinkage", alpha=alpha))
+
+
+def empirical(corr):
+    return apply_filter(corr, FilterConfig(method="empirical"))
 
 
 class TestShrink:
@@ -312,6 +320,11 @@ class TestSparsity:
         entries = np.eye(4) + 0.1 * (np.ones((4, 4)) - np.eye(4))
         assert sparsity(PrecisionMatrix.from_entries(entries)) == 0.0
 
+    def test_one_by_one_stack_gives_an_array(self):
+        shares = sparsity(np.ones((3, 1, 1)))
+        assert isinstance(shares, np.ndarray) and np.array_equal(shares, np.ones(3))
+        assert sparsity(np.ones((1, 1))) == 1.0
+
     def test_accepts_raw_arrays(self):
         entries = np.eye(3)
         entries[0, 1] = entries[1, 0] = 0.2
@@ -338,6 +351,136 @@ class TestEmpirical:
         assert np.abs(back - result.correlation.entries).max() < 1e-6
 
 
+METHODS = {
+    "empirical": lambda draw: FilterConfig(method="empirical"),
+    "shrinkage": lambda draw: FilterConfig(method="shrinkage", alpha=draw(st.sampled_from(ALPHA_GRID))),
+    # lambdas at which every drawn window converges well within the sweep limit
+    "glasso": lambda draw: FilterConfig(method="glasso", lam=draw(st.sampled_from([0.1, 0.3, 1.0]))),
+    "mfcf": lambda draw: FilterConfig(method="mfcf", mfcf_gain_threshold=draw(st.sampled_from([0.0, 0.05]))),
+}
+
+
+def smallest_size(config):
+    return config.max_clique if config.method == "mfcf" else 1
+
+
+@st.composite
+def configs(draw):
+    return METHODS[draw(st.sampled_from(sorted(METHODS)))](draw)
+
+
+@st.composite
+def window_batches(draw, config):
+    """1 to 5 correlations of one size, 1x1 included where the method
+    allows; windows with fewer rows than series or a repeated column are
+    singular and need the PD jitter."""
+    n = draw(st.integers(smallest_size(config), 8))
+    corrs = []
+    for _ in range(draw(st.integers(1, 5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.normal(size=(draw(st.integers(2, 12)), n))
+        if n > 1 and draw(st.booleans()):
+            x[:, -1] = x[:, 0]
+        corrs.append(correlation_from_rows(x))
+    return corrs
+
+
+def assert_bitwise_same(got, want):
+    """The same FilterResult to the bit, or the same error."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and getattr(got, "gap", None) == getattr(want, "gap", None)
+        return
+    for name in ("correlation", "precision"):
+        a, b = getattr(got, name).entries, getattr(want, name).entries
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.sparsity, got.jitter, got.forest, got.objective_values, got.sweeps) == (
+        want.sparsity, want.jitter, want.forest, want.objective_values, want.sweeps)
+
+
+def reference_or_error(corr, alpha):
+    try:
+        return shrink_reference(corr, alpha)
+    except DefinitenessError as exc:
+        return exc
+
+
+class TestFilterWindows:
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_every_window_is_the_same_alone_and_in_any_batch(self, data):
+        config = data.draw(configs())
+        batch = data.draw(window_batches(config))
+        together = filter_windows(batch, config)
+        backwards = filter_windows(batch[::-1], config)[::-1]
+        for corr, in_batch, reversed_batch in zip(batch, together, backwards):
+            (alone,) = filter_windows([corr], config)
+            assert_bitwise_same(in_batch, alone)
+            assert_bitwise_same(reversed_batch, alone)
+
+    @given(data=st.data())
+    def test_dense_windows_match_the_per_window_reference(self, data):
+        alpha = data.draw(st.sampled_from([None, *ALPHA_GRID]))
+        config = FilterConfig(method="empirical" if alpha is None else "shrinkage", alpha=alpha)
+        batch = data.draw(window_batches(config))
+        for corr, got in zip(batch, filter_windows(batch, config)):
+            assert_bitwise_same(got, reference_or_error(corr, alpha))
+
+    def test_jittered_and_one_by_one_windows(self):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(9, 6))
+        x[:, 5] = x[:, 0]
+        batch = [random_correlation(rng, 6), correlation_from_rows(x), random_correlation(rng, 6)]
+        ones = [corr_of([[1.0]])] * 2
+        for config in (FilterConfig(method="empirical"), FilterConfig(method="shrinkage", alpha=0.0)):
+            results = filter_windows(batch, config)
+            assert [r.jitter > 0.0 for r in results] == [False, True, False]
+            for corr, got in zip(batch + ones, results + filter_windows(ones, config)):
+                assert_bitwise_same(got, shrink_reference(corr, config.alpha))
+        for got in filter_windows(ones, FilterConfig(method="glasso", lam=0.1)):
+            assert (got.sparsity, got.sweeps) == (1.0, 1)
+            assert np.array_equal(got.precision.entries, np.eye(1))
+
+
+class TestDegenerateWindows:
+    """What every filter gives the degenerate windows of a panel."""
+
+    @given(data=st.data())
+    def test_constant_columns_correlate_zero(self, data):
+        config = data.draw(configs())
+        n = data.draw(st.integers(max(smallest_size(config), 2), 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        constant = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        level = data.draw(st.sampled_from([0.0, 3.0, -50.0]))
+        x = rng.normal(size=(data.draw(st.integers(2, 16)), n))
+        x[:, constant] = level
+        (result,) = filter_windows([correlation_from_rows(x)], config)
+        off = ~np.eye(n, dtype=bool)
+        for j in constant:
+            assert np.all(result.correlation.entries[j][off[j]] == 0.0)
+            assert np.all(result.correlation.entries[:, j][off[j]] == 0.0)
+
+    @given(data=st.data())
+    def test_all_zero_window_gives_the_identity(self, data):
+        config = data.draw(configs())
+        n = data.draw(st.integers(max(smallest_size(config), 2), 8))
+        rows = data.draw(st.integers(2, 16))
+        (result,) = filter_windows([correlation_from_rows(np.zeros((rows, n)))], config)
+        assert np.array_equal(result.correlation.entries, np.eye(n))
+        assert np.array_equal(result.precision.entries, np.eye(n))
+        assert (result.sparsity, result.jitter) == (1.0, 0.0)
+
+    @given(data=st.data())
+    def test_more_series_than_rows_gets_the_base_jitter(self, data):
+        config = data.draw(configs())
+        n = data.draw(st.integers(max(smallest_size(config), 2), 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.normal(size=(data.draw(st.integers(2, n)), n))
+        (result,) = filter_windows([correlation_from_rows(x)], config)
+        shrunk = config.method == "shrinkage" and config.alpha > 0.0
+        assert result.jitter == (0.0 if shrunk else filtering.BASE_JITTER)
+
+
 class TestFilterConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -347,7 +490,7 @@ class TestFilterConfig:
         with pytest.raises(ParameterError):
             FilterConfig(lam=-1.0)
         with pytest.raises(ParameterError):
-            FilterConfig(min_clique=5, max_clique=4)
+            FilterConfig(max_clique=1)
         with pytest.raises(ParameterError):
             FilterConfig(cv_folds=1)
 

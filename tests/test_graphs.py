@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsstgnn.errors import ParameterError, ShapeError
-from fsstgnn.filtering import FilterConfig, glasso, mfcf, shrink
+from fsstgnn.filtering import FilterConfig, apply_filter, glasso, mfcf
 from fsstgnn.graphs import (
     FilteredGraph,
     benchmark_graph,
@@ -43,7 +43,7 @@ class TestBenchmarkGraphs:
 class TestFromFilterResult:
     def test_dense_shrunk_correlation_has_full_mask(self):
         corr = random_correlation(np.random.default_rng(0), 6)
-        graph = from_filter_result(shrink(corr, 0.4), "correlation")
+        graph = from_filter_result(apply_filter(corr, FilterConfig(method="shrinkage", alpha=0.4)), "correlation")
         assert np.all(graph.mask)
         assert np.all(np.diag(graph.weights) == 1.0)
 
@@ -77,7 +77,7 @@ class TestFromFilterResult:
     def test_rejects_benchmark_kinds(self):
         corr = random_correlation(np.random.default_rng(5), 6)
         with pytest.raises(ParameterError):
-            from_filter_result(shrink(corr, 0.2), "ones")
+            from_filter_result(apply_filter(corr, FilterConfig(method="shrinkage", alpha=0.2)), "ones")
 
 
 class TestPermutationEquivariance:
@@ -101,8 +101,10 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(40, 6))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        base = from_filter_result(shrink(correlation_from_rows(rows), 0.3), "correlation")
-        permuted = from_filter_result(shrink(correlation_from_rows(rows[:, perm]), 0.3), "correlation")
+        config = FilterConfig(method="shrinkage", alpha=0.3)
+        base = from_filter_result(apply_filter(correlation_from_rows(rows), config), "correlation")
+        permuted = from_filter_result(apply_filter(correlation_from_rows(rows[:, perm]), config),
+                                      "correlation")
         assert np.abs(permuted.weights - base.weights[np.ix_(perm, perm)]).max() < 1e-12
 
 

@@ -10,7 +10,6 @@ from fsstgnn.filtering import (
     PRECISION_ZERO_TOL,
     FilterConfig,
     _ensure_pd,
-    empirical,
     has_perfect_elimination_ordering,
     mfcf,
     mfcf_stack,
@@ -18,11 +17,11 @@ from fsstgnn.filtering import (
 from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
 from fsstgnn.pipeline import ExperimentConfig, _filter_panel
 
-from _oracles import make_panel, mfcf_insertion_reference, random_correlation
+from _oracles import make_panel, mfcf_insertion_reference, random_correlation, shrink_reference
 
 
 def tmfg_config(threshold=0.0):
-    return FilterConfig(method="mfcf", min_clique=4, max_clique=4, mfcf_gain_threshold=threshold)
+    return FilterConfig(method="mfcf", max_clique=4, mfcf_gain_threshold=threshold)
 
 
 class TestTmfgStructure:
@@ -284,7 +283,7 @@ class TestMfcfStack:
         # the pipeline gives that window the empirical filter and counts it
         got_panel = _filter_panel(make_panel(values), config, tmfg_config())
         assert (got_panel.fallbacks, want_panel.fallbacks) == (1, 0)
-        fallback = empirical(corrs[0])
+        fallback = shrink_reference(corrs[0])
         assert np.array_equal(got_panel.precision[0], fallback.precision.entries)
         assert np.array_equal(got_panel.correlation[0], fallback.correlation.entries)
         assert got_panel.sparsity[0] == fallback.sparsity

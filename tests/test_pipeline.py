@@ -7,7 +7,7 @@ import pytest
 from fsstgnn import cli, filtering, pipeline
 from fsstgnn.data import synthesize_dataset
 from fsstgnn.errors import ConvergenceError, ParameterError
-from fsstgnn.filtering import FilterConfig, empirical
+from fsstgnn.filtering import FilterConfig
 from fsstgnn.graphs import from_filter_result
 from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows
 from fsstgnn.pipeline import (
@@ -23,7 +23,7 @@ from fsstgnn.pipeline import (
     sweep,
 )
 
-from _oracles import make_panel
+from _oracles import make_panel, shrink_reference
 
 
 class TestNoTestLeakage:
@@ -75,7 +75,7 @@ class TestGlassoFallback:
         assert 0 < sum(failed) < len(failed)
         assert (solved.fallbacks, capped.fallbacks) == (0, sum(failed))
         for row, corr in enumerate(corrs):
-            want = (from_filter_result(empirical(corr), config.graph_kind).weights if failed[row]
+            want = (from_filter_result(shrink_reference(corr), config.graph_kind).weights if failed[row]
                     else solved.graph_weights[row])
             assert np.array_equal(capped.graph_weights[row], want), row
 
@@ -280,6 +280,21 @@ class TestFilterCache:
         scored = evaluate_experiment(dataset, config, str(tmp_path))
         assert len(filter_calls) == 2
         assert report_records(scored) == report_records(trained)
+
+
+class TestDegeneratePanel:
+    def test_constant_store_gives_finite_records(self):
+        dataset = synthesize_dataset(5, 1, 60, seed=14)
+        panel = dataset.panel(1)
+        values = panel.values.copy()
+        values[:, 2] = 7.0
+        constant = dataclasses.replace(dataset, panels={
+            1: TimeSeriesPanel(values, panel.series_ids, panel.timestamps)})
+        records = report_records(run_experiment(constant, ExperimentConfig(**SMALL)))
+        assert records and records[0]["fallbacks"] == 0
+        for record in records:
+            for name in ("rmse", "mae", "mape", "sparsity"):
+                assert np.isfinite(record[name]), name
 
 
 class TestSweep:
