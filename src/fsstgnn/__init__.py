@@ -15,12 +15,10 @@ from .data import SalesDataset, ingest_csv, synthesize_dataset
 from .filtering import (
     ALPHA_GRID,
     LAMBDA_GRID,
-    CliqueForest,
     FilterConfig,
     FilterResult,
     apply_filter,
     glasso,
-    has_perfect_elimination_ordering,
     mfcf,
     select_alpha_cv,
     select_lambda_cv,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_GRID",
     "LAMBDA_GRID",
-    "CliqueForest",
     "CorrelationMatrix",
     "ExperimentConfig",
     "FilterConfig",
@@ -69,7 +66,6 @@ __all__ = [
     "format_table",
     "from_filter_result",
     "glasso",
-    "has_perfect_elimination_ordering",
     "ingest_csv",
     "invert_spd",
     "is_positive_definite",

@@ -3,21 +3,24 @@ shrinkage, graphical lasso and the maximally filtered clique forest
 (MFCF), plus cross-validated parameter selection and sparsity
 measurement.
 
-Every filter takes an empirical correlation matrix and gives a
-``FilterResult`` holding a filtered dense correlation, a (possibly
-sparse) positive-definite precision matrix that inverts back to it, and
-the realized off-diagonal sparsity. ``filter_windows`` is the one
-dispatch on the method: it filters a stack of same-size windows (the
-look-back windows of a panel) as one lockstep batch, by
-``_shrink_stack``, ``glasso_stack`` or ``mfcf_stack``, and the glasso
-cross-validation grid is one ``glasso_stack`` batch too. A single
-window (``apply_filter``, ``glasso``, ``mfcf``) is a batch of one.
+``filter_windows`` is the one dispatch on the method. It filters a
+(W, n, n) stack of window correlations (the look-back windows of a
+panel) as one lockstep batch, by ``_shrink_stack``, ``glasso_stack`` or
+``mfcf_stack``, into one ``FilterStack``: per window a filtered dense
+correlation, a (possibly sparse) positive-definite precision matrix that
+inverts back to it, the realized off-diagonal sparsity, the jitter and
+the glasso sweeps, or the error the window ended with. The precision is
+the filter's output; MFCF's clique forest is only how it is built, and
+nothing of it is kept. The glasso cross-validation grid is one
+``glasso_stack`` batch too. A single window (``apply_filter``,
+``glasso``, ``mfcf``) is a batch of one, whose row becomes a validated
+``FilterResult``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,9 +40,9 @@ from .linalg import (
     cholesky_stack,
     correlation_from_rows,
     correlation_stack,
-    inverse_stack,
     invert_spd,
     invert_spd_stack,
+    precision_stack,
     symmetrize,
 )
 
@@ -97,64 +100,44 @@ class FilterConfig:
         if not self.mfcf_gain_threshold >= 0.0:
             raise ParameterError(f"mfcf_gain_threshold must be >= 0, got {self.mfcf_gain_threshold}")
 
-
-class InsertionStep(NamedTuple):
-    vertex: int
-    face: tuple
-    gain: float
-
-
-@dataclass(frozen=True)
-class CliqueForest:
-    """Cliques and separators produced by the greedy clique-forest build.
-
-    With clique size 4 and no gain threshold the forest is the
-    triangulated maximally filtered graph: n - 3 cliques of size 4 joined
-    through n - 4 separators of size 3.
-    """
-
-    n: int
-    cliques: tuple
-    separators: tuple          # ((vertex tuple, multiplicity), ...)
-    insertion_log: tuple
-
-    def edge_pairs(self) -> set:
-        """Undirected edges (i < j) covered by the cliques."""
-        edges = set()
-        for clique in self.cliques:
-            for a_pos, a in enumerate(clique):
-                for b in clique[a_pos + 1:]:
-                    edges.add((min(a, b), max(a, b)))
-        return edges
-
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edge_pairs():
-            adj[i, j] = adj[j, i] = True
-        return adj
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises DataError on violation."""
-        if not has_perfect_elimination_ordering(self.adjacency()):
-            raise DataError("clique-forest edge union is not chordal")
-        clique_sets = [set(c) for c in self.cliques]
-        for sep, _mult in self.separators:
-            hosts = sum(1 for c in clique_sets if set(sep) <= c)
-            if hosts < 2:
-                raise DataError(f"separator {sep} is contained in {hosts} cliques, expected >= 2")
+    def relevant(self) -> "FilterConfig":
+        """This config with every field its method does not read at its
+        default, so that configs that filter alike hash and cache alike.
+        Shrinkage and glasso read ``cv_folds`` only while their parameter is
+        unset, to be selected by cross-validation."""
+        names = {"shrinkage": ("alpha",), "glasso": ("lam",),
+                 "mfcf": ("max_clique", "mfcf_gain_threshold")}.get(self.method, ())
+        if names and getattr(self, names[0]) is None:
+            names += ("cv_folds",)
+        return FilterConfig(method=self.method, **{name: getattr(self, name) for name in names})
 
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Filtered correlation, its precision, and how sparse the precision is."""
+    """One window's filtered correlation, its precision, how sparse the
+    precision is, the PD jitter, and glasso's sweeps (None for the other
+    methods)."""
 
     correlation: CorrelationMatrix
     precision: PrecisionMatrix
     sparsity: float
-    forest: Optional[CliqueForest] = None
     jitter: float = 0.0
-    objective_values: Optional[tuple] = None
     sweeps: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class FilterStack:
+    """The filtered windows of a (W, n, n) correlation stack: correlation
+    and precision (W, n, n), sparsity, jitter and glasso sweeps (W,; 0 for
+    the other methods), and {window index: ConvergenceError |
+    DefinitenessError} for the windows that failed, whose rows are zero."""
+
+    correlation: np.ndarray
+    precision: np.ndarray
+    sparsity: np.ndarray
+    jitter: np.ndarray
+    sweeps: np.ndarray
+    errors: dict
 
 
 def sparsity(precision):
@@ -189,91 +172,69 @@ def _ensure_pd(entries: np.ndarray, base_jitter: float = BASE_JITTER):
     raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitter}")
 
 
-def _stack(corrs) -> np.ndarray:
-    """The (k, n, n) entries of a batch of same-size correlations."""
-    sizes = sorted({corr.n for corr in corrs})
-    if len(sizes) > 1:
-        raise ShapeError(f"a batch holds one problem size, got {sizes}")
-    return np.array([corr.entries for corr in corrs])
+def _as_stack(corrs) -> np.ndarray:
+    corrs = np.asarray(corrs, dtype=float)
+    if corrs.ndim != 3 or corrs.shape[1] != corrs.shape[2]:
+        raise ShapeError(f"expected a (windows, n, n) stack of correlations, got shape {corrs.shape}")
+    return corrs
 
 
 def _ensure_pd_stack(entries: np.ndarray):
-    """``_ensure_pd`` of each matrix of a nonempty (k, n, n) stack. Returns
-    the outcome list, holding the DefinitenessError of each matrix that
-    stays indefinite and None elsewhere, the indices of the other
-    matrices, their PD stack and their jitters. One stacked LAPACK
-    Cholesky clears most matrices at jitter 0; those its rule cannot
-    decide take ``_ensure_pd`` alone."""
+    """``_ensure_pd`` of each matrix of a (W, n, n) stack: the stack made
+    positive definite, the jitters (W,), {index: DefinitenessError} for
+    the matrices that stay indefinite, and the indices of the others. One
+    stacked LAPACK Cholesky clears most matrices at jitter 0; those its
+    rule cannot decide take ``_ensure_pd`` alone."""
     entries = symmetrize(entries)
     _, decided = cholesky_stack(entries, PD_PIVOT_FLOOR)
-    out, idx, jitters = [None] * len(entries), [], []
-    for k, ok in enumerate(decided.tolist()):
+    jitter, errors = np.zeros(len(entries)), {}
+    for k in np.flatnonzero(~decided).tolist():
         try:
-            if not ok:
-                entries[k], jitter = _ensure_pd(entries[k])
+            entries[k], jitter[k] = _ensure_pd(entries[k])
         except DefinitenessError as exc:
-            out[k] = exc
-            continue
-        idx.append(k)
-        jitters.append(0.0 if ok else jitter)
-    return out, idx, entries[idx], jitters
+            errors[k] = exc
+    return entries, jitter, errors, np.flatnonzero(np.isin(np.arange(len(entries)), list(errors), invert=True))
 
 
-def _filter_results(out: list, idx, precisions: np.ndarray, extras: list, correlations=None) -> list:
-    """Set ``out[idx[a]]``, for each matrix a of a (k, n, n) precision
-    stack, to its FilterResult with the fields ``extras[a]``, or to the
-    DefinitenessError ``PrecisionMatrix.stack`` gives it; returns ``out``.
-    The correlation is ``correlations[a]`` where given, else the inverse
-    of the precision, by one stacked inverse."""
-    if not len(idx):
-        return out
-    precisions = PrecisionMatrix.stack(precisions, zero_tol=PRECISION_ZERO_TOL)
-    for i, precision in zip(idx, precisions):
-        out[i] = precision                  # replaced below unless it is the error
-    pd = [a for a, precision in enumerate(precisions) if not isinstance(precision, Exception)]
-    if not pd:
-        return out
-    if correlations is None:
-        correlations = dict(zip(pd, correlation_stack(inverse_stack([precisions[a] for a in pd]))))
-    shares = sparsity(np.array([precisions[a].entries for a in pd])).tolist()
-    for a, share in zip(pd, shares):
-        out[idx[a]] = FilterResult(correlation=correlations[a], precision=precisions[a], sparsity=share,
-                                   **extras[a])
-    return out
+def _record(precision: np.ndarray, jitter: np.ndarray, errors: dict, sweeps=0,
+            correlation=None) -> FilterStack:
+    """The FilterStack of a (W, n, n) precision stack whose windows in
+    ``errors`` failed. Every other precision is snapped and checked by
+    ``precision_stack``, which fails it alone if it is not positive
+    definite; its correlation is its row of ``correlation`` where given,
+    else the inverse of the precision."""
+    live = np.isin(np.arange(len(precision)), list(errors), invert=True)
+    rows = np.flatnonzero(live)
+    entries, inverses, failed = precision_stack(precision[rows], PRECISION_ZERO_TOL)
+    errors.update({int(rows[a]): exc for a, exc in failed.items()})
+    live[list(errors)] = False
+    stacks = np.zeros((2,) + precision.shape)
+    stacks[:, rows] = entries, correlation_stack(inverses) if correlation is None else correlation[rows]
+    stacks[:, ~live] = 0.0
+    return FilterStack(correlation=stacks[1], precision=stacks[0], jitter=np.where(live, jitter, 0.0),
+                       sparsity=np.where(live, sparsity(stacks[0]), 0.0), sweeps=np.where(live, sweeps, 0),
+                       errors=errors)
 
 
-def _shrink_stack(corrs, alpha: Optional[float]) -> list:
+def _shrink_stack(corrs, alpha: Optional[float]) -> FilterStack:
     """The empirical filter (``alpha`` None) or convex shrinkage toward the
-    scaled identity of a batch of same-size correlations: per window, the
-    correlation made positive definite and its straight inverse, or the
-    DefinitenessError it ended with.
+    scaled identity of a (W, n, n) correlation stack: per window, the
+    correlation made positive definite and its straight inverse.
 
     shrunk = (1 - alpha) * C + alpha * (tr C / n) * I, which for a
     correlation matrix scales every off-diagonal by (1 - alpha) and every
     eigenvalue to (1 - alpha) * e_i + alpha.
     """
-    entries = _stack(corrs)
-    if not corrs:
-        return []
+    entries = _as_stack(corrs)
     if alpha is not None:
         n = entries.shape[-1]
         target = np.trace(entries, axis1=1, axis2=2) / n
         entries = (1.0 - alpha) * entries + (alpha * target)[:, None, None] * np.eye(n)
-    out, idx, entries, jitters = _ensure_pd_stack(entries)
-    if not idx:
-        return out
-    correlations = correlation_stack(entries)
-    inverses = invert_spd_stack(np.array([corr.entries for corr in correlations]))
-    return _filter_results(out, idx, inverses, [{"jitter": jitter} for jitter in jitters], correlations)
-
-
-def _l1_off(theta: np.ndarray) -> np.ndarray:
-    return np.abs(theta).sum(axis=(-2, -1)) - np.abs(np.diagonal(theta, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def _glasso_objective(s: np.ndarray, theta: np.ndarray, lam) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(theta)
-    return np.where(sign > 0, -logdet + (s * theta).sum(axis=(-2, -1)) + lam * _l1_off(theta), math.inf)
+    entries, jitter, errors, rows = _ensure_pd_stack(entries)
+    correlation = correlation_stack(entries)
+    inverses = np.zeros_like(entries)
+    inverses[rows] = invert_spd_stack(correlation[rows])
+    return _record(inverses, jitter, errors, correlation=correlation)
 
 
 def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
@@ -300,34 +261,30 @@ def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
 
 
 def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
-                 inner_tol: float = 1e-8, max_inner: int = 100) -> list:
-    """Graphical lasso (see ``glasso``) for a batch of same-size problems
-    ``(corrs[i], lams[i])``, solved in lockstep; one ``lams`` value may
-    serve all. Each step of the sweep, column and coordinate loops is one
-    numpy operation over the problems still running; a problem leaves at
-    the inner pass and sweep where it would stop alone, and a drift
-    refresh that is not positive definite fails only its own problem, so
-    each result is bitwise the same alone or in any batch. Returns, per
-    problem, its FilterResult or the ConvergenceError (carrying the
-    duality gap) or DefinitenessError it ended with.
+                 inner_tol: float = 1e-8, max_inner: int = 100) -> FilterStack:
+    """Graphical lasso (see ``glasso``) of each correlation of a (k, p, p)
+    stack, problem i with penalty ``lams[i]`` (one value may serve all),
+    solved in lockstep. Each step of the sweep, column and coordinate
+    loops is one numpy operation over the problems still running; a
+    problem leaves at the inner pass and sweep where it would stop alone,
+    and a drift refresh that is not positive definite fails only its own
+    problem, so each row is bitwise the same alone or in any batch. A
+    problem that hits the sweep limit fails with a ConvergenceError
+    carrying the duality gap.
     """
-    lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(corrs),))
+    entries = _as_stack(corrs)
+    lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(entries),))
     if np.any(lams < 0.0):
         raise ParameterError(f"lambda must be >= 0, got {lams.min()}")
-    entries = _stack(corrs)
-    if not corrs:
-        return []
-    out, idx, s, jitters = _ensure_pd_stack(entries)
-    if not idx:
-        return out
-    jitters, idx = dict(zip(idx, jitters)), np.array(idx)
-    lam, p = lams[idx], s.shape[1]
+    s, jitter, errors, idx = _ensure_pd_stack(entries)
+    thetas, sweeps = np.zeros_like(s), np.zeros(len(s), dtype=int)
+    lam, p, s = lams[idx], s.shape[1], s[idx]
     diag_s = np.diagonal(s, axis1=1, axis2=2)[:, None, :]
     theta = np.where(np.eye(p, dtype=bool), 1.0 / diag_s, 0.0)
     w = np.where(np.eye(p, dtype=bool), diag_s, 0.0)       # w tracks theta^{-1}
-    history = {i: [v] for i, v in zip(idx.tolist(), _glasso_objective(s, theta, lam).tolist())}
-    converged, thetas, extras = [], [], []
     for sweep in range(1, max_sweeps + 1):
+        if not len(idx):
+            break
         theta_prev = theta.copy()
         for j in range(p):
             rest = np.delete(np.arange(p), j)
@@ -343,14 +300,8 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
             w[:, rest[:, None], rest] = m + s22[:, None, None] * (mu[:, :, None] * mu[:, None, :])
             w[:, rest, j] = w[:, j, rest] = -s22[:, None] * mu
             w[:, j, j] = s22
-        for i, value in zip(idx, _glasso_objective(s, theta, lam).tolist()):
-            history[i].append(value)
         running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
-        for a in np.flatnonzero(~running):
-            converged.append(idx[a])
-            thetas.append(theta[a])
-            extras.append({"objective_values": tuple(history[idx[a]]), "sweeps": sweep,
-                           "jitter": jitters[idx[a]]})
+        thetas[idx[~running]], sweeps[idx[~running]] = theta[~running], sweep
         try:                                                # refresh w to kill float drift
             w = invert_spd_stack(theta[running])
         except DefinitenessError:                           # fail only the blocks that are not PD
@@ -358,15 +309,13 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
                 try:
                     w[a] = invert_spd(theta[a])
                 except DefinitenessError as exc:
-                    out[idx[a]], running[a] = exc, False
+                    errors[int(idx[a])], running[a] = exc, False
             w = w[running]
         idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
-        if not len(idx):
-            break
-    for a, i in enumerate(idx):
-        gap = (s[a] * theta[a]).sum() - p + lam[a] * _l1_off(theta[a])
-        out[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))
-    return _filter_results(out, converged, np.array(thetas), extras)
+    for a, i in enumerate(idx.tolist()):
+        gap = (s[a] * theta[a]).sum() - p + lam[a] * (np.abs(theta[a]).sum() - np.abs(np.diag(theta[a])).sum())
+        errors[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))
+    return _record(thetas, jitter, errors, sweeps)
 
 
 def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
@@ -375,23 +324,23 @@ def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
 
     Minimizes -logdet(T) + tr(C T) + lam * sum_{i!=j} |T_ij|. Each column
     update solves its lasso subproblem exactly (cyclic coordinate descent,
-    warm-started), so the recorded objective never increases between
-    sweeps. The diagonal is unpenalized, hence the lam -> inf limit is
-    diag(C)^-1. Off-diagonal entries below 1e-10 become structural zeros.
-    A batch of one for ``glasso_stack``; raises the ConvergenceError or
+    warm-started), so the objective never increases between sweeps. The
+    diagonal is unpenalized, hence the lam -> inf limit is diag(C)^-1.
+    Off-diagonal entries below 1e-10 become structural zeros. A batch of
+    one for ``glasso_stack``; raises the ConvergenceError or
     DefinitenessError the problem ends with.
     """
-    return _alone(glasso_stack([corr], lam, max_sweeps=max_sweeps, tol=tol,
+    return _alone(glasso_stack(corr.entries[None], lam, max_sweeps=max_sweeps, tol=tol,
                                inner_tol=inner_tol, max_inner=max_inner))
 
 
 def _insertions(entries: np.ndarray, max_clique: int, threshold: float):
     """The greedy clique-forest build (see ``mfcf``) of every window of a
     (W, n, n) stack, in lockstep. Returns the cliques (W, steps + 1,
-    max_clique), seed first, and per insertion the vertices (W, steps),
-    the faces they joined (W, steps, face_size), the gains (W, steps) and
-    the separators (W, steps, face_size): the face members attached, none
-    where no member cleared the threshold. Tuples are padded with -1.
+    max_clique), seed first, and per insertion the separator (W, steps,
+    face_size): the members of the chosen face that the new vertex
+    attached to, none where no member cleared the threshold. Tuples are
+    sorted and padded with -1 at the end.
 
     Inside, vertex v is held as v + 1, so that 0 can pad a face that has
     fewer than face_size vertices: it indexes a zero gain column, whose
@@ -420,22 +369,23 @@ def _insertions(entries: np.ndarray, max_clique: int, threshold: float):
     w_col, w_table = w[:, None], w[:, None, None, None]
     # an insertion adds at most max(max_clique - 2, 1) live faces to a window
     live_bound = faces.shape[1] + max(max_clique - 2, 1) * np.arange(1, n_steps + 1)
-    vertices, gains = np.empty((n_windows, n_steps), dtype=int), np.empty((n_windows, n_steps))
-    used = np.empty((n_windows, n_steps, face_size), dtype=int)
-    attached = np.empty(used.shape, dtype=bool)
+    cliques = np.empty((n_windows, n_steps + 1, max_clique), dtype=int)
+    separators = np.empty((n_windows, n_steps, face_size), dtype=int)
+    cliques[:, 0] = seeds
     for step in range(n_steps):
         table = gain[w_table, remaining[:, :, None, None], faces[:, None]].sum(axis=-1)
         # the first maximum in (vertex, face) order: the largest gain, then
         # the smallest vertex, then the first face in sorted order
         row, col = np.divmod(table.reshape(n_windows, -1).argmax(axis=1), faces.shape[1])
-        best, vertex, face = table[w, row, col], remaining[w, row], faces[w, col]
+        vertex, face = remaining[w, row], faces[w, col]
         joins = gain[w_col, vertex[:, None], face] > threshold if threshold > 0.0 else face > 0
-        vertices[:, step], used[:, step], gains[:, step], attached[:, step] = vertex, face, best, joins
+        joined = np.sort(np.where(joins, face, gone), axis=1)
+        clique = np.sort(np.concatenate([joined, vertex[:, None]], axis=1), axis=1)
+        joined[joined == gone], clique[clique == gone] = 0, 0
+        cliques[:, step + 1], separators[:, step] = clique, joined
         # a wholly attached face is used up and the clique's faces through
         # the new vertex join; else the clique itself, a smaller face, joins
         full = joins.all(axis=1)
-        clique = np.sort(np.concatenate([np.where(joins, face, gone), vertex[:, None]], axis=1), axis=1)
-        clique[clique == gone] = 0
         unused = clique[:, ::-1] == vertex[:, None]
         unused[:, 1:] |= ~full[:, None]
         added = clique[:, subsets]
@@ -445,12 +395,7 @@ def _insertions(entries: np.ndarray, max_clique: int, threshold: float):
         faces = np.concatenate([faces, added], axis=1)
         order = np.lexsort([faces[..., p] for p in reversed(range(face_size))], axis=-1)
         faces = faces[w_col, order[:, :live_bound[step]]]
-    joined = np.sort(np.where(attached, used, gone), axis=2)        # attached members first
-    cliques = np.sort(np.concatenate([joined, vertices[..., None]], axis=2), axis=2)
-    joined[joined == gone] = 0
-    cliques[cliques == gone] = 0
-    cliques = np.concatenate([seeds[:, None], cliques], axis=1)
-    return cliques - 1, vertices - 1, used - 1, gains, joined - 1
+    return cliques - 1, separators - 1
 
 
 def _distinct(separators: np.ndarray):
@@ -464,19 +409,6 @@ def _distinct(separators: np.ndarray):
     first = separators[..., 0] >= 0
     first[:, 1:] &= ~same[:, 1:, :-1].diagonal(axis1=1, axis2=2)
     return np.where(first[..., None], separators, -1), np.where(first, same.sum(axis=2), 0)
-
-
-def _forests(n: int, cliques, vertices, faces, gains, separators, multiplicity) -> list:
-    """Per window, the CliqueForest of its ``_insertions`` and ``_distinct``
-    arrays."""
-    def trimmed(rows):
-        return [[tuple(t[:k]) for t, k in zip(ts, ks)]
-                for ts, ks in zip(rows.tolist(), (rows >= 0).sum(axis=-1).tolist())]
-
-    return [CliqueForest(n=n, cliques=tuple(cl), insertion_log=tuple(map(InsertionStep._make, zip(v, f, g))),
-                         separators=tuple((sep, m) for sep, m in zip(sp, ms) if m))
-            for cl, v, f, g, sp, ms in zip(trimmed(cliques), vertices.tolist(), trimmed(faces),
-                                           gains.tolist(), trimmed(separators), multiplicity.tolist())]
 
 
 def _assemble(entries: np.ndarray, cliques: np.ndarray, separators: np.ndarray,
@@ -508,35 +440,27 @@ def _assemble(entries: np.ndarray, cliques: np.ndarray, separators: np.ndarray,
     return joint[:, :n, :n]
 
 
-def mfcf_stack(corrs, config: FilterConfig) -> list:
-    """``mfcf`` of a batch of same-size correlations, built in lockstep:
-    each insertion scores one (windows, remaining, faces) gain table, and
-    the positive-definiteness checks and block inverses each run as one
-    stacked LAPACK call. Each result is bitwise the same alone or in any
-    batch. Returns, per window, its FilterResult or the DefinitenessError
-    it ended with; a window whose precision is not positive definite fails
+def mfcf_stack(corrs, config: FilterConfig) -> FilterStack:
+    """``mfcf`` of each window of a (W, n, n) correlation stack, built in
+    lockstep: each insertion scores one (windows, remaining, faces) gain
+    table, and the positive-definiteness checks and block inverses each
+    run as one stacked LAPACK call. Each row is bitwise the same alone or
+    in any batch; a window whose precision is not positive definite fails
     alone.
     """
-    entries = _stack(corrs)
-    if not corrs:
-        return []
-    n = corrs[0].n
-    if n < config.max_clique:
-        raise ParameterError(f"need at least max_clique={config.max_clique} series, got {n}")
-    size = config.max_clique
-    chunk = max(1, MFCF_LOOKUP_LIMIT // ((n - size + 1) * (size + max(size - 2, 1) * (n - size)) * size))
-    if len(corrs) > chunk:
-        return [outcome for start in range(0, len(corrs), chunk)
-                for outcome in mfcf_stack(corrs[start: start + chunk], config)]
-    out, idx, entries, jitters = _ensure_pd_stack(entries)
-    if not idx:
-        return out
-    cliques, vertices, faces, gains, separators = _insertions(entries, config.max_clique,
-                                                              config.mfcf_gain_threshold)
-    separators, multiplicity = _distinct(separators)
-    forests = _forests(n, cliques, vertices, faces, gains, separators, multiplicity)
-    return _filter_results(out, idx, _assemble(entries, cliques, separators, multiplicity),
-                           [{"forest": forest, "jitter": jitter} for forest, jitter in zip(forests, jitters)])
+    entries = _as_stack(corrs)
+    n, size = entries.shape[-1], config.max_clique
+    if n < size:
+        raise ParameterError(f"need at least max_clique={size} series, got {n}")
+    entries, jitter, errors, rows = _ensure_pd_stack(entries)
+    precision = np.zeros_like(entries)
+    if len(rows):
+        chunk = max(1, MFCF_LOOKUP_LIMIT // ((n - size + 1) * (size + max(size - 2, 1) * (n - size)) * size))
+        parts = [_insertions(entries[rows[start: start + chunk]], size, config.mfcf_gain_threshold)
+                 for start in range(0, len(rows), chunk)]
+        cliques, separators = (np.concatenate(arrays) for arrays in zip(*parts))
+        precision[rows] = _assemble(entries[rows], cliques, *_distinct(separators))
+    return _record(precision, jitter, errors)
 
 
 def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
@@ -552,18 +476,18 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     construction. The precision matrix is the sum of embedded inverted
     clique blocks minus embedded inverted separator blocks, which is
     positive definite and matches the input correlation on every
-    within-clique pair. A batch of one for ``mfcf_stack``; raises the
-    DefinitenessError the window ends with.
+    within-clique pair; its nonzero pattern is the edge union. A batch of
+    one for ``mfcf_stack``; raises the DefinitenessError the window ends
+    with.
     """
-    return _alone(mfcf_stack([corr], config))
+    return _alone(mfcf_stack(corr.entries[None], config))
 
 
-def filter_windows(corrs, config: FilterConfig) -> list:
-    """Per window correlation, its FilterResult under a resolved config or
-    the ConvergenceError or DefinitenessError it ended with. The one
-    dispatch on the filter method: every method filters the windows as
-    one lockstep stack, and each window's result is bitwise the same
-    alone or in any batch."""
+def filter_windows(corrs, config: FilterConfig) -> FilterStack:
+    """The FilterStack of a (W, n, n) stack of window correlations under a
+    resolved config. The one dispatch on the filter method: every method
+    filters the windows as one lockstep stack, and each window's row is
+    bitwise the same alone or in any batch."""
     if config.method == "mfcf":
         return mfcf_stack(corrs, config)
     if config.method == "glasso":
@@ -575,45 +499,19 @@ def filter_windows(corrs, config: FilterConfig) -> list:
     return _shrink_stack(corrs, config.alpha if config.method == "shrinkage" else None)
 
 
-def _alone(outcomes: list) -> FilterResult:
-    """The result of a batch of one, or the error it ended with, raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _alone(record: FilterStack) -> FilterResult:
+    """Row 0 of a batch of one as a validated FilterResult, or the error it
+    ended with, raised."""
+    if record.errors:
+        raise record.errors[0]
+    return FilterResult(CorrelationMatrix(record.correlation[0]), PrecisionMatrix(record.precision[0]),
+                        float(record.sparsity[0]), float(record.jitter[0]), int(record.sweeps[0]) or None)
 
 
 def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     """``filter_windows`` of one window: its FilterResult, or the error it
     ended with, raised; alpha/lambda must be resolved."""
-    return _alone(filter_windows([corr], config))
-
-
-def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:
-    """Chordality test: maximum cardinality search plus the standard
-    parent-neighborhood verification."""
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    neighbors = [set(np.nonzero(adj[v])[0].tolist()) - {v} for v in range(n)]
-    weight = [0] * n
-    numbered: list[int] = []
-    position = [-1] * n
-    for step in range(n):
-        candidates = [v for v in range(n) if position[v] < 0]
-        v = max(candidates, key=lambda u: (weight[u], -u))
-        position[v] = step
-        numbered.append(v)
-        for u in neighbors[v]:
-            if position[u] < 0:
-                weight[u] += 1
-    for v in numbered:
-        earlier = {u for u in neighbors[v] if position[u] < position[v]}
-        if not earlier:
-            continue
-        parent = max(earlier, key=lambda u: position[u])
-        if not (earlier - {parent}) <= neighbors[parent]:
-            return False
-    return True
+    return _alone(filter_windows(corr.entries[None], config))
 
 
 def _gaussian_score(x: np.ndarray, sigma: np.ndarray) -> float:
@@ -674,11 +572,12 @@ def select_lambda_cv(panel: TimeSeriesPanel, folds: int) -> float:
     logarithmic grid. All (fold, lambda) problems are solved by one
     ``glasso_stack`` call; a problem that ends in an error scores -inf."""
     splits = [_standardized_validation(panel, train, val) for train, val in _forward_folds(panel, folds)]
-    corrs = [CorrelationMatrix.from_entries(corr_train) for corr_train, _ in splits]
-    outcomes = glasso_stack([c for c in corrs for _ in LAMBDA_GRID], LAMBDA_GRID * len(splits))
-    scores, grid = np.zeros(len(LAMBDA_GRID)), len(LAMBDA_GRID)
+    grid = len(LAMBDA_GRID)
+    record = glasso_stack(np.repeat([corr_train for corr_train, _ in splits], grid, axis=0),
+                          LAMBDA_GRID * len(splits))
+    scores = np.zeros(grid)
     for f, (_, x_val) in enumerate(splits):
-        for i, outcome in enumerate(outcomes[f * grid: (f + 1) * grid]):
-            failed = isinstance(outcome, Exception)
-            scores[i] += -math.inf if failed else _gaussian_score(x_val, outcome.correlation.entries)
+        for i in range(grid):
+            k = f * grid + i
+            scores[i] += -math.inf if k in record.errors else _gaussian_score(x_val, record.correlation[k])
     return float(LAMBDA_GRID[int(np.argmax(scores))])

@@ -7,9 +7,14 @@ before further use so that Cholesky factorizations do not see
 asymmetry drift. Factorizations and inverses run in numpy's LAPACK;
 the only Python-level loop decides matrices that are not, or only
 barely, positive definite and names their failing pivot.
+
+Stacks of matrices stay plain (k, n, n) arrays, checked once over the
+stack (``correlation_stack``, ``window_correlations``,
+``precision_stack``); ``CorrelationMatrix`` and ``PrecisionMatrix``
+validate one matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +49,6 @@ def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.nd
     if dev > atol:
         raise ShapeError(f"matrix is asymmetric (max |M - M^T| = {dev:.3e})")
     return m
-
-
-def _prechecked(cls, **values):
-    """An instance of the frozen dataclass ``cls`` whose checks already ran
-    over the whole stack it comes from."""
-    instance = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(instance, name, value)
-    return instance
 
 
 def cholesky_stack(m: np.ndarray, min_pivot: float = 0.0):
@@ -231,8 +227,7 @@ class CorrelationMatrix:
     def from_entries(cls, entries: np.ndarray) -> "CorrelationMatrix":
         """Build after symmetrizing, pinning the diagonal to 1 and clipping
         float overshoot outside [-1, 1]."""
-        (corr,) = correlation_stack(np.asarray(entries, dtype=float)[None])
-        return corr
+        return cls(correlation_stack(np.asarray(entries, dtype=float)[None])[0])
 
     @property
     def n(self) -> int:
@@ -245,75 +240,72 @@ class PrecisionMatrix:
 
     Storage is always dense; structural zeros are exact zeros in
     ``entries``. Positive definiteness is verified by a LAPACK Cholesky
-    factorization on construction, and ``inverse`` reuses that factor.
+    factorization on construction.
     """
 
     entries: np.ndarray
-    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = _check_square_symmetric(self.entries)
-        object.__setattr__(self, "_lower", cholesky_lower(entries, min_pivot=0.0))
+        cholesky_lower(entries, min_pivot=0.0)
         object.__setattr__(self, "entries", entries)
-
-    def inverse(self) -> np.ndarray:
-        """``invert_spd(entries)``, bit for bit, without factoring again."""
-        return _inverse_from_cholesky(self._lower)
 
     @classmethod
     def from_entries(cls, entries: np.ndarray, zero_tol: float = 1e-10) -> "PrecisionMatrix":
         """Build after symmetrizing; off-diagonal entries below ``zero_tol``
         in magnitude are snapped to exact zero."""
-        (precision,) = cls.stack(np.asarray(entries, dtype=float)[None], zero_tol)
-        if isinstance(precision, DefinitenessError):
-            raise precision
-        return precision
-
-    @staticmethod
-    def stack(entries: np.ndarray, zero_tol: float = 1e-10) -> list:
-        """``from_entries`` for each matrix of a (k, n, n) stack, or the
-        DefinitenessError it raises. The checks run once over the stack and
-        the definiteness check is one stacked LAPACK Cholesky; a matrix
-        that they cannot decide is built alone, so it gets the verdict and
-        the error it would get alone."""
-        entries = symmetrize(np.asarray(entries, dtype=float))
-        n = entries.shape[-1]
-        off = np.abs(entries) < zero_tol
-        off[:, np.arange(n), np.arange(n)] = False
-        entries[off] = 0.0
-        lower, decided = cholesky_stack(entries, 0.0)
-        decided &= np.isfinite(entries).all(axis=(1, 2))      # and symmetric, as symmetrized
-        out = []
-        for k, ok in enumerate(decided.tolist()):
-            if ok:
-                out.append(_prechecked(PrecisionMatrix, entries=entries[k], _lower=lower[k]))
-                continue
-            try:
-                out.append(PrecisionMatrix(entries[k]))
-            except DefinitenessError as exc:
-                out.append(exc)
-        return out
+        return cls(_snapped(entries, zero_tol))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def inverse_stack(precisions) -> np.ndarray:
-    """``p.inverse()`` of each PrecisionMatrix, bit for bit, as one stacked
-    inverse of their factors."""
-    return _inverse_from_cholesky(np.array([p._lower for p in precisions]))
+def _snapped(entries: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Symmetrized ``entries``, one matrix or a stack, with off-diagonal
+    entries below ``zero_tol`` in magnitude snapped to exact zero."""
+    entries = symmetrize(np.asarray(entries, dtype=float))
+    n = entries.shape[-1]
+    off = np.abs(entries) < zero_tol
+    off[..., np.arange(n), np.arange(n)] = False
+    entries[off] = 0.0
+    return entries
 
 
-def correlation_stack(entries: np.ndarray) -> list:
+def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
+    """``PrecisionMatrix.from_entries`` of each matrix of a (k, n, n) stack
+    and its inverse: the snapped entries, their inverses, and {index:
+    DefinitenessError} for the matrices that are not positive definite,
+    whose inverses are zero. One stacked LAPACK Cholesky checks the stack;
+    a matrix its rule cannot decide is factored alone by
+    ``cholesky_lower``, so it gets the verdict, factor and error it would
+    get alone."""
+    entries = _snapped(entries, zero_tol)
+    lower, decided = cholesky_stack(entries, 0.0)
+    decided &= np.isfinite(entries).all(axis=(1, 2))      # and symmetric, as symmetrized
+    errors = {}
+    for k in np.flatnonzero(~decided).tolist():
+        try:
+            lower[k] = cholesky_lower(entries[k])
+        except DefinitenessError as exc:
+            errors[k] = exc
+    pd = np.isin(np.arange(len(entries)), list(errors), invert=True)
+    inverses = np.zeros_like(entries)
+    inverses[pd] = _inverse_from_cholesky(lower[pd])
+    return entries, inverses, errors
+
+
+def correlation_stack(entries: np.ndarray) -> np.ndarray:
     """``CorrelationMatrix.from_entries`` of each matrix of a (k, n, n)
-    stack, with the checks run once over the stack."""
+    stack, as one (k, n, n) array, with the checks run once over the
+    stack."""
     entries = np.clip(symmetrize(entries), -1.0, 1.0)
     n = entries.shape[-1]
     entries[:, np.arange(n), np.arange(n)] = 1.0
     if n < 1 or not np.isfinite(entries).all():     # symmetric, as symmetrized
-        return [CorrelationMatrix(m) for m in entries]     # raises the first matrix's error
-    return [_prechecked(CorrelationMatrix, entries=m) for m in entries]
+        for m in entries:
+            CorrelationMatrix(m)                    # raises the first matrix's error
+    return entries
 
 
 def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
@@ -323,13 +315,13 @@ def correlation_from_rows(rows: np.ndarray) -> CorrelationMatrix:
     themselves) so that downstream graphs stay valid when a series is
     constant over the window.
     """
-    (corr,) = window_correlations(np.asarray(rows, dtype=float)[None])
-    return corr
+    return CorrelationMatrix(window_correlations(np.asarray(rows, dtype=float)[None])[0])
 
 
-def window_correlations(windows: np.ndarray) -> list:
+def window_correlations(windows: np.ndarray) -> np.ndarray:
     """``correlation_from_rows`` of each (steps, series) window of a
-    (k, steps, series) stack, computed over the whole stack."""
+    (k, steps, series) stack, computed over the whole stack: a (k, series,
+    series) array."""
     windows = np.ascontiguousarray(windows, dtype=float)
     if windows.ndim != 3 or windows.shape[1] < 2:
         raise RangeError(f"correlation needs a 2-D window with >= 2 rows, got shape {windows.shape[1:]}")

@@ -4,15 +4,20 @@ orchestration and the sweep harness.
 
 For every look-back window the pipeline estimates a correlation matrix,
 applies the configured filter, builds a graph and node features, and
-feeds the raw window to the LSTM branch. Filter hyperparameters that
-are left unset are selected once by cross-validation on the training
-segment only, then reused for every window (including test windows), so
-no test information ever reaches parameter selection. Likewise the
-series are standardized with training-row statistics and the node
-features with statistics of the fit windows.
+feeds the raw window to the LSTM branch. A panel's windows are filtered
+as one (windows, n, n) stack into one stacked record; a window the
+filter fails on gets the empirical filter and counts as a fallback.
+Filter hyperparameters that are left unset are selected once by
+cross-validation on the training segment only, then reused for every
+window (including test windows), so no test information ever reaches
+parameter selection. Likewise the series are standardized with
+training-row statistics and the node features with statistics of the
+fit windows.
 
 Filtered windows are cached by content (``_prepare_units``), so a sweep
 over graph kinds, or an evaluation after training, filters each once.
+The config hash and the cache key see only the filter settings that the
+configured method reads (``FilterConfig.relevant``).
 """
 
 import hashlib
@@ -121,7 +126,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("seeds", "filter")}
         d["seeds"] = list(self.seeds)
-        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(self.filter).items()}
+        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(self.filter.relevant()).items()}
         return d
 
     @property
@@ -259,17 +264,15 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
                   filt: FilterConfig) -> _FilteredWindows:
     windows = _windows(panel, config.lookback)
     corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
-    results = filter_windows(corrs, filt)
-    failed = [k for k, outcome in enumerate(results) if isinstance(outcome, Exception)]
+    record = filter_windows(corrs, filt)
+    failed = sorted(record.errors)
     if failed:
-        fallbacks = filter_windows([corrs[k] for k in failed], FilterConfig(method="empirical"))
-        for k, fallback in zip(failed, fallbacks):
-            if isinstance(fallback, Exception):
-                raise fallback
-            results[k] = fallback
-    return _FilteredWindows(filt, np.array([r.correlation.entries for r in results]),
-                            np.array([r.precision.entries for r in results]),
-                            np.array([r.sparsity for r in results]), len(failed))
+        fallback = filter_windows(corrs[failed], FilterConfig(method="empirical"))
+        if fallback.errors:
+            raise fallback.errors[min(fallback.errors)]
+        for name in ("correlation", "precision", "sparsity"):
+            getattr(record, name)[failed] = getattr(fallback, name)
+    return _FilteredWindows(filt, record.correlation, record.precision, record.sparsity, len(failed))
 
 
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
@@ -298,12 +301,13 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
         stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
-        gweights, gmasks = stack.copy(), edge_masks(stack, config.graph_kind)
+        gweights, gmasks = stack, edge_masks(stack, config.graph_kind)
         sparsities, fallbacks = filtered.sparsity, filtered.fallbacks
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)
-        gweights = np.repeat(bench.weights[None], len(targets), axis=0)
-        gmasks = np.repeat(bench.mask[None], len(targets), axis=0)
+        # read-only views; _forward's fancy indexing copies the rows it takes
+        gweights = np.broadcast_to(bench.weights, (len(targets), n_series, n_series))
+        gmasks = np.broadcast_to(bench.mask, (len(targets), n_series, n_series))
         sparsities = [1.0 - bench.n_offdiag_edges() / (n_series * (n_series - 1))] * len(targets)
 
     targets_raw = values[targets]
@@ -478,7 +482,7 @@ _FILTER_CACHE = {}     # _filter_key -> _FilteredWindows, see _prepare_units
 def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
     digest = hashlib.sha256(panel.values.tobytes())
     digest.update(repr((panel.values.shape, _train_row_count(panel, config), config.lookback,
-                        config.use_differences, config.filter)).encode("utf-8"))
+                        config.use_differences, config.filter.relevant())).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -496,8 +500,9 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
     depend only on the data and config, so seeds share them.
 
     Filtered windows are cached under the SHA-256 of the panel values and
-    shape, training-row count, lookback, use_differences and unresolved
-    filter config, which also fix the CV-selected alpha or lambda. Items
+    shape, training-row count, lookback, use_differences and the fields of
+    the unresolved filter config that its method reads, which also fix
+    the CV-selected alpha or lambda. Items
     that miss are filtered by one ``_run_units`` call over ``jobs``; the
     cache then keeps only the entries this call used.
     """

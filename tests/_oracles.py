@@ -3,10 +3,13 @@
 Everything here deliberately avoids the code paths it checks: gradients
 come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
-descent, chordality is cross-checked through networkx, and the fast paths
-(the fused LSTM op, the LAPACK Cholesky, the table-scored MFCF build, the
-lockstep glasso batch, the stacked empirical and shrinkage filters) are
-checked against the slow references they replaced.
+descent, chordality is tested by maximum cardinality search (itself
+cross-checked through networkx), and the fast paths (the fused LSTM op,
+the LAPACK Cholesky, the table-scored MFCF build, the lockstep glasso
+batch, the stacked empirical and shrinkage filters) are checked against
+the slow references they replaced. ``record_row`` and ``outcome_row``
+put a row of a stacked filter record and a single-window result in one
+comparable form.
 """
 
 import itertools
@@ -291,15 +294,18 @@ def mfcf_insertion_reference(entries, max_clique, threshold):
     return cliques, separators, log
 
 
-def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_inner=100):
+def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_inner=100,
+                     objective=None):
     """One graphical lasso problem by primal block coordinate descent with
     scalar coordinate updates; raises ConvergenceError (with the duality
-    gap) or DefinitenessError as the solver does."""
+    gap) or DefinitenessError as the solver does. A list ``objective``
+    receives the objective at the start and after every sweep."""
     s, jitter = _ensure_pd(corr.entries)
     p = s.shape[0]
     theta = np.diag(1.0 / np.diag(s)).copy()
     w = np.diag(np.diag(s)).copy()                  # w tracks theta^{-1}
-    objective = [glasso_objective(s, theta, lam)]
+    objective = [] if objective is None else objective
+    objective.append(glasso_objective(s, theta, lam))
     converged_sweeps = None
     for sweep in range(1, max_sweeps + 1):
         theta_prev = theta.copy()
@@ -345,7 +351,6 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
         precision=precision,
         sparsity=sparsity(precision),
         jitter=jitter,
-        objective_values=tuple(objective),
         sweeps=converged_sweeps,
     )
 
@@ -363,3 +368,53 @@ def shrink_reference(corr, alpha=None):
     precision = PrecisionMatrix.from_entries(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
     return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision),
                         jitter=jitter)
+
+
+def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:
+    """Chordality test: maximum cardinality search plus the standard
+    parent-neighborhood verification."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    neighbors = [set(np.nonzero(adj[v])[0].tolist()) - {v} for v in range(n)]
+    weight = [0] * n
+    numbered: list[int] = []
+    position = [-1] * n
+    for step in range(n):
+        candidates = [v for v in range(n) if position[v] < 0]
+        v = max(candidates, key=lambda u: (weight[u], -u))
+        position[v] = step
+        numbered.append(v)
+        for u in neighbors[v]:
+            if position[u] < 0:
+                weight[u] += 1
+    for v in numbered:
+        earlier = {u for u in neighbors[v] if position[u] < position[v]}
+        if not earlier:
+            continue
+        parent = max(earlier, key=lambda u: position[u])
+        if not (earlier - {parent}) <= neighbors[parent]:
+            return False
+    return True
+
+
+def record_row(record, k):
+    """Row ``k`` of a FilterStack in a form that compares with ==: the
+    type, message and gap of its error, or the bytes of its correlation and
+    precision with its sparsity, jitter and sweeps."""
+    if k in record.errors:
+        return outcome_row(record.errors[k])
+    return (record.correlation[k].tobytes(), record.precision[k].tobytes(), float(record.sparsity[k]),
+            float(record.jitter[k]), int(record.sweeps[k]))
+
+
+def outcome_row(outcome):
+    """``record_row`` of a single-window FilterResult or error."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome), getattr(outcome, "gap", None)
+    return (outcome.correlation.entries.tobytes(), outcome.precision.entries.tobytes(), outcome.sparsity,
+            outcome.jitter, outcome.sweeps or 0)
+
+
+def stack_of(corrs) -> np.ndarray:
+    """The (k, n, n) entries of a list of CorrelationMatrix."""
+    return np.array([corr.entries for corr in corrs])

@@ -171,6 +171,19 @@ class TestCliContracts:
         assert len(set(re.findall(r"\b[0-9a-f]{12}\b", err))) == 2
         assert cli.main(["evaluate", *common, "--seeds", "1", "--graph", "inverse-correlation"]) == 0
 
+    def test_settings_the_filter_does_not_read_do_not_block_evaluate(self, small_csv, tmp_path, capsys):
+        ckpt, trained, scored = tmp_path / "ckpt", tmp_path / "trained.jsonl", tmp_path / "scored.jsonl"
+        common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--checkpoints", str(ckpt),
+                  "--filter", "glasso"]
+        assert cli.main(["train", *common, "--lambda", "0.1", "--threshold", "0.05",
+                         "--records", str(trained)]) == 0
+        assert cli.main(["evaluate", *common, "--lambda", "0.1", "--records", str(scored)]) == 0
+        assert scored.read_bytes() == trained.read_bytes()
+        capsys.readouterr()
+        # a setting glasso reads still guards the checkpoints
+        assert cli.main(["evaluate", *common, "--lambda", "0.2"]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint ")
+
 
 class TestExperimentConfig:
     def test_flags_override_config_file(self, tmp_path):

@@ -16,6 +16,7 @@ from fsstgnn.filtering import (
     LAMBDA_GRID,
     PRECISION_ZERO_TOL,
     FilterConfig,
+    _ensure_pd,
     apply_filter,
     filter_windows,
     glasso,
@@ -32,8 +33,11 @@ from _oracles import (
     glasso_projected_oracle,
     glasso_reference,
     make_panel,
+    outcome_row,
     random_correlation,
+    record_row,
     shrink_reference,
+    stack_of,
 )
 
 
@@ -117,12 +121,17 @@ class TestGlasso:
         assert np.abs(result.precision.entries - invert_spd(corr.entries)).max() < 1e-4
 
     def test_objective_monotone_per_sweep(self):
+        # the reference's objective never rises between sweeps, and the
+        # solver ends where the reference does
         rng = np.random.default_rng(9)
         for lam in (0.0, 0.05, 0.2):
             corr = random_correlation(rng, 6, rows=30)
-            result = glasso(corr, lam)
-            values = result.objective_values
+            values = []
+            glasso_reference(corr, lam, objective=values)
+            assert len(values) > 2
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+            final = glasso_objective(_ensure_pd(corr.entries)[0], glasso(corr, lam).precision.entries, lam)
+            assert abs(final - values[-1]) <= 1e-12 * abs(values[-1])
 
     def test_sparsity_monotone_in_lambda(self):
         rng = np.random.default_rng(10)
@@ -209,16 +218,6 @@ def reference_outcome(corr, lam, **kwargs):
         return exc
 
 
-def assert_bitwise_equal(a, b):
-    assert type(a) is type(b)
-    if isinstance(a, ConvergenceError):
-        assert a.gap == b.gap
-        return
-    assert np.array_equal(a.precision.entries, b.precision.entries)
-    assert np.array_equal(a.correlation.entries, b.correlation.entries)
-    assert (a.objective_values, a.sweeps, a.jitter) == (b.objective_values, b.sweeps, b.jitter)
-
-
 def relative_gap(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
@@ -229,30 +228,34 @@ class TestGlassoStack:
     @settings(max_examples=25)
     def test_matches_scalar_reference(self, problems):
         corrs, lams = zip(*problems)
-        outcomes = glasso_stack(corrs, lams, **CAPS)
-        for (corr, lam), got in zip(problems, outcomes):
-            want = reference_outcome(corr, lam, **CAPS)
-            assert type(got) is type(want)
+        record = glasso_stack(stack_of(corrs), lams, **CAPS)
+        for k, (corr, lam) in enumerate(problems):
+            history = []
+            want = reference_outcome(corr, lam, **CAPS, objective=history)
             if isinstance(want, ConvergenceError):
+                got = record.errors[k]
+                assert type(got) is ConvergenceError
                 assert abs(got.gap - want.gap) <= 1e-12 * max(1.0, abs(want.gap))
                 continue
-            assert got.sweeps == want.sweeps
-            assert got.jitter == want.jitter
-            assert np.array_equal(got.precision.entries == 0.0, want.precision.entries == 0.0)
-            assert relative_gap(got.precision.entries, want.precision.entries) <= 1e-12
-            assert relative_gap(got.correlation.entries, want.correlation.entries) <= 1e-12
-            assert relative_gap(got.objective_values, want.objective_values) <= 1e-12
+            assert k not in record.errors
+            assert (record.sweeps[k], record.jitter[k]) == (want.sweeps, want.jitter)
+            assert np.array_equal(record.precision[k] == 0.0, want.precision.entries == 0.0)
+            assert relative_gap(record.precision[k], want.precision.entries) <= 1e-12
+            assert relative_gap(record.correlation[k], want.correlation.entries) <= 1e-12
+            s = _ensure_pd(corr.entries)[0]
+            assert relative_gap(glasso_objective(s, record.precision[k], lam), history[-1]) <= 1e-12
 
     @given(problems=glasso_batches())
     @settings(max_examples=25)
     def test_batch_does_not_change_any_problem(self, problems):
         corrs, lams = zip(*problems)
-        together = glasso_stack(corrs, lams, **CAPS)
-        reversed_ = glasso_stack(corrs[::-1], lams[::-1], **CAPS)[::-1]
-        for (corr, lam), a, b in zip(problems, together, reversed_):
-            (alone,) = glasso_stack([corr], lam, **CAPS)
-            assert_bitwise_equal(alone, a)
-            assert_bitwise_equal(alone, b)
+        together = glasso_stack(stack_of(corrs), lams, **CAPS)
+        reversed_ = glasso_stack(stack_of(corrs[::-1]), lams[::-1], **CAPS)
+        last = len(problems) - 1
+        for k, (corr, lam) in enumerate(problems):
+            alone = record_row(glasso_stack(corr.entries[None], lam, **CAPS), 0)
+            assert record_row(together, k) == alone
+            assert record_row(reversed_, last - k) == alone
 
     @given(problems=glasso_batches())
     def test_sweep_limit_fails_only_the_hard_problems(self, problems):
@@ -264,26 +267,31 @@ class TestGlassoStack:
             bound = np.abs(corr.entries - np.eye(corr.n)).max()
             batch += [(corr, 1e-3), (corr, bound + 1e-6)]
         corrs, lams = zip(*batch)
-        outcomes = glasso_stack(corrs, lams, max_sweeps=1)
-        for (corr, _), hard, easy in zip(problems, outcomes[0::2], outcomes[1::2]):
+        record = glasso_stack(stack_of(corrs), lams, max_sweeps=1)
+        for k, (corr, _) in enumerate(problems):
             want = reference_outcome(corr, 1e-3, max_sweeps=1)
-            assert type(hard) is type(want)
-            if isinstance(want, ConvergenceError):
-                assert np.isfinite(hard.gap)
+            hard = record.errors.get(2 * k)
+            assert isinstance(want, ConvergenceError) == (hard is not None)
+            if hard is not None:
+                assert type(hard) is ConvergenceError and np.isfinite(hard.gap)
                 assert abs(hard.gap - want.gap) <= 1e-12 * max(1.0, abs(want.gap))
-            assert easy.sweeps == 1 and easy.sparsity == 1.0
+            assert 2 * k + 1 not in record.errors
+            assert record.sweeps[2 * k + 1] == 1 and record.sparsity[2 * k + 1] == 1.0
 
     def test_sizes_and_empty_batch(self):
         for n in (1, 3):
             corrs = [random_correlation(np.random.default_rng(30 + k), n, rows=20) for k in range(3)]
-            for corr, got in zip(corrs, glasso_stack(corrs, 0.1)):
-                assert_bitwise_equal(glasso(corr, 0.1), got)
-        assert glasso_stack([], 0.1) == []
+            record = glasso_stack(stack_of(corrs), 0.1)
+            for k, corr in enumerate(corrs):
+                assert record_row(record, k) == outcome_row(glasso(corr, 0.1))
+        empty = glasso_stack(np.zeros((0, 3, 3)), 0.1)
+        assert empty.precision.shape == empty.correlation.shape == (0, 3, 3)
+        assert empty.sparsity.shape == empty.sweeps.shape == (0,) and empty.errors == {}
         with pytest.raises(ShapeError):
-            glasso_stack([corr_of(np.eye(2)), corr_of(np.eye(3))], 0.1)
+            glasso_stack(np.zeros((2, 2, 3)), 0.1)
 
     def test_refresh_that_is_not_pd_fails_only_its_problem(self, monkeypatch):
-        corrs = [random_correlation(np.random.default_rng(50 + k), 5, rows=30) for k in range(3)]
+        corrs = stack_of([random_correlation(np.random.default_rng(50 + k), 5, rows=30) for k in range(3)])
         expected = glasso_stack(corrs, 0.05)
         blocks = []
 
@@ -300,16 +308,19 @@ class TestGlassoStack:
         monkeypatch.setattr(filtering, "invert_spd_stack", refuse_stack)
         monkeypatch.setattr(filtering, "invert_spd", refuse_second_block)
         got = glasso_stack(corrs, 0.05)
-        assert isinstance(got[1], DefinitenessError)
-        assert_bitwise_equal(expected[0], got[0])
-        assert_bitwise_equal(expected[2], got[2])
+        assert list(got.errors) == [1] and isinstance(got.errors[1], DefinitenessError)
+        assert record_row(got, 0) == record_row(expected, 0)
+        assert record_row(got, 2) == record_row(expected, 2)
+        assert not got.precision[1].any() and (got.sparsity[1], got.sweeps[1]) == (0.0, 0)
         # with every block refused, every problem fails at its first refresh
         monkeypatch.setattr(filtering, "invert_spd", refuse_stack)
-        assert all(isinstance(o, DefinitenessError) for o in glasso_stack(corrs, 0.05))
+        failed = glasso_stack(corrs, 0.05).errors
+        assert sorted(failed) == [0, 1, 2]
+        assert all(isinstance(o, DefinitenessError) for o in failed.values())
 
     def test_negative_lambda_rejected_for_the_batch(self):
         with pytest.raises(ParameterError):
-            glasso_stack([corr_of(np.eye(2)), corr_of(np.eye(2))], [0.1, -0.1])
+            glasso_stack(np.array([np.eye(2), np.eye(2)]), [0.1, -0.1])
 
 
 class TestSparsity:
@@ -385,19 +396,6 @@ def window_batches(draw, config):
     return corrs
 
 
-def assert_bitwise_same(got, want):
-    """The same FilterResult to the bit, or the same error."""
-    assert type(got) is type(want)
-    if isinstance(want, Exception):
-        assert str(got) == str(want) and getattr(got, "gap", None) == getattr(want, "gap", None)
-        return
-    for name in ("correlation", "precision"):
-        a, b = getattr(got, name).entries, getattr(want, name).entries
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert (got.sparsity, got.jitter, got.forest, got.objective_values, got.sweeps) == (
-        want.sparsity, want.jitter, want.forest, want.objective_values, want.sweeps)
-
-
 def reference_or_error(corr, alpha):
     try:
         return shrink_reference(corr, alpha)
@@ -410,21 +408,23 @@ class TestFilterWindows:
     @settings(max_examples=30)
     def test_every_window_is_the_same_alone_and_in_any_batch(self, data):
         config = data.draw(configs())
-        batch = data.draw(window_batches(config))
+        batch = stack_of(data.draw(window_batches(config)))
         together = filter_windows(batch, config)
-        backwards = filter_windows(batch[::-1], config)[::-1]
-        for corr, in_batch, reversed_batch in zip(batch, together, backwards):
-            (alone,) = filter_windows([corr], config)
-            assert_bitwise_same(in_batch, alone)
-            assert_bitwise_same(reversed_batch, alone)
+        backwards = filter_windows(batch[::-1], config)
+        last = len(batch) - 1
+        for k, corr in enumerate(batch):
+            alone = record_row(filter_windows(corr[None], config), 0)
+            assert record_row(together, k) == alone
+            assert record_row(backwards, last - k) == alone
 
     @given(data=st.data())
     def test_dense_windows_match_the_per_window_reference(self, data):
         alpha = data.draw(st.sampled_from([None, *ALPHA_GRID]))
         config = FilterConfig(method="empirical" if alpha is None else "shrinkage", alpha=alpha)
         batch = data.draw(window_batches(config))
-        for corr, got in zip(batch, filter_windows(batch, config)):
-            assert_bitwise_same(got, reference_or_error(corr, alpha))
+        record = filter_windows(stack_of(batch), config)
+        for k, corr in enumerate(batch):
+            assert record_row(record, k) == outcome_row(reference_or_error(corr, alpha))
 
     def test_jittered_and_one_by_one_windows(self):
         rng = np.random.default_rng(60)
@@ -433,13 +433,15 @@ class TestFilterWindows:
         batch = [random_correlation(rng, 6), correlation_from_rows(x), random_correlation(rng, 6)]
         ones = [corr_of([[1.0]])] * 2
         for config in (FilterConfig(method="empirical"), FilterConfig(method="shrinkage", alpha=0.0)):
-            results = filter_windows(batch, config)
-            assert [r.jitter > 0.0 for r in results] == [False, True, False]
-            for corr, got in zip(batch + ones, results + filter_windows(ones, config)):
-                assert_bitwise_same(got, shrink_reference(corr, config.alpha))
-        for got in filter_windows(ones, FilterConfig(method="glasso", lam=0.1)):
-            assert (got.sparsity, got.sweeps) == (1.0, 1)
-            assert np.array_equal(got.precision.entries, np.eye(1))
+            results = filter_windows(stack_of(batch), config)
+            assert (results.jitter > 0.0).tolist() == [False, True, False]
+            one_by_one = filter_windows(stack_of(ones), config)
+            rows = [record_row(results, k) for k in range(3)] + [record_row(one_by_one, k) for k in range(2)]
+            for corr, got in zip(batch + ones, rows):
+                assert got == outcome_row(shrink_reference(corr, config.alpha))
+        got = filter_windows(stack_of(ones), FilterConfig(method="glasso", lam=0.1))
+        assert got.errors == {} and got.sparsity.tolist() == [1.0, 1.0] and got.sweeps.tolist() == [1, 1]
+        assert np.array_equal(got.precision, np.ones((2, 1, 1)))
 
 
 class TestDegenerateWindows:
@@ -454,7 +456,7 @@ class TestDegenerateWindows:
         level = data.draw(st.sampled_from([0.0, 3.0, -50.0]))
         x = rng.normal(size=(data.draw(st.integers(2, 16)), n))
         x[:, constant] = level
-        (result,) = filter_windows([correlation_from_rows(x)], config)
+        result = apply_filter(correlation_from_rows(x), config)
         off = ~np.eye(n, dtype=bool)
         for j in constant:
             assert np.all(result.correlation.entries[j][off[j]] == 0.0)
@@ -465,7 +467,7 @@ class TestDegenerateWindows:
         config = data.draw(configs())
         n = data.draw(st.integers(max(smallest_size(config), 2), 8))
         rows = data.draw(st.integers(2, 16))
-        (result,) = filter_windows([correlation_from_rows(np.zeros((rows, n)))], config)
+        result = apply_filter(correlation_from_rows(np.zeros((rows, n))), config)
         assert np.array_equal(result.correlation.entries, np.eye(n))
         assert np.array_equal(result.precision.entries, np.eye(n))
         assert (result.sparsity, result.jitter) == (1.0, 0.0)
@@ -476,7 +478,7 @@ class TestDegenerateWindows:
         n = data.draw(st.integers(max(smallest_size(config), 2), 8))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         x = rng.normal(size=(data.draw(st.integers(2, n)), n))
-        (result,) = filter_windows([correlation_from_rows(x)], config)
+        result = apply_filter(correlation_from_rows(x), config)
         shrunk = config.method == "shrinkage" and config.alpha > 0.0
         assert result.jitter == (0.0 if shrunk else filtering.BASE_JITTER)
 
@@ -505,8 +507,11 @@ class TestFilterConfig:
         corr = random_correlation(np.random.default_rng(19), 5)
         assert apply_filter(corr, FilterConfig(method="empirical")).sparsity == 0.0
         assert apply_filter(corr, FilterConfig(method="shrinkage", alpha=1.0)).sparsity == 1.0
-        assert apply_filter(corr, FilterConfig(method="glasso", lam=2.0)).sparsity == 1.0
-        assert apply_filter(corr, FilterConfig(method="mfcf")).forest is not None
+        glasso_result = apply_filter(corr, FilterConfig(method="glasso", lam=2.0))
+        assert glasso_result.sparsity == 1.0 and glasso_result.sweeps >= 1
+        mfcf_result = apply_filter(corr, FilterConfig(method="mfcf"))
+        # the 3n - 6 = 9 edges of a triangulated filter on 5 series, of 10 pairs
+        assert mfcf_result.sparsity == pytest.approx(0.1) and mfcf_result.sweeps is None
 
 
 class TestCrossValidation:

@@ -16,6 +16,7 @@ from fsstgnn.linalg import (
     invert_spd,
     invert_spd_stack,
     is_positive_definite,
+    precision_stack,
     symmetrize,
     window_correlations,
     write_matrix,
@@ -212,9 +213,9 @@ class TestComputeCorrelation:
         values[:12, 3] = 7.0                # constant in the early windows
         windows = np.lib.stride_tricks.sliding_window_view(values, 8, axis=0).swapaxes(1, 2)
         stacked = window_correlations(windows)
-        assert len(stacked) == 23
+        assert stacked.shape == (23, 5, 5)
         for got, window in zip(stacked, windows):
-            assert np.array_equal(got.entries, correlation_from_rows(window).entries)
+            assert np.array_equal(got, correlation_from_rows(window).entries)
         with pytest.raises(RangeError):
             window_correlations(windows[:, :1])
 
@@ -222,8 +223,8 @@ class TestComputeCorrelation:
         x = np.random.default_rng(13).normal(size=(9, 3))
         x[:, 1] = 0.0
         x[4, 1] = 1e-170                    # its squared deviations underflow to 0
-        for corr in (correlation_from_rows(x), window_correlations(x[None])[0]):
-            assert np.array_equal(corr.entries[1], [0.0, 1.0, 0.0])
+        for entries in (correlation_from_rows(x).entries, window_correlations(x[None])[0]):
+            assert np.array_equal(entries[1], [0.0, 1.0, 0.0])
 
     def test_window_out_of_bounds(self):
         panel = make_panel(np.random.default_rng(10).normal(size=(20, 3)))
@@ -280,6 +281,24 @@ class TestMatrixTypes:
         prec = PrecisionMatrix.from_entries(entries)
         off_diagonal_nonzero = (prec.entries != 0.0) & ~np.eye(3, dtype=bool)
         assert set(zip(*np.nonzero(off_diagonal_nonzero))) == {(0, 2), (2, 0)}
+
+    def test_precision_stack_is_from_entries_of_each_matrix(self):
+        # a matrix that is not positive definite fails alone, with the error
+        # PrecisionMatrix gives it; the others are inverted as invert_spd does
+        rng = np.random.default_rng(14)
+        stack = np.array([random_spd(rng, 4), [[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0],
+                                               [0, 0, 0, 1.0]], random_spd(rng, 4)])
+        stack[0, 0, 1] = stack[0, 1, 0] = 1e-12          # snapped to an exact zero
+        entries, inverses, errors = precision_stack(stack)
+        assert list(errors) == [1]
+        with pytest.raises(DefinitenessError) as alone:
+            PrecisionMatrix.from_entries(stack[1])
+        assert (str(errors[1]), errors[1].pivot) == (str(alone.value), alone.value.pivot)
+        assert not inverses[1].any()
+        for k in (0, 2):
+            assert np.array_equal(entries[k], PrecisionMatrix.from_entries(stack[k]).entries)
+            assert np.array_equal(inverses[k], invert_spd(entries[k]))
+        assert entries[0, 0, 1] == 0.0
 
 
 class TestMatrixFixtureIO:

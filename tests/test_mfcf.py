@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -6,30 +8,55 @@ from hypothesis import strategies as st
 
 from fsstgnn import filtering
 from fsstgnn.errors import DefinitenessError, ParameterError, ShapeError
-from fsstgnn.filtering import (
-    PRECISION_ZERO_TOL,
-    FilterConfig,
-    _ensure_pd,
-    has_perfect_elimination_ordering,
-    mfcf,
-    mfcf_stack,
-)
+from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterConfig, _ensure_pd, mfcf, mfcf_stack
 from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
 from fsstgnn.pipeline import ExperimentConfig, _filter_panel
 
-from _oracles import make_panel, mfcf_insertion_reference, random_correlation, shrink_reference
+from _oracles import (
+    has_perfect_elimination_ordering,
+    make_panel,
+    mfcf_insertion_reference,
+    outcome_row,
+    random_correlation,
+    record_row,
+    shrink_reference,
+    stack_of,
+)
 
 
 def tmfg_config(threshold=0.0):
     return FilterConfig(method="mfcf", max_clique=4, mfcf_gain_threshold=threshold)
 
 
+def reference_forest(corr, threshold=0.0):
+    """The face-by-face reference build of ``corr`` made positive definite:
+    (cliques, separator multiplicities, insertion log)."""
+    return mfcf_insertion_reference(_ensure_pd(corr.entries)[0], 4, threshold)
+
+
+def clique_pairs(cliques) -> set:
+    """Undirected edges (i < j) covered by the cliques."""
+    return {pair for clique in cliques for pair in itertools.combinations(sorted(clique), 2)}
+
+
+def support_pairs(precision) -> set:
+    """Undirected edges (i < j) of the nonzero off-diagonal precision entries."""
+    rows, cols = np.nonzero(np.triu(precision, 1))
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def support_adjacency(precision) -> np.ndarray:
+    adjacency = precision != 0.0
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
 class TestTmfgStructure:
     def test_single_clique_at_n4(self):
         corr = random_correlation(np.random.default_rng(0), 4)
         result = mfcf(corr, tmfg_config())
-        assert len(result.forest.cliques) == 1
-        assert result.forest.separators == ()
+        cliques, separators, _ = reference_forest(corr)
+        assert (cliques, separators) == ([(0, 1, 2, 3)], {})
         assert result.sparsity == 0.0
         assert np.abs(result.precision.entries - invert_spd(corr.entries)).max() < 1e-10
 
@@ -37,33 +64,41 @@ class TestTmfgStructure:
     def test_planar_edge_count(self, n):
         corr = random_correlation(np.random.default_rng(n), n)
         result = mfcf(corr, tmfg_config())
-        edges = result.forest.edge_pairs()
+        edges = support_pairs(result.precision.entries)
         assert len(edges) == 3 * n - 6
         assert result.sparsity == pytest.approx(1.0 - 2 * (3 * n - 6) / (n * (n - 1)))
 
     @pytest.mark.parametrize("n", [10, 20])
     def test_clique_and_separator_counts(self, n):
         corr = random_correlation(np.random.default_rng(100 + n), n)
-        result = mfcf(corr, tmfg_config())
-        assert len(result.forest.cliques) == n - 3
-        assert all(len(c) == 4 for c in result.forest.cliques)
-        assert len(result.forest.separators) == n - 4
-        assert all(len(s) == 3 and m == 1 for s, m in result.forest.separators)
-        assert len(result.forest.insertion_log) == n - 4
+        cliques, separators, log = reference_forest(corr)
+        assert len(cliques) == n - 3
+        assert all(len(c) == 4 for c in cliques)
+        assert len(separators) == n - 4
+        assert all(len(s) == 3 and m == 1 for s, m in separators.items())
+        assert len(log) == n - 4
+        # and the filter assembles its precision from exactly these blocks
+        assert_matches_reference(mfcf_stack(corr.entries[None], tmfg_config()), 0, corr, 0.0)
 
     @pytest.mark.parametrize("n", [10, 20])
     def test_chordal(self, n):
         corr = random_correlation(np.random.default_rng(200 + n), n)
         result = mfcf(corr, tmfg_config())
-        adjacency = result.forest.adjacency()
+        adjacency = support_adjacency(result.precision.entries)
         assert has_perfect_elimination_ordering(adjacency)
         # independent cross-check
         assert nx.is_chordal(nx.from_numpy_array(adjacency.astype(int)))
 
     def test_forest_invariants_validate(self):
+        # the precision's support is the chordal edge union of the
+        # reference's cliques, and each separator joins at least two cliques
         corr = random_correlation(np.random.default_rng(5), 12)
         result = mfcf(corr, tmfg_config())
-        result.forest.validate()
+        cliques, separators, _ = reference_forest(corr)
+        assert support_pairs(result.precision.entries) == clique_pairs(cliques)
+        assert has_perfect_elimination_ordering(support_adjacency(result.precision.entries))
+        for separator in separators:
+            assert sum(1 for clique in cliques if set(separator) <= set(clique)) >= 2
 
     def test_precision_positive_definite(self):
         corr = random_correlation(np.random.default_rng(6), 15)
@@ -73,9 +108,7 @@ class TestTmfgStructure:
     def test_pattern_equals_forest_edges(self):
         corr = random_correlation(np.random.default_rng(7), 12)
         result = mfcf(corr, tmfg_config())
-        rows, cols = np.nonzero(result.precision.entries)
-        pattern_pairs = {(min(i, j), max(i, j)) for i, j in zip(rows.tolist(), cols.tolist()) if i != j}
-        assert pattern_pairs == result.forest.edge_pairs()
+        assert support_pairs(result.precision.entries) == clique_pairs(reference_forest(corr)[0])
 
     def test_logo_consistency(self):
         # the inverse of the assembled precision reproduces the input
@@ -83,7 +116,7 @@ class TestTmfgStructure:
         corr = random_correlation(np.random.default_rng(8), 14)
         result = mfcf(corr, tmfg_config())
         back = invert_spd(result.precision.entries)
-        for clique in result.forest.cliques:
+        for clique in reference_forest(corr)[0]:
             for i in clique:
                 for j in clique:
                     assert abs(back[i, j] - corr.entries[i, j]) < 1e-6
@@ -136,9 +169,9 @@ class TestGainThreshold:
         corr = random_correlation(np.random.default_rng(13), 12, rows=40)
         for t in (0.05, 0.2, 0.5):
             result = mfcf(corr, tmfg_config(threshold=t))
-            assert has_perfect_elimination_ordering(result.forest.adjacency())
+            assert has_perfect_elimination_ordering(support_adjacency(result.precision.entries))
             assert np.linalg.eigvalsh(result.precision.entries).min() > 0.0
-            result.forest.validate()
+            assert support_pairs(result.precision.entries) == clique_pairs(reference_forest(corr, t)[0])
 
 
 @st.composite
@@ -167,11 +200,11 @@ class TestAgainstFaceByFaceReference:
     def test_same_forest_and_precision(self, corr, threshold):
         result = mfcf(corr, tmfg_config(threshold))
         entries, jitter = _ensure_pd(corr.entries)
-        cliques, separators, log = mfcf_insertion_reference(entries, 4, threshold)
+        cliques, separators, _ = mfcf_insertion_reference(entries, 4, threshold)
         assert result.jitter == jitter
-        assert list(result.forest.cliques) == cliques
-        assert result.forest.separators == tuple(sorted(separators.items()))
-        assert [tuple(step) for step in result.forest.insertion_log] == log
+        # the precision is supported on the edge union of the reference's
+        # cliques; on degenerate windows some of its entries cancel to zero
+        assert support_pairs(result.precision.entries) <= clique_pairs(cliques)
 
         joint = np.zeros_like(entries)
         for clique in cliques:
@@ -190,17 +223,17 @@ def correlation_batches(draw):
     return draw(st.lists(correlations(n), min_size=1, max_size=5))
 
 
-def assert_matches_reference(result, corr, threshold):
-    """The checks of TestAgainstFaceByFaceReference on one result, with the
-    precision bitwise equal to the blocks added up one at a time in the
-    documented order: cliques in insertion order, then separators in
-    sorted order, grouped by block size in order of first appearance."""
+def assert_matches_reference(record, k, corr, threshold):
+    """Row ``k`` of an MFCF record against the face-by-face reference: the
+    same jitter, a support within the edge union of the reference's
+    cliques, and the precision bitwise equal to the blocks added up one at
+    a time in the documented order: cliques in insertion order, then
+    separators in sorted order, grouped by block size in order of first
+    appearance."""
     entries, jitter = _ensure_pd(corr.entries)
-    cliques, separators, log = mfcf_insertion_reference(entries, 4, threshold)
-    assert result.jitter == jitter
-    assert list(result.forest.cliques) == cliques
-    assert result.forest.separators == tuple(sorted(separators.items()))
-    assert [tuple(step) for step in result.forest.insertion_log] == log
+    cliques, separators, _ = mfcf_insertion_reference(entries, 4, threshold)
+    assert k not in record.errors and record.jitter[k] == jitter
+    assert support_pairs(record.precision[k]) <= clique_pairs(cliques)
 
     signed = [(c, 1.0) for c in cliques] + [(s, -float(m)) for s, m in sorted(separators.items())]
     joint = np.zeros_like(entries)
@@ -208,39 +241,29 @@ def assert_matches_reference(result, corr, threshold):
         for block, weight in signed:
             if len(block) == size:
                 joint[np.ix_(block, block)] += weight * invert_spd(entries[np.ix_(block, block)])
-    expected = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL)
-    assert np.array_equal(result.precision.entries, expected.entries)
-    assert np.array_equal(result.correlation.entries,
-                          CorrelationMatrix.from_entries(expected.inverse()).entries)
-    assert result.sparsity == 1.0 - (np.count_nonzero(expected.entries) - corr.n) / (corr.n * (corr.n - 1))
-
-
-def assert_same_outcome(got, want):
-    """Bitwise the same FilterResult, or the same error."""
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-        return
-    assert got.forest == want.forest
-    assert (got.jitter, got.sparsity) == (want.jitter, want.sparsity)
-    assert np.array_equal(got.precision.entries, want.precision.entries)
-    assert np.array_equal(got.correlation.entries, want.correlation.entries)
+    expected = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL).entries
+    assert np.array_equal(record.precision[k], expected)
+    assert np.array_equal(record.correlation[k], CorrelationMatrix.from_entries(invert_spd(expected)).entries)
+    assert record.sparsity[k] == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
 
 
 class TestMfcfStack:
     @given(batch=correlation_batches(), threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
     def test_every_window_matches_the_reference(self, batch, threshold):
-        for corr, result in zip(batch, mfcf_stack(batch, tmfg_config(threshold))):
-            assert_matches_reference(result, corr, threshold)
+        record = mfcf_stack(stack_of(batch), tmfg_config(threshold))
+        for k, corr in enumerate(batch):
+            assert_matches_reference(record, k, corr, threshold)
 
     @given(batch=correlation_batches(), threshold=st.sampled_from([0.0, 0.05, 0.5]))
     def test_a_window_is_the_same_alone_and_in_any_batch(self, batch, threshold):
         config = tmfg_config(threshold)
-        together = mfcf_stack(batch, config)
-        backwards = mfcf_stack(batch[::-1], config)[::-1]
-        for corr, in_batch, reversed_batch in zip(batch, together, backwards):
-            alone = mfcf_stack([corr], config)[0]
-            assert_same_outcome(in_batch, alone)
-            assert_same_outcome(reversed_batch, alone)
+        together = mfcf_stack(stack_of(batch), config)
+        backwards = mfcf_stack(stack_of(batch[::-1]), config)
+        last = len(batch) - 1
+        for k, corr in enumerate(batch):
+            alone = record_row(mfcf_stack(corr.entries[None], config), 0)
+            assert record_row(together, k) == alone
+            assert record_row(backwards, last - k) == alone
 
     def test_jittered_window_inside_a_batch(self):
         rng = np.random.default_rng(21)
@@ -249,25 +272,26 @@ class TestMfcfStack:
         singular = correlation_from_rows(x)
         assert _ensure_pd(singular.entries)[1] > 0.0
         batch = [random_correlation(rng, 6), singular, random_correlation(rng, 6)]
-        results = mfcf_stack(batch, tmfg_config())
-        assert results[1].jitter > 0.0 and results[0].jitter == results[2].jitter == 0.0
-        assert_matches_reference(results[1], singular, 0.0)
-        for corr, result in zip(batch, results):
-            assert_same_outcome(result, mfcf(corr, tmfg_config()))
+        record = mfcf_stack(stack_of(batch), tmfg_config())
+        assert record.jitter[1] > 0.0 and record.jitter[0] == record.jitter[2] == 0.0
+        assert_matches_reference(record, 1, singular, 0.0)
+        for k, corr in enumerate(batch):
+            assert record_row(record, k) == outcome_row(mfcf(corr, tmfg_config()))
 
     def test_chunked_batch_equals_one_batch(self, monkeypatch):
-        corrs = [random_correlation(np.random.default_rng(40 + k), 7, rows=12) for k in range(5)]
+        corrs = stack_of([random_correlation(np.random.default_rng(40 + k), 7, rows=12) for k in range(5)])
         whole = mfcf_stack(corrs, tmfg_config(0.05))
         monkeypatch.setattr(filtering, "MFCF_LOOKUP_LIMIT", 1)
-        for got, want in zip(mfcf_stack(corrs, tmfg_config(0.05)), whole):
-            assert_same_outcome(got, want)
+        chunked = mfcf_stack(corrs, tmfg_config(0.05))
+        for k in range(5):
+            assert record_row(chunked, k) == record_row(whole, k)
 
     def test_window_whose_precision_is_not_pd_fails_alone(self, monkeypatch):
         values = 50.0 + np.random.default_rng(22).normal(size=(40, 6)).cumsum(axis=0)
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 40)]
-        want, want_panel = mfcf_stack(corrs, tmfg_config()), _filter_panel(make_panel(values), config,
-                                                                            tmfg_config())
+        want, want_panel = mfcf_stack(stack_of(corrs), tmfg_config()), _filter_panel(make_panel(values), config,
+                                                                                      tmfg_config())
         assemble = filtering._assemble
 
         def first_window_not_pd(entries, *args):
@@ -276,10 +300,11 @@ class TestMfcfStack:
             return joint
 
         monkeypatch.setattr(filtering, "_assemble", first_window_not_pd)
-        got = mfcf_stack(corrs, tmfg_config())
-        assert isinstance(got[0], DefinitenessError)
-        for outcome, expected in zip(got[1:], want[1:]):
-            assert_same_outcome(outcome, expected)
+        got = mfcf_stack(stack_of(corrs), tmfg_config())
+        assert list(got.errors) == [0] and isinstance(got.errors[0], DefinitenessError)
+        assert not got.precision[0].any() and not got.correlation[0].any() and got.sparsity[0] == 0.0
+        for k in range(1, len(corrs)):
+            assert record_row(got, k) == record_row(want, k)
         # the pipeline gives that window the empirical filter and counts it
         got_panel = _filter_panel(make_panel(values), config, tmfg_config())
         assert (got_panel.fallbacks, want_panel.fallbacks) == (1, 0)
@@ -291,9 +316,11 @@ class TestMfcfStack:
             assert np.array_equal(getattr(got_panel, name)[1:], getattr(want_panel, name)[1:]), name
 
     def test_mixed_sizes_and_empty_batch(self):
-        assert mfcf_stack([], tmfg_config()) == []
+        empty = mfcf_stack(np.zeros((0, 5, 5)), tmfg_config())
+        assert empty.precision.shape == empty.correlation.shape == (0, 5, 5)
+        assert empty.sparsity.shape == empty.jitter.shape == (0,) and empty.errors == {}
         with pytest.raises(ShapeError):
-            mfcf_stack([random_correlation(np.random.default_rng(1), n) for n in (5, 6)], tmfg_config())
+            mfcf_stack(np.zeros((2, 5, 6)), tmfg_config())
 
 
 class TestChordalityCheck:

@@ -23,7 +23,7 @@ from fsstgnn.pipeline import (
     sweep,
 )
 
-from _oracles import make_panel, shrink_reference
+from _oracles import make_panel, shrink_reference, stack_of
 
 
 class TestNoTestLeakage:
@@ -71,7 +71,9 @@ class TestGlassoFallback:
         capped = _build_examples(panel, config, _filter_panel(panel, config, filt))
 
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 70)]
-        failed = [isinstance(o, ConvergenceError) for o in capped_stack(corrs, 0.1)]
+        errors = capped_stack(stack_of(corrs), 0.1).errors
+        assert all(isinstance(exc, ConvergenceError) for exc in errors.values())
+        failed = [k in errors for k in range(len(corrs))]
         assert 0 < sum(failed) < len(failed)
         assert (solved.fallbacks, capped.fallbacks) == (0, sum(failed))
         for row, corr in enumerate(corrs):
@@ -249,6 +251,17 @@ class TestFilterCache:
             _examples(variant_dataset, variant_config)
             assert len(filter_calls) == 1
 
+    def test_settings_the_method_does_not_read_share_the_entry(self, filter_calls):
+        dataset = synthesize_dataset(5, 1, 60, seed=15)
+        config = ExperimentConfig(filter=FilterConfig(method="glasso", lam=0.1), **SMALL)
+        _examples(dataset, config)
+        unread = FilterConfig(method="glasso", lam=0.1, alpha=0.5, max_clique=5, mfcf_gain_threshold=0.05,
+                              cv_folds=3)
+        _examples(dataset, dataclasses.replace(config, filter=unread))
+        assert len(filter_calls) == 1
+        _examples(dataset, dataclasses.replace(config, filter=FilterConfig(method="glasso", lam=0.2)))
+        assert len(filter_calls) == 2
+
     def test_cache_keeps_the_entries_of_the_latest_call_that_filtered(self, filter_calls):
         dataset = synthesize_dataset(5, 2, 60, seed=13)
         first = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
@@ -312,3 +325,33 @@ class TestSweep:
         for row in (rows[0], rows[2]):
             standalone = run_experiment(dataset, dataclasses.replace(config, graph_kind=row.value))
             assert row.report == standalone
+
+
+class TestConfigHash:
+    @staticmethod
+    def hash_of(**filter_fields):
+        return ExperimentConfig(filter=FilterConfig(**filter_fields)).config_hash
+
+    def test_defaults_and_benchmark_configs_keep_their_hashes(self):
+        assert ExperimentConfig().config_hash == "603d8ca47a63"
+        assert ExperimentConfig(filter=FilterConfig(method="mfcf"), seeds=(0, 1),
+                                epochs=5).config_hash == "b861883f64d5"
+        assert ExperimentConfig(model="fsst-gat", filter=FilterConfig(method="glasso"), seeds=(0,),
+                                epochs=1).config_hash == "6755e41baa9e"
+        assert ExperimentConfig(filter=FilterConfig(method="mfcf"), seeds=(0, 1),
+                                epochs=1).config_hash == "7002868f1ed0"
+
+    def test_only_the_settings_the_method_reads_enter_the_hash(self):
+        unread = dict(alpha=0.5, lam=0.3, max_clique=5, mfcf_gain_threshold=0.05, cv_folds=3)
+        assert self.hash_of(method="glasso", lam=0.1) == "458adc4d5f96"
+        assert self.hash_of(method="glasso", **{**unread, "lam": 0.1}) == "458adc4d5f96"
+        assert self.hash_of(method="shrinkage", **{**unread, "alpha": 0.2}) == self.hash_of(
+            method="shrinkage", alpha=0.2)
+        assert self.hash_of(method="mfcf", alpha=0.5, lam=0.3, cv_folds=3) == self.hash_of()
+        assert self.hash_of(method="empirical", **unread) == self.hash_of(method="empirical")
+        # what the method reads still counts, cv_folds only while CV selects
+        assert self.hash_of(method="glasso", lam=0.2) != self.hash_of(method="glasso", lam=0.1)
+        assert self.hash_of(method="glasso", cv_folds=3) != self.hash_of(method="glasso")
+        assert self.hash_of(method="shrinkage", cv_folds=3) != self.hash_of(method="shrinkage")
+        assert self.hash_of(mfcf_gain_threshold=0.05) != self.hash_of()
+        assert self.hash_of(max_clique=5) != self.hash_of()
