@@ -223,12 +223,6 @@ class CorrelationMatrix:
             raise ShapeError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "CorrelationMatrix":
-        """Build after symmetrizing, pinning the diagonal to 1 and clipping
-        float overshoot outside [-1, 1]."""
-        return cls(correlation_stack(np.asarray(entries, dtype=float)[None])[0])
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -250,37 +244,24 @@ class PrecisionMatrix:
         cholesky_lower(entries, min_pivot=0.0)
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray, zero_tol: float = 1e-10) -> "PrecisionMatrix":
-        """Build after symmetrizing; off-diagonal entries below ``zero_tol``
-        in magnitude are snapped to exact zero."""
-        return cls(_snapped(entries, zero_tol))
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def _snapped(entries: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Symmetrized ``entries``, one matrix or a stack, with off-diagonal
-    entries below ``zero_tol`` in magnitude snapped to exact zero."""
+def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
+    """Each matrix of a (k, n, n) stack, symmetrized with off-diagonal
+    entries below ``zero_tol`` in magnitude snapped to exact zero, and its
+    inverse: the snapped entries, their inverses, and {index:
+    DefinitenessError} for the matrices ``PrecisionMatrix`` refuses, whose
+    inverses are zero. One stacked LAPACK Cholesky checks the stack; a
+    matrix its rule cannot decide is factored alone by ``cholesky_lower``,
+    so it gets the verdict, factor and error it would get alone."""
     entries = symmetrize(np.asarray(entries, dtype=float))
     n = entries.shape[-1]
     off = np.abs(entries) < zero_tol
     off[..., np.arange(n), np.arange(n)] = False
     entries[off] = 0.0
-    return entries
-
-
-def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
-    """``PrecisionMatrix.from_entries`` of each matrix of a (k, n, n) stack
-    and its inverse: the snapped entries, their inverses, and {index:
-    DefinitenessError} for the matrices that are not positive definite,
-    whose inverses are zero. One stacked LAPACK Cholesky checks the stack;
-    a matrix its rule cannot decide is factored alone by
-    ``cholesky_lower``, so it gets the verdict, factor and error it would
-    get alone."""
-    entries = _snapped(entries, zero_tol)
     lower, decided = cholesky_stack(entries, 0.0)
     decided &= np.isfinite(entries).all(axis=(1, 2))      # and symmetric, as symmetrized
     errors = {}
@@ -296,9 +277,9 @@ def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
 
 
 def correlation_stack(entries: np.ndarray) -> np.ndarray:
-    """``CorrelationMatrix.from_entries`` of each matrix of a (k, n, n)
-    stack, as one (k, n, n) array, with the checks run once over the
-    stack."""
+    """Each matrix of a (k, n, n) stack symmetrized, clipped to [-1, 1]
+    and given a unit diagonal, as one (k, n, n) array, with
+    ``CorrelationMatrix``'s checks run once over the stack."""
     entries = np.clip(symmetrize(entries), -1.0, 1.0)
     n = entries.shape[-1]
     entries[:, np.arange(n), np.arange(n)] = 1.0

@@ -13,6 +13,8 @@ independent tapes.
 """
 
 import itertools
+import mmap
+import weakref
 
 import numpy as np
 
@@ -49,34 +51,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad}, node={self.node_id})"
-
-    # Operator sugar; every operation lives in a module-level function.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -184,11 +158,14 @@ def matmul(a, b) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.values), _parents=(a,))
+    result = np.exp(a.values)
+    out = Tensor(result, _parents=(a,))
 
     def grad_fn(g):
+        # The closure holds the result array, not ``out``: a node whose
+        # closure refers to itself is a reference cycle until the gc runs.
         if a.requires_grad:
-            _accumulate(a, g * out.values)
+            _accumulate(a, g * result)
 
     out._backward = grad_fn
     return out
@@ -196,11 +173,12 @@ def exp(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.values), _parents=(a,))
+    result = np.tanh(a.values)
+    out = Tensor(result, _parents=(a,))
 
     def grad_fn(g):
         if a.requires_grad:
-            _accumulate(a, g * (1.0 - out.values ** 2))
+            _accumulate(a, g * (1.0 - result ** 2))
 
     out._backward = grad_fn
     return out
@@ -235,12 +213,8 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.values.sum(axis=axis, keepdims=keepdims), _parents=(a,))
 
     def grad_fn(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.values.shape))
-        else:
-            if not keepdims:
+        if a.requires_grad:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accumulate(a, np.broadcast_to(g, a.values.shape))
 
@@ -343,7 +317,39 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     return div(weights, tensor_sum(weights, axis=-1, keepdims=True))
 
 
-def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
+class _Lease(list):
+    """The buffers of one ``lstm_sequence`` tape; its backward closure holds it."""
+
+
+class LstmWorkspace:
+    """One flat float buffer that successive ``lstm_sequence`` calls reuse.
+
+    A call takes views of a prefix of it, or replaces it if too small, and
+    the workspace keeps a weak reference to the call's lease. Until that
+    lease dies (its tape backwarded with ``free_graph=True``, or dropped),
+    later calls get buffers of their own. The buffer is an anonymous memory
+    map, so a replaced one goes back to the system at once rather than stay
+    in the allocator's heap beside the larger one.
+    """
+
+    def __init__(self):
+        self._flat, self._lease = np.empty(0), lambda: None
+
+    def lease(self, batch: int, steps: int, h_dim: int) -> _Lease:
+        shapes = ((steps, 4, batch, h_dim), (steps, batch, h_dim), (steps, batch, h_dim),
+                  (batch, 4 * h_dim), (batch, 4 * h_dim), (batch, steps, 4 * h_dim))
+        offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+        flat = self._flat if self._lease() is None else np.empty(offsets[-1])
+        if flat.size < offsets[-1]:
+            self._flat = None                       # free the old buffer before allocating
+            self._flat = flat = np.frombuffer(mmap.mmap(-1, 8 * int(offsets[-1])), dtype=float)
+        lease = _Lease(flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes))
+        if flat is self._flat:
+            self._lease = weakref.ref(lease)
+        return lease
+
+
+def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None = None) -> Tensor:
     """Final hidden state of an LSTM over a (B, T, F) sequence, as one tape node.
 
     ``w_input`` is (F, 4H), ``w_hidden`` (H, 4H) and ``bias`` (1, 4H) in gate
@@ -355,6 +361,12 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
     and gradient equals, bit for bit, that of the op with the input
     projection hoisted out of the loop (``tests/_oracles.py``); at larger
     widths the per-step product may round differently.
+
+    The saved gates, cell states and their tanh, the (B, 4H) buffers and
+    the backward's ``d_gates`` are views of ``workspace`` while no live tape
+    holds it, else of a new allocation. The node's backward closure holds
+    their lease. The output is a fresh array, and no value or gradient
+    depends on where the buffers live.
     """
     seq, w_input, w_hidden, bias = (as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
@@ -362,9 +374,8 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
     blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
     # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
     # so the three sigmoid gates form one contiguous block.
-    gates = np.empty((steps, 4, batch, h_dim))
-    cells, cells_tanh = np.empty((2, steps, batch, h_dim))
-    z, x_term = np.empty((2, batch, 4 * h_dim))
+    lease = (workspace or LstmWorkspace()).lease(batch, steps, h_dim)
+    gates, cells, cells_tanh, z, x_term, _ = lease
     hidden = cell = np.zeros((batch, h_dim))
     for t in range(steps):
         # z = (h W_h + x_t W_in) + b, summed in the per-op tape's order.
@@ -385,7 +396,7 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
     out = Tensor(hidden, _parents=(seq, w_input, w_hidden, bias))
 
     def grad_fn(g):
-        d_gates = np.empty((batch, steps, 4 * h_dim))
+        gates, cells, cells_tanh, _, _, d_gates = lease
         d_w_hidden = np.zeros_like(w_hidden.values)
         d_hidden = g
         d_cell = np.zeros((batch, h_dim))
@@ -423,8 +434,11 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
 
     The sweep visits nodes in reverse topological order, which is
     deterministic for a fixed sequence of operations. With ``free_graph``
-    the tape edges are dropped afterwards so intermediate buffers can be
-    collected between training steps.
+    each node's parents and backward closure are dropped once it has run,
+    so the intermediate buffers the closures saved are freed between
+    training steps and an ``lstm_sequence`` node's workspace lease is
+    released for the next forward. Without it the tape keeps its buffers,
+    and the lease, until the tape is dropped.
     """
     if not isinstance(loss, Tensor):
         raise TapeError("backward requires a Tensor loss")

@@ -126,7 +126,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("seeds", "filter")}
         d["seeds"] = list(self.seeds)
-        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(self.filter.relevant()).items()}
+        filt = self.filter.relevant() if _uses_filter(self) else FilterConfig()
+        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(filt).items()}
         return d
 
     @property

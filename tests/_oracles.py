@@ -18,7 +18,14 @@ import numpy as np
 
 from fsstgnn.errors import ConvergenceError, DefinitenessError
 from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterResult, _ensure_pd, sparsity
-from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, TimeSeriesPanel, invert_spd
+from fsstgnn.linalg import (
+    CorrelationMatrix,
+    PrecisionMatrix,
+    TimeSeriesPanel,
+    correlation_stack,
+    invert_spd,
+    precision_stack,
+)
 from fsstgnn.neural import autodiff as ad
 
 
@@ -132,6 +139,20 @@ def make_panel(values) -> TimeSeriesPanel:
     )
 
 
+def corr_of(entries) -> CorrelationMatrix:
+    """A correlation matrix from raw entries: symmetrized, unit diagonal,
+    clipped to [-1, 1], as the stacked filters build their rows."""
+    return CorrelationMatrix(correlation_stack(np.asarray(entries, dtype=float)[None])[0])
+
+
+def precision_of(entries, zero_tol=1e-10) -> PrecisionMatrix:
+    """A precision matrix from raw entries: symmetrized, with off-diagonal
+    entries below ``zero_tol`` snapped to zero, as ``precision_stack``
+    snaps its rows. Raises DefinitenessError if that is not positive
+    definite."""
+    return PrecisionMatrix(precision_stack(np.asarray(entries, dtype=float)[None], zero_tol)[0][0])
+
+
 def random_spd(rng, n, jitter=0.5):
     a = rng.normal(size=(n, n))
     return a @ a.T + jitter * n * np.eye(n)
@@ -148,11 +169,12 @@ def random_correlation(rng, n, rows=None):
 def sigmoid(a):
     """The logistic function as one tape node, for ``lstm_reference``."""
     a = ad.as_tensor(a)
-    out = ad.Tensor(1.0 / (1.0 + np.exp(-a.values)), _parents=(a,))
+    result = 1.0 / (1.0 + np.exp(-a.values))
+    out = ad.Tensor(result, _parents=(a,))
 
     def grad_fn(g):
         if a.requires_grad:
-            ad._accumulate(a, g * out.values * (1.0 - out.values))
+            ad._accumulate(a, g * result * (1.0 - result))
 
     out._backward = grad_fn
     return out
@@ -345,9 +367,9 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
         off = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
         raise ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps",
                                gap=float((s * theta).sum() - p + lam * off))
-    precision = PrecisionMatrix.from_entries(theta, zero_tol=PRECISION_ZERO_TOL)
+    precision = precision_of(theta, zero_tol=PRECISION_ZERO_TOL)
     return FilterResult(
-        correlation=CorrelationMatrix.from_entries(invert_spd(precision.entries)),
+        correlation=corr_of(invert_spd(precision.entries)),
         precision=precision,
         sparsity=sparsity(precision),
         jitter=jitter,
@@ -364,8 +386,8 @@ def shrink_reference(corr, alpha=None):
         target = np.trace(entries) / entries.shape[0]
         entries = (1.0 - alpha) * entries + alpha * target * np.eye(entries.shape[0])
     entries, jitter = _ensure_pd(entries)
-    corr = CorrelationMatrix.from_entries(entries)
-    precision = PrecisionMatrix.from_entries(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
+    corr = corr_of(entries)
+    precision = precision_of(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
     return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision),
                         jitter=jitter)
 

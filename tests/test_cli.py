@@ -184,6 +184,14 @@ class TestCliContracts:
         assert cli.main(["evaluate", *common, "--lambda", "0.2"]) == 1
         assert capsys.readouterr().err.startswith("error: checkpoint ")
 
+    @pytest.mark.parametrize("run", [["--model", "lstm"], ["--graph", "ones"]], ids=["lstm", "ones-graph"])
+    def test_filter_settings_of_a_run_without_a_filter_do_not_block_evaluate(self, small_csv, tmp_path, run):
+        ckpt, trained, scored = tmp_path / "ckpt", tmp_path / "trained.jsonl", tmp_path / "scored.jsonl"
+        common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--checkpoints", str(ckpt), *run]
+        assert cli.main(["train", *common, "--threshold", "0.05", "--records", str(trained)]) == 0
+        assert cli.main(["evaluate", *common, "--records", str(scored)]) == 0
+        assert scored.read_bytes() == trained.read_bytes()
+
 
 class TestExperimentConfig:
     def test_flags_override_config_file(self, tmp_path):

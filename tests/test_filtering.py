@@ -25,24 +25,22 @@ from fsstgnn.filtering import (
     select_lambda_cv,
     sparsity,
 )
-from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
+from fsstgnn.linalg import correlation_from_rows, invert_spd
 
 from _oracles import (
+    corr_of,
     glasso_grid_oracle_2x2,
     glasso_objective,
     glasso_projected_oracle,
     glasso_reference,
     make_panel,
     outcome_row,
+    precision_of,
     random_correlation,
     record_row,
     shrink_reference,
     stack_of,
 )
-
-
-def corr_of(entries) -> CorrelationMatrix:
-    return CorrelationMatrix.from_entries(np.asarray(entries, dtype=float))
 
 
 def shrink(corr, alpha):
@@ -325,11 +323,11 @@ class TestGlassoStack:
 
 class TestSparsity:
     def test_diagonal_matrix(self):
-        assert sparsity(PrecisionMatrix.from_entries(np.eye(4))) == 1.0
+        assert sparsity(precision_of(np.eye(4))) == 1.0
 
     def test_dense_matrix(self):
         entries = np.eye(4) + 0.1 * (np.ones((4, 4)) - np.eye(4))
-        assert sparsity(PrecisionMatrix.from_entries(entries)) == 0.0
+        assert sparsity(precision_of(entries)) == 0.0
 
     def test_one_by_one_stack_gives_an_array(self):
         shares = sparsity(np.ones((3, 1, 1)))
@@ -353,7 +351,7 @@ class TestEmpirical:
     def test_degenerate_gets_jitter(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(30, 1))
-        corr = CorrelationMatrix.from_entries(
+        corr = corr_of(
             np.corrcoef(np.hstack([x, x, rng.normal(size=(30, 1))]).T)
         )
         result = empirical(corr)

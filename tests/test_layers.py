@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -287,25 +288,92 @@ class TestFusedLstm:
         assert seq.grad is None
         assert np.any(cell.w_input.grad != 0.0)
 
-    def test_free_graph_drops_saved_buffers(self):
+    @staticmethod
+    def _lease(out):
+        """The buffers that ``out``'s backward closure holds."""
+        return next(c.cell_contents for c in out._backward.__closure__
+                    if isinstance(c.cell_contents, ad._Lease))
+
+    @staticmethod
+    def _addresses(lease):
+        return [buf.__array_interface__["data"][0] for buf in lease]
+
+    def _grads(self, cell):
+        return {name: p.grad.copy() for name, p in cell.parameters().items()}
+
+    def test_free_graph_releases_the_workspace(self):
         rng = np.random.default_rng(52)
         cell = LstmCell(1, 3, rng=rng)
         values = rng.normal(size=(4, 6, 1))
+        first = cell.forward(values)
+        lease = self._lease(first)
+        addresses, lease = self._addresses(lease), weakref.ref(lease)
+        ad.tensor_sum(first).backward(free_graph=True)
+        assert first._backward is None and first._parents == ()
+        assert lease() is None
+        second = cell.forward(values)
+        assert self._addresses(self._lease(second)) == addresses
+        del second                                     # dropped without a backward
+        smaller = cell.forward(values[:3, :5])
+        assert self._addresses(self._lease(smaller))[0] == addresses[0]
+        assert all(np.shares_memory(buf, cell.workspace._flat) for buf in self._lease(smaller))
 
-        def saved_buffers(out):
-            cells = out._backward.__closure__
-            return [weakref.ref(c.cell_contents) for c in cells if isinstance(c.cell_contents, np.ndarray)]
-
+    def test_kept_tape_backwards_again_after_another_forward(self):
+        rng = np.random.default_rng(53)
+        cell = LstmCell(1, 4, rng=rng)
+        values, other = rng.normal(size=(2, 5, 7, 1))
+        mix = rng.normal(size=(5, 4))
         kept = cell.forward(values)
-        kept_refs = saved_buffers(kept)
-        ad.tensor_sum(kept).backward(free_graph=False)
-        freed = cell.forward(values)
-        freed_refs = saved_buffers(freed)
-        ad.tensor_sum(freed).backward(free_graph=True)
-        assert len(freed_refs) == 3                    # gates, cell states and their tanh
-        assert all(ref() is not None for ref in kept_refs)
-        assert freed._backward is None and freed._parents == ()
-        assert all(ref() is None for ref in freed_refs)
+        ad.tensor_sum(ad.mul(kept, mix)).backward(free_graph=False)
+        first = self._grads(cell)
+        moved = cell.forward(other)                    # the workspace is still leased to ``kept``
+        assert not any(np.shares_memory(a, b) for a in self._lease(kept) for b in self._lease(moved))
+        ad.tensor_sum(ad.mul(moved, mix)).backward()
+        for p in cell.parameters().values():
+            p.zero_grad()
+        kept.grad = None                               # interior gradients accumulate across sweeps
+        ad.tensor_sum(ad.mul(kept, mix)).backward(free_graph=False)
+        for name, grad in self._grads(cell).items():
+            assert np.array_equal(grad, first[name]), name
+
+    def test_two_forwards_before_one_backward(self):
+        rng = np.random.default_rng(54)
+        cell = LstmCell(1, 4, rng=rng)
+        values = rng.normal(size=(2, 6, 9, 1))
+        mixes = rng.normal(size=(2, 6, 4))
+        alone = []
+        for v, mix in zip(values, mixes):
+            for p in cell.parameters().values():
+                p.zero_grad()
+            seq = Tensor(v, requires_grad=True)
+            out = cell.forward(seq)
+            ad.tensor_sum(ad.mul(out, mix)).backward()
+            alone.append((out.values, seq.grad, self._grads(cell)))
+        for p in cell.parameters().values():
+            p.zero_grad()
+        seqs = [Tensor(v, requires_grad=True) for v in values]
+        outs = [cell.forward(seq) for seq in seqs]
+        ad.add(*(ad.tensor_sum(ad.mul(out, mix)) for out, mix in zip(outs, mixes))).backward()
+        for out, seq, (want_out, want_grad, _) in zip(outs, seqs, alone):
+            assert np.array_equal(out.values, want_out)
+            assert np.array_equal(seq.grad, want_grad)
+        for name, grad in self._grads(cell).items():
+            assert np.array_equal(grad, alone[0][2][name] + alone[1][2][name]), name
+
+    @pytest.mark.parametrize("gnn", ["gcn", "gat"])
+    def test_dropped_forward_leaves_no_cycles(self, gnn):
+        rng = np.random.default_rng(55)
+        model = SpatialTemporalModel(5, gnn=gnn, lstm_hidden=4, embed_dim=3, mlp_hidden=4, rng=rng)
+        inputs = (rng.normal(size=(3, 14, 5)), np.broadcast_to(np.eye(5), (3, 5, 5)),
+                  np.ones((3, 5, 5), dtype=bool), rng.normal(size=(3, 5, 4)))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                model.forward(*inputs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLstmAgainstHoistedOp:
@@ -321,13 +389,13 @@ class TestLstmAgainstHoistedOp:
         ad.tensor_sum(ad.mul(out, mix)).backward()
         return [out.values, seq.grad] + [p.grad for p in params.values()]
 
-    def _compare(self, batch, steps, width, hidden, seed):
+    def _compare(self, batch, steps, width, hidden, seed, op=ad.lstm_sequence):
         rng = np.random.default_rng(seed)
         cell = LstmCell(width, hidden, rng=rng)
         cell.bias.values[...] = rng.normal(size=cell.bias.values.shape)
         values = rng.normal(size=(batch, steps, width))
         mix = rng.normal(size=(batch, hidden))
-        return (self._outputs(ad.lstm_sequence, cell, values, mix),
+        return (self._outputs(op, cell, values, mix),
                 self._outputs(lstm_fused_reference, cell, values, mix))
 
     @pytest.mark.parametrize("hidden", [5, 32])
@@ -335,6 +403,27 @@ class TestLstmAgainstHoistedOp:
     @pytest.mark.parametrize("batch", [1, 7, 64, 130])
     def test_width_one_is_bitwise(self, batch, steps, hidden):
         fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden)
+        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("hidden", [5, 32])
+    @pytest.mark.parametrize("steps", [1, 14])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 130])
+    def test_width_one_is_bitwise_on_prefix_views(self, batch, steps, hidden):
+        # A workspace that first ran a larger batch: every buffer is a view
+        # of a prefix of its flat array, all but the first at a non-zero offset.
+        workspace = ad.LstmWorkspace()
+        big = np.random.default_rng(0).normal(size=(batch + 3, steps + 1, 1))
+        ad.lstm_sequence(big, np.ones((1, 4 * hidden)), np.ones((hidden, 4 * hidden)), np.ones((1, 4 * hidden)),
+                         workspace)
+        flat = workspace._flat
+
+        def on_prefix_views(*args):
+            out = ad.lstm_sequence(*args, workspace)
+            assert workspace._flat is flat
+            return out
+
+        fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden, op=on_prefix_views)
         for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
             assert np.array_equal(got, want), name
 

@@ -22,7 +22,7 @@ from fsstgnn.linalg import (
     write_matrix,
 )
 
-from _oracles import cholesky_reference, make_panel, random_spd
+from _oracles import cholesky_reference, make_panel, precision_of, random_spd
 
 
 class TestInvertSpd:
@@ -278,7 +278,7 @@ class TestMatrixTypes:
 
     def test_precision_pattern_from_entries(self):
         entries = np.array([[2.0, 1e-12, 0.4], [1e-12, 2.0, 0.0], [0.4, 0.0, 2.0]])
-        prec = PrecisionMatrix.from_entries(entries)
+        prec = precision_of(entries)
         off_diagonal_nonzero = (prec.entries != 0.0) & ~np.eye(3, dtype=bool)
         assert set(zip(*np.nonzero(off_diagonal_nonzero))) == {(0, 2), (2, 0)}
 
@@ -292,11 +292,11 @@ class TestMatrixTypes:
         entries, inverses, errors = precision_stack(stack)
         assert list(errors) == [1]
         with pytest.raises(DefinitenessError) as alone:
-            PrecisionMatrix.from_entries(stack[1])
+            precision_of(stack[1])
         assert (str(errors[1]), errors[1].pivot) == (str(alone.value), alone.value.pivot)
         assert not inverses[1].any()
         for k in (0, 2):
-            assert np.array_equal(entries[k], PrecisionMatrix.from_entries(stack[k]).entries)
+            assert np.array_equal(entries[k], precision_of(stack[k]).entries)
             assert np.array_equal(inverses[k], invert_spd(entries[k]))
         assert entries[0, 0, 1] == 0.0
 

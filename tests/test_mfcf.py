@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from fsstgnn import filtering
 from fsstgnn.errors import DefinitenessError, ParameterError, ShapeError
 from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterConfig, _ensure_pd, mfcf, mfcf_stack
-from fsstgnn.linalg import CorrelationMatrix, PrecisionMatrix, correlation_from_rows, invert_spd
+from fsstgnn.linalg import correlation_from_rows, invert_spd
 from fsstgnn.pipeline import ExperimentConfig, _filter_panel
 
 from _oracles import (
+    corr_of,
     has_perfect_elimination_ordering,
     make_panel,
     mfcf_insertion_reference,
     outcome_row,
+    precision_of,
     random_correlation,
     record_row,
     shrink_reference,
@@ -148,7 +150,7 @@ class TestGainThreshold:
         entries = correlation_from_rows(values).entries.copy()
         entries[:5, 5:] = 0.0
         entries[5:, :5] = 0.0
-        return CorrelationMatrix.from_entries(entries)
+        return corr_of(entries)
 
     def test_no_cross_block_edges(self):
         corr = self._block_diagonal_corr()
@@ -186,7 +188,7 @@ def correlations(draw, n=None):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "equicorrelated":
         rho = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
-        return CorrelationMatrix.from_entries((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
+        return corr_of((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
     if kind == "integer":
         return correlation_from_rows(rng.integers(0, 3, size=(rows, n)))
     x = rng.normal(size=(rows, n))
@@ -211,7 +213,7 @@ class TestAgainstFaceByFaceReference:
             joint[np.ix_(clique, clique)] += invert_spd(entries[np.ix_(clique, clique)])
         for sep, mult in separators.items():
             joint[np.ix_(sep, sep)] -= mult * invert_spd(entries[np.ix_(sep, sep)])
-        expected = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL).entries
+        expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL).entries
         assert np.abs(result.precision.entries - expected).max() <= 1e-12 * np.abs(expected).max()
         assert result.sparsity == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
 
@@ -241,9 +243,9 @@ def assert_matches_reference(record, k, corr, threshold):
         for block, weight in signed:
             if len(block) == size:
                 joint[np.ix_(block, block)] += weight * invert_spd(entries[np.ix_(block, block)])
-    expected = PrecisionMatrix.from_entries(joint, zero_tol=PRECISION_ZERO_TOL).entries
+    expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL).entries
     assert np.array_equal(record.precision[k], expected)
-    assert np.array_equal(record.correlation[k], CorrelationMatrix.from_entries(invert_spd(expected)).entries)
+    assert np.array_equal(record.correlation[k], corr_of(invert_spd(expected)).entries)
     assert record.sparsity[k] == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
 
 

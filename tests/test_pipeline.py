@@ -355,3 +355,10 @@ class TestConfigHash:
         assert self.hash_of(method="shrinkage", cv_folds=3) != self.hash_of(method="shrinkage")
         assert self.hash_of(mfcf_gain_threshold=0.05) != self.hash_of()
         assert self.hash_of(max_clique=5) != self.hash_of()
+
+    @pytest.mark.parametrize("run", [dict(model="lstm"), dict(graph_kind="ones")], ids=["lstm", "ones-graph"])
+    def test_runs_without_a_filter_hash_the_default_filter(self, run):
+        default = ExperimentConfig(**run).config_hash
+        assert default == {"model": "f4beb4052690", "graph_kind": "7566281efe52"}[next(iter(run))]
+        for filt in (FilterConfig(mfcf_gain_threshold=0.05), FilterConfig(method="glasso", lam=0.1)):
+            assert ExperimentConfig(filter=filt, **run).config_hash == default
