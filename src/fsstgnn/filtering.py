@@ -15,6 +15,12 @@ nothing of it is kept. The glasso cross-validation grid is one
 ``glasso_stack`` batch too. A single window (``apply_filter``,
 ``glasso``, ``mfcf``) is a batch of one, whose row becomes a validated
 ``FilterResult``.
+
+Every method first makes its windows positive definite by
+``_ensure_pd_stack`` and checks its precisions by ``precision_stack``;
+both, and glasso's drift refresh, take their verdicts from
+``linalg.cholesky_stack``, so a window that is not positive definite
+fails alone, with the error it would get alone.
 """
 
 import itertools
@@ -40,7 +46,7 @@ from .linalg import (
     cholesky_stack,
     correlation_from_rows,
     correlation_stack,
-    invert_spd,
+    inverse_from_cholesky,
     invert_spd_stack,
     precision_stack,
     symmetrize,
@@ -53,8 +59,10 @@ ALPHA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10))
 LAMBDA_GRID = tuple(np.logspace(-3.0, 0.0, 20))
 
 # Diagonal jitter added (then renormalized to unit diagonal) when an
-# empirical correlation is too close to singular to invert.
+# empirical correlation is too close to singular to invert: none, then
+# BASE_JITTER and each power of ten above it up to 1e-2.
 BASE_JITTER = 1e-8
+PD_JITTERS = (0.0,) + tuple(BASE_JITTER * 10.0 ** attempt for attempt in range(7))
 PRECISION_ZERO_TOL = 1e-10
 
 # ``mfcf_stack`` builds at most as many windows at once as keep each
@@ -130,7 +138,9 @@ class FilterStack:
     """The filtered windows of a (W, n, n) correlation stack: correlation
     and precision (W, n, n), sparsity, jitter and glasso sweeps (W,; 0 for
     the other methods), and {window index: ConvergenceError |
-    DefinitenessError} for the windows that failed, whose rows are zero."""
+    DefinitenessError} for the windows that failed, whose rows are zero.
+    The pipeline caches a panel's stack with the empirical filter written
+    into those rows; its ``errors`` then count the fallbacks."""
 
     correlation: np.ndarray
     precision: np.ndarray
@@ -151,27 +161,6 @@ def sparsity(precision):
     return float(share) if entries.ndim == 2 else share
 
 
-def _ensure_pd(entries: np.ndarray, base_jitter: float = BASE_JITTER):
-    """Return a unit-diagonal PD version of ``entries`` plus the jitter used.
-
-    Rank-deficient 14-sample windows are common; a tiny renormalized
-    diagonal inflation restores definiteness without visibly moving the
-    off-diagonal structure.
-    """
-    entries = symmetrize(np.asarray(entries, dtype=float))
-    jitter = 0.0
-    candidate = entries
-    for attempt in range(8):
-        try:
-            cholesky_lower(candidate, min_pivot=PD_PIVOT_FLOOR)
-            return candidate, jitter
-        except DefinitenessError:
-            jitter = base_jitter * (10.0 ** attempt)
-            candidate = (entries + jitter * np.eye(entries.shape[0])) / (1.0 + jitter)
-            np.fill_diagonal(candidate, 1.0)
-    raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitter}")
-
-
 def _as_stack(corrs) -> np.ndarray:
     corrs = np.asarray(corrs, dtype=float)
     if corrs.ndim != 3 or corrs.shape[1] != corrs.shape[2]:
@@ -180,20 +169,29 @@ def _as_stack(corrs) -> np.ndarray:
 
 
 def _ensure_pd_stack(entries: np.ndarray):
-    """``_ensure_pd`` of each matrix of a (W, n, n) stack: the stack made
-    positive definite, the jitters (W,), {index: DefinitenessError} for
-    the matrices that stay indefinite, and the indices of the others. One
-    stacked LAPACK Cholesky clears most matrices at jitter 0; those its
-    rule cannot decide take ``_ensure_pd`` alone."""
-    entries = symmetrize(entries)
-    _, decided = cholesky_stack(entries, PD_PIVOT_FLOOR)
-    jitter, errors = np.zeros(len(entries)), {}
-    for k in np.flatnonzero(~decided).tolist():
-        try:
-            entries[k], jitter[k] = _ensure_pd(entries[k])
-        except DefinitenessError as exc:
-            errors[k] = exc
-    return entries, jitter, errors, np.flatnonzero(np.isin(np.arange(len(entries)), list(errors), invert=True))
+    """A (W, n, n) stack made positive definite: the stack, the jitters
+    (W,), {index: DefinitenessError} for the matrices that stay indefinite
+    (left as given) and the indices of the others.
+
+    Rank-deficient 14-sample windows are common; a tiny renormalized
+    diagonal inflation restores definiteness without visibly moving the
+    off-diagonal structure. Each of ``PD_JITTERS`` in turn is tried by one
+    ``cholesky_stack`` call over the matrices still indefinite.
+    """
+    entries, eye = symmetrize(entries), np.eye(entries.shape[-1])
+    jitter, pending, candidates = np.zeros(len(entries)), np.arange(len(entries)), entries
+    for step in PD_JITTERS:
+        if step:
+            candidates = np.where(eye, 1.0, (entries[pending] + step * eye) / (1.0 + step))
+        ok = np.ones(len(pending), dtype=bool)
+        ok[list(cholesky_stack(candidates, PD_PIVOT_FLOOR)[1])] = False
+        entries[pending[ok]], jitter[pending[ok]] = candidates[ok], step
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    message = f"could not restore positive definiteness with jitter up to {PD_JITTERS[-1]:g}"
+    errors = {int(k): DefinitenessError(message) for k in pending}
+    return entries, jitter, errors, np.delete(np.arange(len(entries)), pending)
 
 
 def _record(precision: np.ndarray, jitter: np.ndarray, errors: dict, sweeps=0,
@@ -203,10 +201,10 @@ def _record(precision: np.ndarray, jitter: np.ndarray, errors: dict, sweeps=0,
     ``precision_stack``, which fails it alone if it is not positive
     definite; its correlation is its row of ``correlation`` where given,
     else the inverse of the precision."""
-    live = np.isin(np.arange(len(precision)), list(errors), invert=True)
-    rows = np.flatnonzero(live)
+    rows = np.delete(np.arange(len(precision)), list(errors))
     entries, inverses, failed = precision_stack(precision[rows], PRECISION_ZERO_TOL)
     errors.update({int(rows[a]): exc for a, exc in failed.items()})
+    live = np.ones(len(precision), dtype=bool)
     live[list(errors)] = False
     stacks = np.zeros((2,) + precision.shape)
     stacks[:, rows] = entries, correlation_stack(inverses) if correlation is None else correlation[rows]
@@ -302,15 +300,11 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
             w[:, j, j] = s22
         running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
         thetas[idx[~running]], sweeps[idx[~running]] = theta[~running], sweep
-        try:                                                # refresh w to kill float drift
-            w = invert_spd_stack(theta[running])
-        except DefinitenessError:                           # fail only the blocks that are not PD
-            for a in np.flatnonzero(running):
-                try:
-                    w[a] = invert_spd(theta[a])
-                except DefinitenessError as exc:
-                    errors[int(idx[a])], running[a] = exc, False
-            w = w[running]
+        rows = np.flatnonzero(running)
+        lower, failed = cholesky_stack(theta[rows])         # refresh w to kill float drift
+        for a, exc in failed.items():                       # fail only the blocks that are not PD
+            errors[int(idx[rows[a]])], running[rows[a]] = exc, False
+        w = inverse_from_cholesky(lower[running[rows]])
         idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
     for a, i in enumerate(idx.tolist()):
         gap = (s[a] * theta[a]).sum() - p + lam[a] * (np.abs(theta[a]).sum() - np.abs(np.diag(theta[a])).sum())

@@ -4,9 +4,10 @@ estimation and SPD matrix utilities.
 Everything here is a pure function over immutable inputs. Symmetric
 results are always re-symmetrized by averaging with their transpose
 before further use so that Cholesky factorizations do not see
-asymmetry drift. Factorizations and inverses run in numpy's LAPACK;
-the only Python-level loop decides matrices that are not, or only
-barely, positive definite and names their failing pivot.
+asymmetry drift. Factorizations and inverses run in numpy's LAPACK.
+``cholesky_stack`` is the one verdict on positive definiteness, which
+every other check reads; its only Python-level loop decides matrices
+that are not, or only barely, positive definite and names their pivot.
 
 Stacks of matrices stay plain (k, n, n) arrays, checked once over the
 stack (``correlation_stack``, ``window_correlations``,
@@ -51,39 +52,52 @@ def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.nd
     return m
 
 
-def cholesky_stack(m: np.ndarray, min_pivot: float = 0.0):
-    """LAPACK lower Cholesky factors of a (k, s, s) stack, and per matrix
-    whether every pivot clears ``min_pivot`` and the margin, the rule by
-    which ``cholesky_lower`` decides. LAPACK fails a whole stack for one
-    matrix, so a failing stack is split in halves until that matrix stands
-    alone; its factor is then left as zeros."""
+def _lapack_stack(m: np.ndarray, min_pivot: float):
+    """LAPACK factors of a (k, s, s) stack, and per matrix whether every
+    pivot clears ``min_pivot`` and the margin. A stack LAPACK fails is split
+    in halves until the failing matrix stands alone, with a zero factor."""
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         if len(m) == 1:
             return np.zeros_like(m), np.zeros(1, dtype=bool)
-        parts = [cholesky_stack(half, min_pivot) for half in np.array_split(m, 2)]
+        parts = [_lapack_stack(half, min_pivot) for half in np.array_split(m, 2)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     pivots = lower.diagonal(axis1=-2, axis2=-1) ** 2
-    scale = m.diagonal(axis1=-2, axis2=-1).max(axis=-1)
-    return lower, pivots.min(axis=-1) > np.maximum(min_pivot, LAPACK_PIVOT_MARGIN * scale)
+    scale = m.diagonal(axis1=-2, axis2=-1).max(axis=-1, initial=-np.inf)
+    return lower, pivots.min(axis=-1, initial=np.inf) > np.maximum(min_pivot, LAPACK_PIVOT_MARGIN * scale)
+
+
+def cholesky_stack(m: np.ndarray, min_pivot: float = 0.0):
+    """Lower Cholesky factors of a (k, s, s) stack of symmetric matrices and
+    {index: DefinitenessError} for those that are not positive definite,
+    whose factors are zeros: the one verdict on definiteness.
+
+    One stacked LAPACK call factors every matrix whose pivots (squared
+    diagonal entries of the factor) all clear both ``min_pivot`` and
+    ``LAPACK_PIVOT_MARGIN`` of its largest diagonal entry. Each other
+    matrix is checked by ``_check_square_symmetric`` (ShapeError) and
+    factored alone, column by column, into the verdict: its factor, or the
+    first pivot not strictly greater than ``min_pivot`` and its value. So
+    each matrix gets the same result alone or in any batch."""
+    m = np.asarray(m, dtype=float)
+    lower, decided = _lapack_stack(m, min_pivot)
+    errors = {}
+    for k in np.flatnonzero(~decided).tolist():
+        try:
+            lower[k] = _column_cholesky(_check_square_symmetric(m[k]), min_pivot)
+        except DefinitenessError as exc:
+            lower[k], errors[k] = 0.0, exc
+    return lower, errors
 
 
 def cholesky_lower(m: np.ndarray, min_pivot: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix, computed by LAPACK.
-
-    Raises DefinitenessError naming the first pivot (squared diagonal
-    entry of the factor) that is not strictly greater than
-    ``min_pivot``. That index, like the verdict on any matrix within
-    ``LAPACK_PIVOT_MARGIN`` of singular, comes from a column-by-column
-    factorization that runs only on this rare path.
-    """
-    m = _check_square_symmetric(m)
-    if m.size:
-        (lower,), (decided,) = cholesky_stack(m[None], min_pivot)
-        if decided:
-            return lower
-    return _column_cholesky(m, min_pivot)
+    """Lower Cholesky factor of a symmetric matrix, ``cholesky_stack`` of a
+    batch of one; raises its DefinitenessError."""
+    (lower,), errors = cholesky_stack(_check_square_symmetric(m)[None], min_pivot)
+    if errors:
+        raise errors[0]
+    return lower
 
 
 def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
@@ -103,7 +117,7 @@ def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
     return lower
 
 
-def _inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
+def inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
     """Symmetrized L^-T L^-1 for one lower factor or a stack of them."""
     lower_inv = np.linalg.inv(lower)
     inv = lower_inv.swapaxes(-1, -2) @ lower_inv
@@ -118,35 +132,23 @@ def invert_spd(m: np.ndarray) -> np.ndarray:
     well-conditioned inputs; a matrix that is not positive definite
     raises DefinitenessError.
     """
-    return _inverse_from_cholesky(cholesky_lower(m))
+    return inverse_from_cholesky(cholesky_lower(m))
 
 
 def invert_spd_stack(stack: np.ndarray) -> np.ndarray:
     """Inverses of a (k, s, s) stack of symmetric positive-definite
-    matrices by one stacked LAPACK Cholesky and inverse.
-
-    A block that is not clearly positive definite is inverted alone
-    through ``invert_spd``, so it gets, or raises, what it would alone.
-    """
-    stack = np.asarray(stack, dtype=float)
-    lower, decided = cholesky_stack(stack, 0.0)
-    if decided.all():
-        return _inverse_from_cholesky(lower)
-    inverses = np.empty_like(stack)
-    inverses[decided] = _inverse_from_cholesky(lower[decided])
-    for k in np.flatnonzero(~decided):
-        inverses[k] = invert_spd(stack[k])
-    return inverses
+    matrices by one stacked Cholesky and inverse; raises the
+    ``cholesky_stack`` error of the first matrix that is not positive
+    definite."""
+    lower, errors = cholesky_stack(stack)
+    if errors:
+        raise next(iter(errors.values()))
+    return inverse_from_cholesky(lower)
 
 
 def is_positive_definite(m: np.ndarray) -> bool:
     """True iff the Cholesky factorization succeeds with all pivots > 1e-12."""
-    _check_square_symmetric(m)
-    try:
-        cholesky_lower(m, min_pivot=PD_PIVOT_FLOOR)
-    except DefinitenessError:
-        return False
-    return True
+    return not cholesky_stack(_check_square_symmetric(m)[None], PD_PIVOT_FLOOR)[1]
 
 
 @dataclass(frozen=True)
@@ -254,25 +256,20 @@ def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
     entries below ``zero_tol`` in magnitude snapped to exact zero, and its
     inverse: the snapped entries, their inverses, and {index:
     DefinitenessError} for the matrices ``PrecisionMatrix`` refuses, whose
-    inverses are zero. One stacked LAPACK Cholesky checks the stack; a
-    matrix its rule cannot decide is factored alone by ``cholesky_lower``,
-    so it gets the verdict, factor and error it would get alone."""
+    inverses are zero. One ``cholesky_stack`` call checks and factors the
+    stack, so each matrix gets the verdict, factor and error it would get
+    alone; a non-finite entry raises ShapeError."""
     entries = symmetrize(np.asarray(entries, dtype=float))
     n = entries.shape[-1]
     off = np.abs(entries) < zero_tol
     off[..., np.arange(n), np.arange(n)] = False
     entries[off] = 0.0
-    lower, decided = cholesky_stack(entries, 0.0)
-    decided &= np.isfinite(entries).all(axis=(1, 2))      # and symmetric, as symmetrized
-    errors = {}
-    for k in np.flatnonzero(~decided).tolist():
-        try:
-            lower[k] = cholesky_lower(entries[k])
-        except DefinitenessError as exc:
-            errors[k] = exc
-    pd = np.isin(np.arange(len(entries)), list(errors), invert=True)
+    if not np.isfinite(entries).all():
+        raise ShapeError("matrix contains non-finite entries")
+    lower, errors = cholesky_stack(entries)
+    rows = np.delete(np.arange(len(entries)), list(errors))
     inverses = np.zeros_like(entries)
-    inverses[pd] = _inverse_from_cholesky(lower[pd])
+    inverses[rows] = inverse_from_cholesky(lower[rows])
     return entries, inverses, errors
 
 

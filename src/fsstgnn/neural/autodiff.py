@@ -288,18 +288,6 @@ def swap_last(a) -> Tensor:
     return out
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.broadcast_to(a.values, shape).copy(), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    out._backward = grad_fn
-    return out
-
-
 def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Row-wise softmax over the last axis restricted to ``mask`` entries.
 
@@ -438,7 +426,9 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
     so the intermediate buffers the closures saved are freed between
     training steps and an ``lstm_sequence`` node's workspace lease is
     released for the next forward. Without it the tape keeps its buffers,
-    and the lease, until the tape is dropped.
+    and the lease, until the tape is dropped, and may be swept again:
+    interior gradients start from zero in every sweep, while leaf
+    gradients accumulate until ``zero_grad``.
     """
     if not isinstance(loss, Tensor):
         raise TapeError("backward requires a Tensor loss")
@@ -458,6 +448,8 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
         if node.node_id in visited:
             continue
         visited.add(node.node_id)
+        if node._parents:
+            node.grad = None
         stack.append((node, True))
         for parent in node._parents:
             if parent.node_id not in visited and parent.requires_grad:

@@ -203,12 +203,8 @@ class LstmCell:
 
 
 class NodeReadout:
-    """Two-layer MLP producing one scalar per node.
-
-    The temporal embedding may be per-node (batch, nodes, width) or
-    shared (batch, width); a shared embedding is tiled across nodes
-    before concatenation with each node's spatial embedding.
-    """
+    """Two-layer MLP producing one scalar per node from its temporal
+    (batch, nodes, width) and spatial embeddings, concatenated."""
 
     def __init__(self, temporal_dim: int, spatial_dim: int, hidden_dim: int, *, rng=None):
         if rng is None:
@@ -224,19 +220,12 @@ class NodeReadout:
     def forward(self, temporal, spatial) -> Tensor:
         temporal = ad.as_tensor(temporal)
         spatial = _ensure_batched(spatial, 3)
-        if temporal.values.ndim == 1:
-            temporal = ad.reshape(temporal, (1, -1))
         if temporal.values.shape[-1] != self.temporal_dim:
             raise ShapeError(f"temporal width {temporal.values.shape[-1]} != {self.temporal_dim}")
         if spatial.values.shape[-1] != self.spatial_dim:
             raise ShapeError(f"spatial width {spatial.values.shape[-1]} != {self.spatial_dim}")
         batch, n_nodes, _ = spatial.values.shape
-        if temporal.values.ndim == 2:
-            temporal = ad.broadcast_to(
-                ad.reshape(temporal, (batch, 1, self.temporal_dim)),
-                (batch, n_nodes, self.temporal_dim),
-            )
-        if temporal.values.shape[:2] != (batch, n_nodes):
+        if temporal.values.shape[:-1] != (batch, n_nodes):
             raise ShapeError(
                 f"temporal block {temporal.values.shape} does not match spatial {spatial.values.shape}"
             )

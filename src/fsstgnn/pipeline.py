@@ -39,6 +39,7 @@ from .errors import (
 )
 from .filtering import (
     FilterConfig,
+    FilterStack,
     filter_windows,
     select_alpha_cv,
     select_lambda_cv,
@@ -242,18 +243,6 @@ class _Examples:
     fallbacks: int
 
 
-@dataclass(frozen=True)
-class _FilteredWindows:
-    """A panel's windows filtered under the resolved ``filt``: correlation and
-    precision stacks (windows, n, n); failed windows hold the empirical filter."""
-
-    filt: FilterConfig
-    correlation: np.ndarray
-    precision: np.ndarray
-    sparsity: np.ndarray
-    fallbacks: int
-
-
 def _windows(panel: TimeSeriesPanel, lookback: int) -> np.ndarray:
     """The (targets, lookback, series) look-back window of every target
     row, from row ``lookback`` on."""
@@ -262,7 +251,10 @@ def _windows(panel: TimeSeriesPanel, lookback: int) -> np.ndarray:
 
 
 def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
-                  filt: FilterConfig) -> _FilteredWindows:
+                  filt: FilterConfig) -> FilterStack:
+    """The FilterStack of a panel's windows under the resolved ``filt``, with
+    the empirical filter written into the rows of the windows that failed;
+    its ``errors`` still name those windows, the fallbacks."""
     windows = _windows(panel, config.lookback)
     corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
     record = filter_windows(corrs, filt)
@@ -271,13 +263,13 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
         fallback = filter_windows(corrs[failed], FilterConfig(method="empirical"))
         if fallback.errors:
             raise fallback.errors[min(fallback.errors)]
-        for name in ("correlation", "precision", "sparsity"):
+        for name in ("correlation", "precision", "sparsity", "jitter"):
             getattr(record, name)[failed] = getattr(fallback, name)
-    return _FilteredWindows(filt, record.correlation, record.precision, record.sparsity, len(failed))
+    return record
 
 
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
-                    filtered: _FilteredWindows | None) -> _Examples:
+                    filtered: FilterStack | None) -> _Examples:
     """One panel's examples; ``filtered`` holds its filtered windows, or is
     None when the config uses no filter."""
     values = panel.values
@@ -303,7 +295,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     if _uses_filter(config):
         stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
         gweights, gmasks = stack, edge_masks(stack, config.graph_kind)
-        sparsities, fallbacks = filtered.sparsity, filtered.fallbacks
+        sparsities, fallbacks = filtered.sparsity, len(filtered.errors)
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)
         # read-only views; _forward's fancy indexing copies the rows it takes
@@ -477,7 +469,7 @@ def _run_units(worker, unit_args, jobs: int):
         return list(pool.map(worker, unit_args))
 
 
-_FILTER_CACHE = {}     # _filter_key -> _FilteredWindows, see _prepare_units
+_FILTER_CACHE = {}     # _filter_key -> FilterStack, see _prepare_units
 
 
 def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
@@ -487,7 +479,7 @@ def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
-def _filter_item(args) -> _FilteredWindows:
+def _filter_item(args) -> FilterStack:
     """Resolve the filter on one panel's training rows, then filter its windows."""
     panel, config = args
     rows = _train_row_count(panel, config)
@@ -514,7 +506,7 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
     if misses:
         built = _run_units(_filter_item, [(panels[item], config) for item in misses.values()], jobs)
         for entry in built:
-            for array in (entry.correlation, entry.precision, entry.sparsity):
+            for array in (entry.correlation, entry.precision, entry.sparsity, entry.jitter, entry.sweeps):
                 array.setflags(write=False)
         _FILTER_CACHE.update(zip(misses, built))
         for key in set(_FILTER_CACHE) - set(keys.values()):

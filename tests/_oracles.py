@@ -5,9 +5,9 @@ come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
 descent, chordality is tested by maximum cardinality search (itself
 cross-checked through networkx), and the fast paths (the fused LSTM op,
-the LAPACK Cholesky, the table-scored MFCF build, the lockstep glasso
-batch, the stacked empirical and shrinkage filters) are checked against
-the slow references they replaced. ``record_row`` and ``outcome_row``
+the stacked LAPACK Cholesky and PD jitter, the table-scored MFCF build,
+the lockstep glasso batch, the stacked empirical and shrinkage filters)
+are checked against the slow references they replaced. ``record_row`` and ``outcome_row``
 put a row of a stacked filter record and a single-window result in one
 comparable form.
 """
@@ -17,11 +17,13 @@ import itertools
 import numpy as np
 
 from fsstgnn.errors import ConvergenceError, DefinitenessError
-from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterResult, _ensure_pd, sparsity
+from fsstgnn.filtering import BASE_JITTER, PRECISION_ZERO_TOL, FilterResult, sparsity
 from fsstgnn.linalg import (
     CorrelationMatrix,
+    PD_PIVOT_FLOOR,
     PrecisionMatrix,
     TimeSeriesPanel,
+    symmetrize,
     correlation_stack,
     invert_spd,
     precision_stack,
@@ -275,6 +277,25 @@ def cholesky_reference(m, min_pivot=0.0):
     return lower
 
 
+def ensure_pd_reference(entries):
+    """One matrix made positive definite as the filters do, checked by
+    ``cholesky_reference``: the symmetrized matrix if it is, else the first
+    renormalized diagonal inflation by BASE_JITTER * 10**k (k = 0..6) that
+    is, and the jitter used; raises DefinitenessError past 1e-2."""
+    entries = symmetrize(np.asarray(entries, dtype=float))
+    jitter, candidate = 0.0, entries
+    for attempt in range(8):
+        try:
+            cholesky_reference(candidate, min_pivot=PD_PIVOT_FLOOR)
+            return candidate, jitter
+        except DefinitenessError:
+            if attempt == 7:
+                raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitter:g}")
+            jitter = BASE_JITTER * (10.0 ** attempt)
+            candidate = (entries + jitter * np.eye(entries.shape[0])) / (1.0 + jitter)
+            np.fill_diagonal(candidate, 1.0)
+
+
 def mfcf_insertion_reference(entries, max_clique, threshold):
     """Greedy clique-forest build over the PD-corrected correlation
     ``entries``, scoring one face at a time: returns (cliques, separator
@@ -322,7 +343,7 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
     scalar coordinate updates; raises ConvergenceError (with the duality
     gap) or DefinitenessError as the solver does. A list ``objective``
     receives the objective at the start and after every sweep."""
-    s, jitter = _ensure_pd(corr.entries)
+    s, jitter = ensure_pd_reference(corr.entries)
     p = s.shape[0]
     theta = np.diag(1.0 / np.diag(s)).copy()
     w = np.diag(np.diag(s)).copy()                  # w tracks theta^{-1}
@@ -385,7 +406,7 @@ def shrink_reference(corr, alpha=None):
     if alpha is not None:
         target = np.trace(entries) / entries.shape[0]
         entries = (1.0 - alpha) * entries + alpha * target * np.eye(entries.shape[0])
-    entries, jitter = _ensure_pd(entries)
+    entries, jitter = ensure_pd_reference(entries)
     corr = corr_of(entries)
     precision = precision_of(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
     return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsstgnn import filtering
+from fsstgnn.data import synthesize_dataset
 from fsstgnn.errors import (
     ConvergenceError,
     DataError,
@@ -16,7 +17,6 @@ from fsstgnn.filtering import (
     LAMBDA_GRID,
     PRECISION_ZERO_TOL,
     FilterConfig,
-    _ensure_pd,
     apply_filter,
     filter_windows,
     glasso,
@@ -25,10 +25,11 @@ from fsstgnn.filtering import (
     select_lambda_cv,
     sparsity,
 )
-from fsstgnn.linalg import correlation_from_rows, invert_spd
+from fsstgnn.linalg import cholesky_stack, correlation_from_rows, invert_spd, window_correlations
 
 from _oracles import (
     corr_of,
+    ensure_pd_reference,
     glasso_grid_oracle_2x2,
     glasso_objective,
     glasso_projected_oracle,
@@ -128,7 +129,7 @@ class TestGlasso:
             glasso_reference(corr, lam, objective=values)
             assert len(values) > 2
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
-            final = glasso_objective(_ensure_pd(corr.entries)[0], glasso(corr, lam).precision.entries, lam)
+            final = glasso_objective(ensure_pd_reference(corr.entries)[0], glasso(corr, lam).precision.entries, lam)
             assert abs(final - values[-1]) <= 1e-12 * abs(values[-1])
 
     def test_sparsity_monotone_in_lambda(self):
@@ -240,7 +241,7 @@ class TestGlassoStack:
             assert np.array_equal(record.precision[k] == 0.0, want.precision.entries == 0.0)
             assert relative_gap(record.precision[k], want.precision.entries) <= 1e-12
             assert relative_gap(record.correlation[k], want.correlation.entries) <= 1e-12
-            s = _ensure_pd(corr.entries)[0]
+            s = ensure_pd_reference(corr.entries)[0]
             assert relative_gap(glasso_objective(s, record.precision[k], lam), history[-1]) <= 1e-12
 
     @given(problems=glasso_batches())
@@ -291,27 +292,28 @@ class TestGlassoStack:
     def test_refresh_that_is_not_pd_fails_only_its_problem(self, monkeypatch):
         corrs = stack_of([random_correlation(np.random.default_rng(50 + k), 5, rows=30) for k in range(3)])
         expected = glasso_stack(corrs, 0.05)
-        blocks = []
+        calls = []
 
-        def refuse_stack(stack):
-            raise DefinitenessError("forced for the test", pivot=0)
+        def refusing(refused):
+            # call 1 makes the windows positive definite; call 2 is the first refresh
+            def refuse(stack, min_pivot=0.0):
+                calls.append(len(stack))
+                lower, errors = cholesky_stack(stack, min_pivot)
+                if len(calls) == 2:
+                    errors.update({a: DefinitenessError("forced for the test", pivot=0) for a in refused})
+                return lower, dict(sorted(errors.items()))
+            return refuse
 
-        def refuse_second_block(block):
-            blocks.append(block)
-            if len(blocks) == 2:
-                raise DefinitenessError("forced for the test", pivot=0)
-            return invert_spd(block)
-
-        # the first refresh now goes block by block and fails problem 1
-        monkeypatch.setattr(filtering, "invert_spd_stack", refuse_stack)
-        monkeypatch.setattr(filtering, "invert_spd", refuse_second_block)
+        monkeypatch.setattr(filtering, "cholesky_stack", refusing([1]))
         got = glasso_stack(corrs, 0.05)
+        assert calls[1] == 3
         assert list(got.errors) == [1] and isinstance(got.errors[1], DefinitenessError)
         assert record_row(got, 0) == record_row(expected, 0)
         assert record_row(got, 2) == record_row(expected, 2)
         assert not got.precision[1].any() and (got.sparsity[1], got.sweeps[1]) == (0.0, 0)
         # with every block refused, every problem fails at its first refresh
-        monkeypatch.setattr(filtering, "invert_spd", refuse_stack)
+        calls.clear()
+        monkeypatch.setattr(filtering, "cholesky_stack", refusing([0, 1, 2]))
         failed = glasso_stack(corrs, 0.05).errors
         assert sorted(failed) == [0, 1, 2]
         assert all(isinstance(o, DefinitenessError) for o in failed.values())
@@ -319,6 +321,29 @@ class TestGlassoStack:
     def test_negative_lambda_rejected_for_the_batch(self):
         with pytest.raises(ParameterError):
             glasso_stack(np.array([np.eye(2), np.eye(2)]), [0.1, -0.1])
+
+
+class TestGlassoOptimality:
+    """The stationarity (KKT) conditions of the penalized objective, checked
+    on the answer alone: with W the inverse of the precision and S the
+    positive-definite correlation, |S - W| <= lambda where the precision is
+    zero, S - W = -lambda * sign(precision) where it is not, and W = S on the
+    diagonal, each within 1e-6 (the worst residual on these windows is
+    about 1.4e-7)."""
+
+    @pytest.mark.parametrize("lam", [0.02, 0.113, 0.3])
+    def test_converged_rows_are_stationary(self, lam):
+        values = synthesize_dataset(7, 1, 120, seed=3).panel(1).values
+        corrs = window_correlations(np.lib.stride_tricks.sliding_window_view(values, 14, axis=0).swapaxes(1, 2))
+        record = glasso_stack(corrs, lam)
+        assert record.errors == {}
+        off = ~np.eye(corrs.shape[-1], dtype=bool)
+        for corr, theta in zip(corrs, record.precision):
+            gap = ensure_pd_reference(corr)[0] - np.linalg.inv(theta)
+            zero = off & (theta == 0.0)
+            assert np.abs(np.diag(gap)).max() <= 1e-6
+            assert np.abs(gap[zero]).max(initial=0.0) <= lam + 1e-6
+            assert np.abs(gap + lam * np.sign(theta))[off & ~zero].max(initial=0.0) <= 1e-6
 
 
 class TestSparsity:
@@ -479,6 +504,52 @@ class TestDegenerateWindows:
         result = apply_filter(correlation_from_rows(x), config)
         shrunk = config.method == "shrinkage" and config.alpha > 0.0
         assert result.jitter == (0.0 if shrunk else filtering.BASE_JITTER)
+
+
+def equicorrelated(n, rho):
+    return (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+
+
+@st.composite
+def pd_stacks(draw):
+    """1 to 6 matrices of one size: window correlations, singular when there
+    are fewer rows than series, and equicorrelated ones at or just past the
+    boundary rho = -1/(n-1), which need a larger jitter or cannot be made
+    positive definite by any."""
+    n = draw(st.integers(3, 8))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            delta = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3, 5e-3, 0.05]))
+            mats.append(equicorrelated(n, -1.0 / (n - 1) - delta))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            mats.append(correlation_from_rows(rng.normal(size=(draw(st.integers(2, 12)), n))).entries)
+    return np.array(mats)
+
+
+class TestEnsurePd:
+    @given(stack=pd_stacks())
+    def test_matches_the_one_matrix_reference(self, stack):
+        entries, jitter, errors, rows = filtering._ensure_pd_stack(stack)
+        assert rows.tolist() == [k for k in range(len(stack)) if k not in errors]
+        for k, m in enumerate(stack):
+            try:
+                want, want_jitter = ensure_pd_reference(m)
+            except DefinitenessError as exc:
+                assert type(errors[k]) is DefinitenessError and str(errors[k]) == str(exc)
+                continue
+            assert np.array_equal(entries[k], want) and jitter[k] == want_jitter
+
+    def test_jitter_escalates_until_positive_definite_or_exhausted(self):
+        # the smallest eigenvalue of the n = 4 matrix is -3 * delta
+        stack = np.array([equicorrelated(4, -1.0 / 3.0 - delta) for delta in (1e-5, 1e-3, 0.05)])
+        _, jitter, errors, rows = filtering._ensure_pd_stack(stack)
+        assert jitter.tolist() == [1e-4, 1e-2, 0.0] and rows.tolist() == [0, 1]
+        assert list(errors) == [2] and type(errors[2]) is DefinitenessError
+        assert str(errors[2]) == "could not restore positive definiteness with jitter up to 0.01"
+        record = filter_windows(stack, FilterConfig(method="empirical"))
+        assert record.jitter.tolist() == jitter.tolist() and list(record.errors) == [2]
 
 
 class TestFilterConfig:

@@ -331,7 +331,6 @@ class TestFusedLstm:
         ad.tensor_sum(ad.mul(moved, mix)).backward()
         for p in cell.parameters().values():
             p.zero_grad()
-        kept.grad = None                               # interior gradients accumulate across sweeps
         ad.tensor_sum(ad.mul(kept, mix)).backward(free_graph=False)
         for name, grad in self._grads(cell).items():
             assert np.array_equal(grad, first[name]), name
@@ -442,13 +441,19 @@ class TestReadouts:
         for p in head.parameters().values():
             p.values[...] = 0.0
         head.b2.values[...] = 3.75
-        out = head.forward(np.ones((1, 3)), np.ones((1, 5, 2))).values
+        out = head.forward(np.ones((1, 5, 3)), np.ones((1, 5, 2))).values
         assert np.all(out == 3.75)
+
+    def test_temporal_input_must_be_per_node(self):
+        head = NodeReadout(3, 2, 4, rng=np.random.default_rng(18))
+        for temporal in (np.ones((2, 3)), np.ones(3), np.ones((2, 4, 3))):
+            with pytest.raises(ShapeError):
+                head.forward(temporal, np.ones((2, 5, 2)))
 
     def test_gradient_reaches_both_branches(self):
         rng = np.random.default_rng(19)
         head = NodeReadout(3, 2, 4, rng=rng)
-        temporal = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        temporal = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         spatial = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
         loss = ad.tensor_sum(ad.mul(head.forward(temporal, spatial), rng.normal(size=(2, 4))))
         loss.backward()
@@ -538,7 +543,7 @@ class TestGradientChecks:
     def test_readout_gradients(self):
         rng = np.random.default_rng(24)
         head = NodeReadout(3, 2, 4, rng=rng)
-        temporal = rng.normal(size=(2, 3))
+        temporal = rng.normal(size=(2, 5, 3))
         spatial = rng.normal(size=(2, 5, 2))
         target = rng.normal(size=(2, 5))
         worst = self._check_model(head, lambda: mse_loss(head.forward(temporal, spatial), target))

@@ -12,6 +12,7 @@ from fsstgnn.linalg import (
     PrecisionMatrix,
     TimeSeriesPanel,
     cholesky_lower,
+    cholesky_stack,
     correlation_from_rows,
     invert_spd,
     invert_spd_stack,
@@ -85,11 +86,11 @@ class TestIsPositiveDefinite:
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Covariances and correlations of 5-40 rows of 4-15 series (rank
-    deficient when there are fewer rows than series), equicorrelated
+def symmetric_matrices(draw, n=None):
+    """Covariances and correlations of 5-40 rows of 4-15 (or ``n``) series
+    (rank deficient when there are fewer rows than series), equicorrelated
     matrices, and shifted random symmetric ones that are often indefinite."""
-    n = draw(st.integers(4, 15))
+    n = draw(st.integers(4, 15)) if n is None else n
     rows = draw(st.integers(5, 40))
     kind = draw(st.sampled_from(["covariance", "correlation", "equicorrelated", "indefinite"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -104,7 +105,62 @@ def symmetric_matrices(draw):
     return symmetrize(x.T @ x / rows)
 
 
+@st.composite
+def symmetric_stacks(draw):
+    """One to six ``symmetric_matrices`` of one size, as a (k, n, n) stack;
+    LAPACK refuses a stack that holds an indefinite one."""
+    n = draw(st.integers(4, 15))
+    return np.array(draw(st.lists(symmetric_matrices(n), min_size=1, max_size=6)))
+
+
+def assert_matches_column_reference(m, min_pivot, lower, error):
+    """A ``cholesky_stack`` row is the column-by-column verdict: the same
+    failing pivot and value with a zero factor, or a factor within
+    1e-12 * n * max|L| of the reference."""
+    try:
+        expected = cholesky_reference(m, min_pivot)
+    except DefinitenessError as err:
+        assert isinstance(error, DefinitenessError)
+        assert (error.pivot, error.value) == (err.pivot, err.value)
+        assert not lower.any()
+        return
+    assert error is None
+    assert np.abs(lower - expected).max() <= 1e-12 * m.shape[0] * np.abs(expected).max()
+
+
 class TestCholesky:
+    @given(stack=symmetric_stacks(), min_pivot=st.sampled_from([0.0, PD_PIVOT_FLOOR]))
+    def test_stack_rows_match_column_reference_alone_and_in_any_batch(self, stack, min_pivot):
+        lower, errors = cholesky_stack(stack, min_pivot)
+        reversed_lower, reversed_errors = cholesky_stack(stack[::-1], min_pivot)
+        last = len(stack) - 1
+        for k, m in enumerate(stack):
+            (alone,), alone_errors = cholesky_stack(m[None], min_pivot)
+            for factor, error in ((lower[k], errors.get(k)), (alone, alone_errors.get(0)),
+                                  (reversed_lower[last - k], reversed_errors.get(last - k))):
+                assert_matches_column_reference(m, min_pivot, factor, error)
+                assert np.array_equal(factor, lower[k])
+
+    def test_stack_lapack_refuses_is_split_around_the_failing_matrix(self):
+        rng = np.random.default_rng(15)
+        stack = np.array([random_spd(rng, 4) for _ in range(7)])
+        stack[4] = np.diag([1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        lower, errors = cholesky_stack(stack)
+        assert list(errors) == [4] and (errors[4].pivot, errors[4].value) == (2, -1.0)
+        for k in (0, 1, 2, 3, 5, 6):
+            assert np.array_equal(lower[k], np.linalg.cholesky(stack[k]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_shape_error(self, bad):
+        stack = np.array([np.eye(3), np.eye(3)])
+        stack[1, 0, 0] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            cholesky_stack(stack)
+        with pytest.raises(ShapeError, match="non-finite"):
+            precision_stack(stack)
+
     def test_factor_reconstructs(self):
         rng = np.random.default_rng(3)
         m = random_spd(rng, 6)
@@ -114,16 +170,10 @@ class TestCholesky:
     @given(m=symmetric_matrices(), min_pivot=st.sampled_from([0.0, PD_PIVOT_FLOOR]))
     def test_matches_column_reference(self, m, min_pivot):
         try:
-            expected = cholesky_reference(m, min_pivot)
-        except DefinitenessError as err:
-            with pytest.raises(DefinitenessError) as got:
-                cholesky_lower(m, min_pivot)
-            assert got.value.pivot == err.pivot
-            assert got.value.value == err.value
-            return
-        lower = cholesky_lower(m, min_pivot)
-        scale = m.shape[0] * np.abs(expected).max()
-        assert np.abs(lower - expected).max() <= 1e-12 * scale
+            lower, error = cholesky_lower(m, min_pivot), None
+        except DefinitenessError as exc:
+            lower, error = np.zeros_like(m), exc
+        assert_matches_column_reference(m, min_pivot, lower, error)
 
     @pytest.mark.parametrize("seed, n", [(1, 5), (2, 6), (61, 5), (109, 5)])
     def test_singular_to_working_precision_gets_column_verdict(self, seed, n):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from fsstgnn import filtering
 from fsstgnn.errors import DefinitenessError, ParameterError, ShapeError
-from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterConfig, _ensure_pd, mfcf, mfcf_stack
+from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterConfig, mfcf, mfcf_stack
 from fsstgnn.linalg import correlation_from_rows, invert_spd
 from fsstgnn.pipeline import ExperimentConfig, _filter_panel
 
 from _oracles import (
     corr_of,
+    ensure_pd_reference,
     has_perfect_elimination_ordering,
     make_panel,
     mfcf_insertion_reference,
@@ -33,7 +34,7 @@ def tmfg_config(threshold=0.0):
 def reference_forest(corr, threshold=0.0):
     """The face-by-face reference build of ``corr`` made positive definite:
     (cliques, separator multiplicities, insertion log)."""
-    return mfcf_insertion_reference(_ensure_pd(corr.entries)[0], 4, threshold)
+    return mfcf_insertion_reference(ensure_pd_reference(corr.entries)[0], 4, threshold)
 
 
 def clique_pairs(cliques) -> set:
@@ -201,7 +202,7 @@ class TestAgainstFaceByFaceReference:
     @given(corr=correlations(), threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
     def test_same_forest_and_precision(self, corr, threshold):
         result = mfcf(corr, tmfg_config(threshold))
-        entries, jitter = _ensure_pd(corr.entries)
+        entries, jitter = ensure_pd_reference(corr.entries)
         cliques, separators, _ = mfcf_insertion_reference(entries, 4, threshold)
         assert result.jitter == jitter
         # the precision is supported on the edge union of the reference's
@@ -232,7 +233,7 @@ def assert_matches_reference(record, k, corr, threshold):
     a time in the documented order: cliques in insertion order, then
     separators in sorted order, grouped by block size in order of first
     appearance."""
-    entries, jitter = _ensure_pd(corr.entries)
+    entries, jitter = ensure_pd_reference(corr.entries)
     cliques, separators, _ = mfcf_insertion_reference(entries, 4, threshold)
     assert k not in record.errors and record.jitter[k] == jitter
     assert support_pairs(record.precision[k]) <= clique_pairs(cliques)
@@ -272,7 +273,7 @@ class TestMfcfStack:
         x = rng.normal(size=(9, 6))
         x[:, 5] = x[:, 0]                   # a repeated column leaves it singular
         singular = correlation_from_rows(x)
-        assert _ensure_pd(singular.entries)[1] > 0.0
+        assert ensure_pd_reference(singular.entries)[1] > 0.0
         batch = [random_correlation(rng, 6), singular, random_correlation(rng, 6)]
         record = mfcf_stack(stack_of(batch), tmfg_config())
         assert record.jitter[1] > 0.0 and record.jitter[0] == record.jitter[2] == 0.0
@@ -309,12 +310,12 @@ class TestMfcfStack:
             assert record_row(got, k) == record_row(want, k)
         # the pipeline gives that window the empirical filter and counts it
         got_panel = _filter_panel(make_panel(values), config, tmfg_config())
-        assert (got_panel.fallbacks, want_panel.fallbacks) == (1, 0)
+        assert (list(got_panel.errors), want_panel.errors) == ([0], {})
         fallback = shrink_reference(corrs[0])
         assert np.array_equal(got_panel.precision[0], fallback.precision.entries)
         assert np.array_equal(got_panel.correlation[0], fallback.correlation.entries)
-        assert got_panel.sparsity[0] == fallback.sparsity
-        for name in ("correlation", "precision", "sparsity"):
+        assert (got_panel.sparsity[0], got_panel.jitter[0]) == (fallback.sparsity, fallback.jitter)
+        for name in ("correlation", "precision", "sparsity", "jitter"):
             assert np.array_equal(getattr(got_panel, name)[1:], getattr(want_panel, name)[1:]), name
 
     def test_mixed_sizes_and_empty_batch(self):

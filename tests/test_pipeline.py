@@ -164,8 +164,8 @@ class TestRunUnits:
 
 
 def assert_filtered_equal(got, want):
-    assert got.filt == want.filt and got.fallbacks == want.fallbacks
-    for name in ("correlation", "precision", "sparsity"):
+    assert got.errors.keys() == want.errors.keys()
+    for name in ("correlation", "precision", "sparsity", "jitter", "sweeps"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -216,15 +216,18 @@ class TestFilterCache:
             for got, ex in zip(_examples(dataset, config), want):
                 assert_examples_equal(got, ex)
         assert len(filter_calls) == 2 * 2
-        entry = pipeline._FILTER_CACHE[pipeline._filter_key(dataset.panel(1), configs[0])]
-        if filt.method == "glasso":
-            assert entry.filt.lam is not None
-        # the graphs are those of each window filtered on its own
-        values = dataset.panel(1).values
+        # the graphs are those of each window filtered on its own under the
+        # filter resolved on the training rows
+        panel = dataset.panel(1)
+        rows = _train_row_count(panel, configs[0])
+        resolved = pipeline.resolve_filter(
+            TimeSeriesPanel(panel.values[:rows], panel.series_ids, panel.timestamps[:rows]), configs[0])
+        assert filt.method != "glasso" or resolved.lam is not None
+        values = panel.values
         for config, examples in zip(configs, cold):
             for row in (0, len(values) - 8):
                 corr = correlation_from_rows(values[row: row + 7])
-                want = from_filter_result(filtering.apply_filter(corr, entry.filt), config.graph_kind)
+                want = from_filter_result(filtering.apply_filter(corr, resolved), config.graph_kind)
                 assert np.array_equal(examples[0].graph_weights[row], want.weights)
                 assert np.array_equal(examples[0].graph_masks[row], want.mask)
 
@@ -280,7 +283,7 @@ class TestFilterCache:
                   ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL))
         assert len(pipeline._FILTER_CACHE) == 2
         for entry in pipeline._FILTER_CACHE.values():
-            for array in (entry.correlation, entry.precision, entry.sparsity):
+            for array in (entry.correlation, entry.precision, entry.sparsity, entry.jitter, entry.sweeps):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
 
