@@ -14,6 +14,7 @@ independent tapes.
 
 import itertools
 import mmap
+import threading
 import weakref
 
 import numpy as np
@@ -309,15 +310,15 @@ class _Lease(list):
     """The buffers of one ``lstm_sequence`` tape; its backward closure holds it."""
 
 
-class LstmWorkspace:
-    """One flat float buffer that successive ``lstm_sequence`` calls reuse.
+class LstmWorkspace(threading.local):
+    """One flat float buffer per thread that successive ``lstm_sequence`` calls reuse.
 
-    A call takes views of a prefix of it, or replaces it if too small, and
-    the workspace keeps a weak reference to the call's lease. Until that
+    A call takes views of a prefix of its thread's buffer, or replaces it if
+    too small, and keeps a weak reference to the call's lease. Until that
     lease dies (its tape backwarded with ``free_graph=True``, or dropped),
-    later calls get buffers of their own. The buffer is an anonymous memory
-    map, so a replaced one goes back to the system at once rather than stay
-    in the allocator's heap beside the larger one.
+    later calls in the thread get buffers of their own. The buffer is a
+    private anonymous map: a replaced one goes back to the system at once,
+    and a forked process writes to copies of its pages.
     """
 
     def __init__(self):
@@ -330,11 +331,14 @@ class LstmWorkspace:
         flat = self._flat if self._lease() is None else np.empty(offsets[-1])
         if flat.size < offsets[-1]:
             self._flat = None                       # free the old buffer before allocating
-            self._flat = flat = np.frombuffer(mmap.mmap(-1, 8 * int(offsets[-1])), dtype=float)
+            self._flat = flat = np.frombuffer(mmap.mmap(-1, 8 * int(offsets[-1]), flags=mmap.MAP_PRIVATE), float)
         lease = _Lease(flat[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes))
         if flat is self._flat:
             self._lease = weakref.ref(lease)
         return lease
+
+
+_WORKSPACE = LstmWorkspace()      # what every ``lstm_sequence`` not given one leases from
 
 
 def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None = None) -> Tensor:
@@ -347,62 +351,83 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     blocks, with the cell state and its tanh; the backward runs
     backpropagation through time over them. At input width 1 every value
     and gradient equals, bit for bit, that of the op with the input
-    projection hoisted out of the loop (``tests/_oracles.py``); at larger
-    widths the per-step product may round differently.
+    projection hoisted out of the loop (``tests/_oracles.py``), but for the
+    sign of a zero where h W_h underflows to -0.0; at larger widths the
+    per-step product may round differently.
 
     The saved gates, cell states and their tanh, the (B, 4H) buffers and
-    the backward's ``d_gates`` are views of ``workspace`` while no live tape
-    holds it, else of a new allocation. The node's backward closure holds
-    their lease. The output is a fresh array, and no value or gradient
-    depends on where the buffers live.
+    the backward's ``d_gates`` are views of ``workspace`` (by default the
+    calling thread's) while no live tape holds it, else of a new allocation,
+    and the node's backward closure holds their lease. Every (B, H) array of
+    both step loops is a slab of the (B, 4H) buffers. The output is a fresh
+    array; no value or gradient depends on where the buffers live.
     """
     seq, w_input, w_hidden, bias = (as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
     h_dim = w_hidden.values.shape[0]
-    blocks = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
     # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
     # so the three sigmoid gates form one contiguous block.
-    lease = (workspace or LstmWorkspace()).lease(batch, steps, h_dim)
+    lease = (workspace or _WORKSPACE).lease(batch, steps, h_dim)
     gates, cells, cells_tanh, z, x_term, _ = lease
-    hidden = cell = np.zeros((batch, h_dim))
+    z_gates = z.reshape(batch, 4, h_dim).transpose(1, 0, 2)    # z's column blocks
+    input_term = np.multiply if width == 1 else np.matmul   # (B, 1) @ (1, 4H): one term per entry
+    # h lives in a slab of x_term, read before the input term overwrites it,
+    # and gate_in * gate_cell in one of z, once the gates are read from it.
+    hidden, product, cell = x_term.reshape(4, batch, h_dim)[0], z.reshape(4, batch, h_dim)[0], cells[0]
+    hidden[...] = cell[...] = 0.0
     for t in range(steps):
         # z = (h W_h + x_t W_in) + b, summed in the per-op tape's order.
         np.matmul(hidden, w_hidden.values, out=z)
-        z += np.matmul(seq.values[:, t, :], w_input.values, out=x_term)
+        z += input_term(seq.values[:, t, :], w_input.values, out=x_term)
         z += bias.values
         sigmoids, gate_cell = gates[t, :3], gates[t, 3]
-        for slot, block in zip(sigmoids, (blocks[0], blocks[1], blocks[3])):
-            np.negative(z[:, block], out=slot)
-        np.tanh(z[:, blocks[2]], out=gate_cell)
+        np.negative(z_gates[:2], out=sigmoids[:2])
+        np.negative(z_gates[3], out=sigmoids[2])
+        np.tanh(z_gates[2], out=gate_cell)
         np.exp(sigmoids, out=sigmoids)
         sigmoids += 1.0
         np.divide(1.0, sigmoids, out=sigmoids)
         gate_in, gate_forget, gate_out = sigmoids
         cell = np.multiply(gate_forget, cell, out=cells[t])
-        cell += gate_in * gate_cell
-        hidden = gate_out * np.tanh(cell, out=cells_tanh[t])
-    out = Tensor(hidden, _parents=(seq, w_input, w_hidden, bias))
+        cell += np.multiply(gate_in, gate_cell, out=product)
+        np.multiply(gate_out, np.tanh(cell, out=cells_tanh[t]), out=hidden)
+    out = Tensor(hidden.copy(), _parents=(seq, w_input, w_hidden, bias))
 
     def grad_fn(g):
-        gates, cells, cells_tanh, _, _, d_gates = lease
-        d_w_hidden = np.zeros_like(w_hidden.values)
+        gates, cells, cells_tanh, z, x_term, d_gates = lease
+        # Slabs of z and x_term, which the forward is done with; products keep their order.
+        z_slabs, x_slabs = z.reshape(4, batch, h_dim), x_term.reshape(4, batch, h_dim)
+        d_cell, ones_minus, products, d_next = z_slabs[0], z_slabs[1:], x_slabs[:3], x_slabs[3]
+        one_minus, product = ones_minus[0], products[0]
+        d_w_hidden, d_w_step = np.zeros_like(w_hidden.values), np.empty_like(w_hidden.values)
         d_hidden = g
-        d_cell = np.zeros((batch, h_dim))
+        d_cell[...] = 0.0
         for t in reversed(range(steps)):
             gate_in, gate_forget, gate_out, gate_cell = gates[t]
-            d_cell = d_cell + d_hidden * gate_out * (1.0 - cells_tanh[t] ** 2)
             d_z = d_gates[:, t, :]
-            np.multiply(d_cell * gate_cell * gate_in, 1.0 - gate_in, out=d_z[:, blocks[0]])
+            d_z_gates = d_z.reshape(batch, 4, h_dim).transpose(1, 0, 2)
+            # d_cell += d_hidden * gate_out * (1 - tanh(c_t) ** 2)
+            np.subtract(1.0, np.square(cells_tanh[t], out=one_minus), out=one_minus)
+            d_cell += np.multiply(np.multiply(d_hidden, gate_out, out=product), one_minus, out=product)
+            # the sigmoid gates' d_z = a * b * gate * (1 - gate), all three at once
+            np.multiply(d_cell, gate_cell, out=products[0])
             if t:
-                np.multiply(d_cell * cells[t - 1] * gate_forget, 1.0 - gate_forget, out=d_z[:, blocks[1]])
+                np.multiply(d_cell, cells[t - 1], out=products[1])
             else:
-                d_z[:, blocks[1]] = 0.0
-            np.multiply(d_cell * gate_in, 1.0 - gate_cell ** 2, out=d_z[:, blocks[2]])
-            np.multiply(d_hidden * cells_tanh[t] * gate_out, 1.0 - gate_out, out=d_z[:, blocks[3]])
-            d_cell = d_cell * gate_forget
+                products[1] = 0.0
+            np.multiply(d_hidden, cells_tanh[t], out=products[2])
+            products *= gates[t, :3]
+            np.subtract(1.0, gates[t, :3], out=ones_minus)
+            np.multiply(products[:2], ones_minus[:2], out=d_z_gates[:2])
+            np.multiply(products[2], ones_minus[2], out=d_z_gates[3])
+            # the cell gate's d_z = d_cell * gate_in * (1 - gate_cell ** 2)
+            np.subtract(1.0, np.square(gate_cell, out=one_minus), out=one_minus)
+            np.multiply(np.multiply(d_cell, gate_in, out=product), one_minus, out=d_z_gates[2])
+            d_cell *= gate_forget
             if t:
-                d_w_hidden += (gates[t - 1, 2] * cells_tanh[t - 1]).T @ d_z
-                d_hidden = d_z @ w_hidden.values.T
+                h_prev = np.multiply(gates[t - 1, 2], cells_tanh[t - 1], out=product)
+                d_w_hidden += np.matmul(h_prev.T, d_z, out=d_w_step)
+                d_hidden = np.matmul(d_z, w_hidden.values.T, out=d_next)
         d_flat = d_gates.reshape(batch * steps, 4 * h_dim)
         if seq.requires_grad:
             _accumulate(seq, d_gates @ w_input.values.T)

@@ -163,10 +163,8 @@ class LstmCell:
     node (``autodiff.lstm_sequence``) that keeps its gates gate-major and
     runs hand-written backpropagation through time. The unfused reference
     it must match, and the earlier fused op it equals bit for bit at input
-    width 1, live in ``tests/_oracles.py``. The cell owns one
-    ``LstmWorkspace``: a forward reuses its buffers once the previous
-    forward's tape is backwarded with ``free_graph=True`` or dropped, and
-    allocates its own while that tape is alive.
+    width 1, live in ``tests/_oracles.py``. Every cell in a thread leases
+    its buffers from that thread's ``LstmWorkspace`` (see ``lstm_sequence``).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, *, rng=None):
@@ -185,7 +183,6 @@ class LstmCell:
         bias = np.zeros((1, 4 * hidden_dim))
         bias[0, hidden_dim: 2 * hidden_dim] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
-        self.workspace = ad.LstmWorkspace()
 
     def forward(self, sequence) -> Tensor:
         seq = _ensure_batched(sequence, 3)
@@ -194,7 +191,7 @@ class LstmCell:
             raise ShapeError(f"sequence width {width} != LSTM input dim {self.input_dim}")
         if steps < 1:
             raise ShapeError("LSTM needs at least one time step")
-        return ad.lstm_sequence(seq, self.w_input, self.w_hidden, self.bias, self.workspace)
+        return ad.lstm_sequence(seq, self.w_input, self.w_hidden, self.bias)
 
     __call__ = forward
 

@@ -1,8 +1,12 @@
 import gc
+import multiprocessing
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsstgnn.errors import ContractError, ParameterError, RangeError, ShapeError
 from fsstgnn.graphs import benchmark_graph
@@ -316,7 +320,66 @@ class TestFusedLstm:
         del second                                     # dropped without a backward
         smaller = cell.forward(values[:3, :5])
         assert self._addresses(self._lease(smaller))[0] == addresses[0]
-        assert all(np.shares_memory(buf, cell.workspace._flat) for buf in self._lease(smaller))
+        assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(smaller))
+
+    def test_cells_share_the_thread_workspace(self):
+        rng = np.random.default_rng(56)
+        first, second = LstmCell(1, 3, rng=rng), LstmCell(1, 3, rng=rng)
+        values = rng.normal(size=(4, 6, 1))
+        addresses = self._addresses(self._lease(first.forward(values)))    # dropped at once
+        kept = second.forward(values)
+        assert self._addresses(self._lease(kept)) == addresses
+        assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(kept))
+        moved = first.forward(values)                  # the workspace is still leased to ``kept``
+        assert not any(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(moved))
+
+    def test_each_thread_leases_its_own_workspace(self):
+        rng = np.random.default_rng(57)
+        cell = LstmCell(1, 3, rng=rng)
+        values = rng.normal(size=(4, 6, 1))
+        kept = cell.forward(values)                    # leases this thread's workspace
+
+        def forward_in_thread():
+            out = cell.forward(values)
+            return self._lease(out), ad._WORKSPACE._flat, out.values
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            lease, flat, there = pool.submit(forward_in_thread).result()
+        assert all(np.shares_memory(buf, flat) for buf in lease)
+        assert not np.shares_memory(flat, ad._WORKSPACE._flat)
+        assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(kept))
+        assert np.array_equal(there, kept.values)
+
+    def test_forked_training_leaves_a_kept_tape_alone(self):
+        # The workspace is mapped private: a forked process that frees the
+        # kept tape and trains the same cell on other data writes to copies
+        # of its pages, not to the buffers the parent's tape still reads.
+        rng = np.random.default_rng(58)
+        cell = LstmCell(1, 4, rng=rng)
+        values, other = rng.normal(size=(2, 5, 7, 1))
+        mix = rng.normal(size=(5, 4))
+        kept = cell.forward(values)
+        assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(kept))
+        loss = ad.tensor_sum(ad.mul(kept, mix))
+        loss.backward(free_graph=False)
+        first = self._grads(cell)
+
+        def train_on_other():
+            loss.backward()                            # releases the lease in the child
+            for _ in range(3):
+                ad.tensor_sum(ad.mul(cell.forward(other), mix)).backward()
+                for p in cell.parameters().values():
+                    p.values -= 0.1 * p.grad
+
+        child = multiprocessing.get_context("fork").Process(target=train_on_other, daemon=True)
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        for p in cell.parameters().values():
+            p.zero_grad()
+        loss.backward(free_graph=False)
+        for name, grad in self._grads(cell).items():
+            assert np.array_equal(grad, first[name]), name
 
     def test_kept_tape_backwards_again_after_another_forward(self):
         rng = np.random.default_rng(53)
@@ -399,7 +462,7 @@ class TestLstmAgainstHoistedOp:
 
     @pytest.mark.parametrize("hidden", [5, 32])
     @pytest.mark.parametrize("steps", [1, 14])
-    @pytest.mark.parametrize("batch", [1, 7, 64, 130])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 130, 640])
     def test_width_one_is_bitwise(self, batch, steps, hidden):
         fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden)
         for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
@@ -425,6 +488,37 @@ class TestLstmAgainstHoistedOp:
         fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden, op=on_prefix_views)
         for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
             assert np.array_equal(got, want), name
+
+    @given(batch=st.integers(1, 640), steps=st.integers(1, 14), hidden=st.integers(1, 32),
+           seed=st.integers(0, 2 ** 32 - 1), special=st.floats(0.0, 1.0))
+    def test_width_one_input_term_is_one_product(self, batch, steps, hidden, seed, special):
+        # At width 1 each entry of x_t W_in is a single rounded product, so
+        # the multiply gives the matmul's value. The two may differ in the
+        # sign of a zero, which changes z = h W_h + x_t W_in only where
+        # BLAS's h W_h is -0.0: an entry whose exact value underflows.
+        rng = np.random.default_rng(seed)
+        seq, state = rng.normal(size=(batch, steps, 1)), rng.normal(size=(batch, hidden))
+        w_input, w_hidden = rng.normal(size=(1, 4 * hidden)), rng.normal(size=(hidden, 4 * hidden))
+        for a in (seq, state, w_input):
+            picked = rng.random(a.shape) < special
+            a[picked] = rng.choice([0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324], size=picked.sum())
+        h_term = state @ w_hidden
+        kept = ~((h_term == 0.0) & np.signbit(h_term))
+        for t in range(steps):
+            x_t = seq[:, t, :]                         # a strided column, as lstm_sequence reads it
+            product, blas = np.multiply(x_t, w_input), np.matmul(x_t, w_input)
+            assert np.array_equal(product, blas)
+            assert (h_term + product)[kept].tobytes() == (h_term + blas)[kept].tobytes()
+
+    def test_width_one_is_bitwise_with_signed_zeros(self):
+        rng = np.random.default_rng(59)
+        cell = LstmCell(1, 5, rng=rng)
+        values = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200], size=(64, 14, 1))
+        mix = rng.normal(size=(64, 5))
+        fast = self._outputs(ad.lstm_sequence, cell, values, mix)
+        reference = self._outputs(lstm_fused_reference, cell, values, mix)
+        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("width", [2, 3, 5, 10])
     @pytest.mark.parametrize("batch", [1, 3, 7])
