@@ -17,7 +17,7 @@ invocations with identical flags are byte-identical.
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional
 
 from .data import ingest_csv, synthesize_dataset
@@ -32,10 +32,12 @@ from .errors import (
     RangeError,
 )
 from .filtering import FILTER_METHODS, FilterConfig, apply_filter
+from .graphs import GRAPH_KINDS
 from .linalg import correlation_from_rows, is_positive_definite, write_matrix
 from .pipeline import (
     SWEEP_AXES,
     ExperimentConfig,
+    _uses_filter,
     evaluate_experiment,
     format_table,
     report_records,
@@ -191,9 +193,7 @@ def _print_report(report, graph_label: str, filter_label: str, records_path, ext
 
 
 def _filter_label(config: ExperimentConfig) -> str:
-    if config.model == "lstm" or config.graph_kind not in ("correlation", "inverse-correlation"):
-        return "/"
-    return config.filter.method
+    return config.filter.method if _uses_filter(config) else "/"
 
 
 def _graph_label(config: ExperimentConfig) -> str:
@@ -239,7 +239,10 @@ def _cmd_sweep(args) -> int:
     records = []
     for row in rows:
         if args.axis == "graph-kind":
-            graph_label, filter_label = row.label, _filter_label(config)
+            # labelled from the row's own kind; an unknown kind runs no filter either
+            graph_label = row.label
+            filter_label = (_filter_label(replace(config, graph_kind=row.label))
+                            if row.label in GRAPH_KINDS else "/")
         elif args.axis == "filter-method":
             graph_label, filter_label = config.graph_kind, row.label
         else:

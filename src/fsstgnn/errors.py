@@ -60,7 +60,3 @@ class NumericError(FsstgnnError):
 
 class TapeError(FsstgnnError):
     """Invalid use of the autodiff tape (e.g. backward on a detached tensor)."""
-
-
-class ContractError(FsstgnnError):
-    """A documented precondition between modules was violated at runtime."""

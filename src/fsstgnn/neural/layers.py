@@ -9,7 +9,7 @@ explicit rng so runs are reproducible.
 
 import numpy as np
 
-from ..errors import ContractError, ParameterError, ShapeError
+from ..errors import ParameterError, ShapeError
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -81,12 +81,13 @@ class GcnLayer:
 
 
 class GatLayer:
-    """Masked multi-head graph attention.
+    """Multi-head graph attention masked to each node's neighborhood: every
+    j with a nonzero graph weight w_ij (negative ones included), plus i.
 
-    Per head: e_ij = LeakyReLU(a^T [W h_i || W h_j]) on masked pairs only,
-    attention rows softmax-normalized over each node's neighborhood, and
-    the head outputs averaged before the activation. Edge weights never
-    enter; only the connectivity mask does.
+    Per head: e_ij = LeakyReLU(a^T [W h_i || W h_j]) on neighboring pairs
+    only, rows softmax-normalized, and the head outputs averaged before
+    the activation. Weight magnitudes never enter, so a boolean adjacency
+    works as the graph too.
     """
 
     def __init__(self, in_dim: int, head_dim: int, heads: int = 4, leaky_slope: float = 0.2,
@@ -110,18 +111,18 @@ class GatLayer:
             for _ in range(heads)
         ]
 
-    def _heads(self, mask, features) -> list[tuple[Tensor, Tensor]]:
+    def _heads(self, graphs, features) -> list[tuple[Tensor, Tensor]]:
         """Check the inputs; per head, the projected features and the attention."""
         feats = _ensure_batched(features, 3)
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(graphs) != 0
         if mask.ndim == 2:
             mask = mask[None, :, :]
         if mask.shape[-1] != mask.shape[-2] or mask.shape[-1] != feats.values.shape[-2]:
-            raise ShapeError(f"mask {mask.shape} incompatible with features {feats.values.shape}")
+            raise ShapeError(f"graph {mask.shape} incompatible with features {feats.values.shape}")
         if feats.values.shape[-1] != self.in_dim:
             raise ShapeError(f"feature width {feats.values.shape[-1]} != layer input dim {self.in_dim}")
-        if not mask.any(axis=-1).all():
-            raise ContractError("GAT requires every node to have at least one masked neighbor")
+        diag = np.arange(mask.shape[-1])
+        mask[..., diag, diag] = True
 
         heads = []
         for weight, attn in zip(self.head_weights, self.head_attn):
@@ -133,18 +134,18 @@ class GatLayer:
             heads.append((projected, alpha))
         return heads
 
-    def forward(self, mask, features) -> Tensor:
+    def forward(self, graphs, features) -> Tensor:
         combined = None
-        for projected, alpha in self._heads(mask, features):
+        for projected, alpha in self._heads(graphs, features):
             head_out = ad.matmul(alpha, projected)
             combined = head_out if combined is None else ad.add(combined, head_out)
         return self._act(ad.mul(combined, 1.0 / self.heads))
 
     __call__ = forward
 
-    def attention(self, mask, features) -> list[np.ndarray]:
+    def attention(self, graphs, features) -> list[np.ndarray]:
         """Per-head attention matrices (values only), for inspection."""
-        return [alpha.values for _, alpha in self._heads(mask, features)]
+        return [alpha.values for _, alpha in self._heads(graphs, features)]
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}

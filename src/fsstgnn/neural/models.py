@@ -33,7 +33,6 @@ class SpatialTemporalModel:
         if gnn not in ("gcn", "gat"):
             raise ParameterError(f"unknown gnn kind {gnn!r}; expected 'gcn' or 'gat'")
         self.n_series = n_series
-        self.gnn_kind = gnn
         self.lstm = LstmCell(1, lstm_hidden, rng=rng)
         if gnn == "gcn":
             self.gnn = GcnLayer(N_MOMENT_FEATURES, embed_dim, activation, rng=rng)
@@ -42,11 +41,12 @@ class SpatialTemporalModel:
                                 activation=activation, rng=rng)
         self.readout = NodeReadout(lstm_hidden, embed_dim, mlp_hidden, rng=rng)
 
-    def forward(self, windows, graph_weights, masks, features) -> Tensor:
+    def forward(self, windows, graphs, features) -> Tensor:
         """Predict the next value of every series.
 
-        windows: (B, T, N) standardized history; graph_weights/masks:
-        (B, N, N); features: (B, N, 4) standardized moments.
+        windows: (B, T, N) standardized history; graphs: (B, N, N) edge
+        weights, which the GCN convolves over and the GAT attends over
+        the nonzero pattern of; features: (B, N, 4) standardized moments.
         """
         win = ad.as_tensor(windows)
         if win.values.ndim == 2:
@@ -54,11 +54,7 @@ class SpatialTemporalModel:
         batch, steps, n = win.values.shape
         per_node = ad.reshape(ad.swap_last(win), (batch * n, steps, 1))
         temporal = ad.reshape(self.lstm(per_node), (batch, n, -1))
-        if self.gnn_kind == "gcn":
-            spatial = self.gnn(graph_weights, features)
-        else:
-            spatial = self.gnn(masks, features)
-        return self.readout(temporal, spatial)
+        return self.readout(temporal, self.gnn(graphs, features))
 
     __call__ = forward
 
@@ -80,7 +76,7 @@ class TemporalOnlyModel:
         self.lstm = LstmCell(n_series, lstm_hidden, rng=rng)
         self.readout = DenseReadout(lstm_hidden, mlp_hidden, n_series, rng=rng)
 
-    def forward(self, windows, graph_weights=None, masks=None, features=None) -> Tensor:
+    def forward(self, windows, graphs=None, features=None) -> Tensor:
         return self.readout(self.lstm(windows))
 
     __call__ = forward

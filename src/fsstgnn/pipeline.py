@@ -43,8 +43,9 @@ from .filtering import (
     filter_windows,
     select_alpha_cv,
     select_lambda_cv,
+    sparsity,
 )
-from .graphs import GRAPH_KINDS, benchmark_graph, edge_masks
+from .graphs import GRAPH_KINDS, benchmark_graph, check_graphs
 from .linalg import TimeSeriesPanel, window_correlations
 from .neural.features import window_moments
 from .neural.layers import ACTIVATIONS
@@ -230,8 +231,7 @@ def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> Fi
 class _Examples:
     windows_std: np.ndarray
     features_std: np.ndarray
-    graph_weights: np.ndarray | None
-    graph_masks: np.ndarray | None
+    graphs: np.ndarray | None
     targets_std: np.ndarray
     targets_raw: np.ndarray
     fit_idx: np.ndarray
@@ -290,18 +290,17 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     targets = np.arange(lookback, n_steps)
     windows = _windows(panel, lookback)
     feats = window_moments(windows)
-    gweights = gmasks = None
+    graphs = None
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
-        stack = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
-        gweights, gmasks = stack, edge_masks(stack, config.graph_kind)
+        graphs = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
+        check_graphs(graphs, config.graph_kind)
         sparsities, fallbacks = filtered.sparsity, len(filtered.errors)
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)
-        # read-only views; _forward's fancy indexing copies the rows it takes
-        gweights = np.broadcast_to(bench.weights, (len(targets), n_series, n_series))
-        gmasks = np.broadcast_to(bench.mask, (len(targets), n_series, n_series))
-        sparsities = [1.0 - bench.n_offdiag_edges() / (n_series * (n_series - 1))] * len(targets)
+        # a read-only view; _forward's fancy indexing copies the rows it takes
+        graphs = np.broadcast_to(bench.weights, (len(targets), n_series, n_series))
+        sparsities = [sparsity(bench.weights)] * len(targets)
 
     targets_raw = values[targets]
     targets_std = (targets_raw - mu) / sd
@@ -326,8 +325,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     return _Examples(
         windows_std=(windows - mu) / sd,
         features_std=feats,
-        graph_weights=gweights,
-        graph_masks=gmasks,
+        graphs=graphs,
         targets_std=targets_std,
         targets_raw=targets_raw,
         fit_idx=fit_idx,
@@ -358,14 +356,9 @@ def _build_model(n_series: int, config: ExperimentConfig, rng: np.random.Generat
 
 
 def _forward(model, ex: _Examples, idx: np.ndarray):
-    if ex.graph_weights is None:
+    if ex.graphs is None:
         return model.forward(ex.windows_std[idx])
-    return model.forward(
-        ex.windows_std[idx],
-        ex.graph_weights[idx],
-        ex.graph_masks[idx],
-        ex.features_std[idx],
-    )
+    return model.forward(ex.windows_std[idx], ex.graphs[idx], ex.features_std[idx])
 
 
 def _predict_raw(model, ex: _Examples, idx: np.ndarray) -> np.ndarray:

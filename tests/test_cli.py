@@ -192,6 +192,17 @@ class TestCliContracts:
         assert cli.main(["evaluate", *common, "--records", str(scored)]) == 0
         assert scored.read_bytes() == trained.read_bytes()
 
+    def test_graph_kind_sweep_labels_the_filter_of_each_row(self, small_csv, capsys):
+        common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--filter", "mfcf"]
+        assert cli.main(["sweep", *common, "--axis", "graph-kind",
+                         "--values", "ones,correlation,bogus"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in table[3:]] == [
+            ["ones", "/"], ["correlation", "mfcf"], ["bogus", "/"]]
+        # the same label as a train run of that graph alone
+        assert cli.main(["train", *common, "--graph", "ones"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["ones", "/"]
+
 
 class TestExperimentConfig:
     def test_flags_override_config_file(self, tmp_path):

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from fsstgnn.errors import ParameterError, ShapeError
-from fsstgnn.filtering import FilterConfig, apply_filter, glasso, mfcf
-from fsstgnn.graphs import (
-    FilteredGraph,
-    benchmark_graph,
-    edge_masks,
-    from_filter_result,
-)
+from fsstgnn.filtering import FilterConfig, apply_filter, glasso, mfcf, sparsity
+from fsstgnn.graphs import FilteredGraph, benchmark_graph, check_graphs, from_filter_result
 from fsstgnn.linalg import correlation_from_rows
 
 from _oracles import random_correlation
@@ -18,17 +13,17 @@ class TestBenchmarkGraphs:
     def test_identity(self):
         graph = benchmark_graph(3, "identity")
         assert np.array_equal(graph.weights, np.eye(3))
-        assert graph.n_offdiag_edges() == 0
+        assert sparsity(graph.weights) == 1.0
 
     def test_ones(self):
         graph = benchmark_graph(3, "ones")
         assert np.all(graph.weights == 1.0)
-        assert graph.n_offdiag_edges() == 6
+        assert sparsity(graph.weights) == 0.0
 
     def test_zeros(self):
         graph = benchmark_graph(3, "zeros")
         assert np.all(graph.weights == 0.0)
-        assert np.array_equal(graph.mask, np.eye(3, dtype=bool))
+        assert sparsity(graph.weights) == 1.0
         # convolution with zero weights aggregates nothing
         agg = graph.weights @ np.ones((3, 2))
         assert np.all(agg == 0.0)
@@ -44,27 +39,28 @@ class TestFromFilterResult:
     def test_dense_shrunk_correlation_has_full_mask(self):
         corr = random_correlation(np.random.default_rng(0), 6)
         graph = from_filter_result(apply_filter(corr, FilterConfig(method="shrinkage", alpha=0.4)), "correlation")
-        assert np.all(graph.mask)
+        assert np.all(graph.weights != 0.0)
         assert np.all(np.diag(graph.weights) == 1.0)
 
     def test_tmfg_mask_cardinality(self):
         corr = random_correlation(np.random.default_rng(1), 10)
         result = mfcf(corr, FilterConfig(method="mfcf"))
         graph = from_filter_result(result, "inverse-correlation")
-        assert graph.n_offdiag_edges() == 48          # 2 * (3n - 6)
+        assert np.count_nonzero(graph.weights) - 10 == 48      # 2 * (3n - 6) off the diagonal
 
     def test_glasso_screening_gives_identity_mask(self):
         corr = random_correlation(np.random.default_rng(2), 6)
         lam = np.abs(corr.entries - np.eye(6)).max() + 1e-6
         graph = from_filter_result(glasso(corr, lam), "inverse-correlation")
-        assert np.array_equal(graph.mask, np.eye(6, dtype=bool))
+        assert np.array_equal(graph.weights != 0.0, np.eye(6, dtype=bool))
 
     def test_mask_cardinality_tracks_sparsity(self):
         corr = random_correlation(np.random.default_rng(3), 8, rows=30)
         for lam in (0.05, 0.15, 0.4):
             result = glasso(corr, lam)
             graph = from_filter_result(result, "inverse-correlation")
-            density = graph.n_offdiag_edges() / (8 * 7)
+            assert np.count_nonzero(np.diag(graph.weights)) == 8
+            density = (np.count_nonzero(graph.weights) - 8) / (8 * 7)
             assert density == pytest.approx(1.0 - result.sparsity)
 
     def test_negative_weights_pass_through(self):
@@ -72,7 +68,7 @@ class TestFromFilterResult:
         result = glasso(corr, 0.02)
         graph = from_filter_result(result, "inverse-correlation")
         assert (graph.weights < 0.0).any()
-        assert np.all(graph.mask[graph.weights < 0.0])
+        assert np.array_equal(graph.weights, result.precision.entries)
 
     def test_rejects_benchmark_kinds(self):
         corr = random_correlation(np.random.default_rng(5), 6)
@@ -94,7 +90,7 @@ class TestPermutationEquivariance:
             "inverse-correlation",
         )
         idx = np.ix_(perm, perm)
-        assert np.array_equal(permuted.mask, base.mask[idx])
+        assert np.array_equal(permuted.weights != 0.0, base.weights[idx] != 0.0)
         assert np.abs(permuted.weights - base.weights[idx]).max() < 1e-9
 
     def test_shrinkage_is_equivariant(self):
@@ -109,29 +105,18 @@ class TestPermutationEquivariance:
 
 
 class TestGraphValidation:
-    def test_mask_diagonal_required(self):
-        with pytest.raises(ShapeError):
-            FilteredGraph(2, np.eye(2), np.zeros((2, 2), dtype=bool), "identity")
-
-    def test_unmasked_weight_rejected(self):
-        weights = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(ShapeError):
-            FilteredGraph(2, weights, np.eye(2, dtype=bool), "correlation")
-
     def test_asymmetric_rejected(self):
         weights = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ShapeError):
-            FilteredGraph(2, weights, np.ones((2, 2), dtype=bool), "correlation")
+            FilteredGraph(2, weights, "correlation")
 
-    def test_stacked_masks_match_each_graph_and_are_checked(self):
+    def test_stacked_graphs_are_checked(self):
         results = [mfcf(random_correlation(np.random.default_rng(60 + k), 6), FilterConfig(method="mfcf"))
                    for k in range(3)]
         stack = np.array([r.precision.entries for r in results])
-        masks = edge_masks(stack, "inverse-correlation")
-        for mask, result in zip(masks, results):
-            assert np.array_equal(mask, from_filter_result(result, "inverse-correlation").mask)
+        check_graphs(stack, "inverse-correlation")
+        with pytest.raises(ParameterError):
+            check_graphs(stack[:1], "ring")
         stack[1, 0, 2] += 0.5           # one asymmetric graph fails the stack
         with pytest.raises(ShapeError):
-            edge_masks(stack, "inverse-correlation")
-        with pytest.raises(ParameterError):
-            edge_masks(stack[:1], "ring")
+            check_graphs(stack, "inverse-correlation")

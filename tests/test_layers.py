@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fsstgnn.errors import ContractError, ParameterError, RangeError, ShapeError
+from fsstgnn.errors import ParameterError, RangeError, ShapeError
 from fsstgnn.graphs import benchmark_graph
 from fsstgnn.neural import (
     Adam,
@@ -142,32 +142,47 @@ class TestGat:
             assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_output_ignores_edge_weight_magnitudes(self):
-        # identical mask, rescaled weights: bit-identical output
-        from fsstgnn.graphs import FilteredGraph
-
+        # same nonzero pattern, rescaled weights: bit-identical output
         rng = np.random.default_rng(9)
         layer = GatLayer(4, 3, heads=2, rng=rng)
         feats = rng.normal(size=(5, 4))
         mask = rng.random((5, 5)) < 0.5
         mask |= mask.T
-        np.fill_diagonal(mask, True)
         weights = mask * rng.normal(size=(5, 5))
         weights = 0.5 * (weights + weights.T)
-        weights[~mask] = 0.0
-        graph_a = FilteredGraph(5, weights, mask, "correlation")
-        graph_b = FilteredGraph(5, 17.5 * weights, mask, "correlation")
-        out_a = layer.forward(graph_a.mask, feats).values
-        out_b = layer.forward(graph_b.mask, feats).values
+        out_a = layer.forward(weights, feats).values
+        out_b = layer.forward(17.5 * weights, feats).values
         assert np.array_equal(out_a, out_b)
+        assert np.array_equal(out_a, layer.forward(weights != 0.0, feats).values)
 
-    def test_isolated_node_rejected(self):
-        layer = GatLayer(2, 2, heads=1, rng=np.random.default_rng(10))
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[0, 0] = mask[1, 1] = True              # node 2 has no neighbors
-        with pytest.raises(ContractError):
-            layer.forward(mask, np.ones((3, 2)))
-        with pytest.raises(ContractError):
-            layer.attention(mask, np.ones((3, 2)))
+    @pytest.mark.parametrize("weights", [
+        np.zeros((3, 3)),
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.4, 0.0]]),     # zero diagonal
+    ], ids=["all-zero", "zero-diagonal"])
+    def test_node_without_edges_attends_only_to_itself(self, weights):
+        layer = GatLayer(2, 2, heads=2, activation="none", rng=np.random.default_rng(10))
+        feats = np.random.default_rng(13).normal(size=(3, 2))
+        for alpha in layer.attention(weights, feats):
+            assert alpha[0, 0, 0] == 1.0 and np.all(alpha[0, 0, 1:] == 0.0)
+            assert np.all(np.diagonal(alpha[0]) > 0.0)
+        # node 0 has no edge, so its output is its own projection averaged over heads
+        out = layer.forward(weights, feats).values[0, 0]
+        own = np.mean([feats[0] @ w.values for w in layer.head_weights], axis=0)
+        assert np.abs(out - own).max() < 1e-12
+
+    def test_negative_weights_are_edges(self):
+        rng = np.random.default_rng(14)
+        layer = GatLayer(3, 2, heads=2, rng=rng)
+        feats = rng.normal(size=(4, 3))
+        weights = np.array([[0.0, -0.3, 0.0, 0.2],
+                            [-0.3, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, -1e-9],
+                            [0.2, 0.0, -1e-9, 0.0]])
+        pattern = weights != 0.0
+        np.fill_diagonal(pattern, True)
+        for got, want in zip(layer.attention(weights, feats), layer.attention(pattern, feats)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[0] > 0.0, pattern)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -427,7 +442,7 @@ class TestFusedLstm:
         rng = np.random.default_rng(55)
         model = SpatialTemporalModel(5, gnn=gnn, lstm_hidden=4, embed_dim=3, mlp_hidden=4, rng=rng)
         inputs = (rng.normal(size=(3, 14, 5)), np.broadcast_to(np.eye(5), (3, 5, 5)),
-                  np.ones((3, 5, 5), dtype=bool), rng.normal(size=(3, 5, 4)))
+                  rng.normal(size=(3, 5, 4)))
         gc.collect()
         gc.disable()
         try:
@@ -654,7 +669,6 @@ class TestDeterminism:
             out = model.forward(
                 data_rng.normal(size=(2, 6, 4)),
                 np.stack([np.eye(4)] * 2),
-                np.ones((2, 4, 4), dtype=bool),
                 data_rng.normal(size=(2, 4, 4)),
             )
             return out.values

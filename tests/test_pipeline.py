@@ -8,7 +8,7 @@ from fsstgnn import cli, filtering, pipeline
 from fsstgnn.data import synthesize_dataset
 from fsstgnn.errors import ConvergenceError, ParameterError
 from fsstgnn.filtering import FilterConfig
-from fsstgnn.graphs import from_filter_result
+from fsstgnn.graphs import benchmark_graph, from_filter_result
 from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows
 from fsstgnn.pipeline import (
     ExperimentConfig,
@@ -48,13 +48,12 @@ class TestNoTestLeakage:
         after = _build_examples(changed_panel, config, _filter_panel(changed_panel, config, filt))
         seen = np.concatenate([before.fit_idx, before.val_idx])
         assert np.array_equal(before.fit_idx, after.fit_idx)
-        for name in ("windows_std", "features_std", "targets_std", "graph_weights"):
+        for name in ("windows_std", "features_std", "targets_std", "graphs"):
             assert np.array_equal(getattr(before, name)[seen], getattr(after, name)[seen]), name
         # the test examples did change, so the check above is not vacuous
         assert not np.array_equal(before.features_std[before.test_idx],
                                   after.features_std[after.test_idx])
-        assert not np.array_equal(before.graph_weights[before.test_idx],
-                                  after.graph_weights[after.test_idx])
+        assert not np.array_equal(before.graphs[before.test_idx], after.graphs[after.test_idx])
 
 
 class TestGlassoFallback:
@@ -78,8 +77,8 @@ class TestGlassoFallback:
         assert (solved.fallbacks, capped.fallbacks) == (0, sum(failed))
         for row, corr in enumerate(corrs):
             want = (from_filter_result(shrink_reference(corr), config.graph_kind).weights if failed[row]
-                    else solved.graph_weights[row])
-            assert np.array_equal(capped.graph_weights[row], want), row
+                    else solved.graphs[row])
+            assert np.array_equal(capped.graphs[row], want), row
 
 
 class TestJobs:
@@ -228,8 +227,16 @@ class TestFilterCache:
             for row in (0, len(values) - 8):
                 corr = correlation_from_rows(values[row: row + 7])
                 want = from_filter_result(filtering.apply_filter(corr, resolved), config.graph_kind)
-                assert np.array_equal(examples[0].graph_weights[row], want.weights)
-                assert np.array_equal(examples[0].graph_masks[row], want.mask)
+                assert np.array_equal(examples[0].graphs[row], want.weights)
+
+    @pytest.mark.parametrize("kind, stack", [("correlation", "correlation"),
+                                             ("inverse-correlation", "precision")])
+    def test_examples_carry_the_cached_stack(self, kind, stack):
+        dataset = synthesize_dataset(5, 2, 60, seed=16)
+        config = ExperimentConfig(graph_kind=kind, filter=FilterConfig(method="mfcf"), **SMALL)
+        for item, ex in zip(dataset.items, _examples(dataset, config)):
+            entry = pipeline._FILTER_CACHE[pipeline._filter_key(dataset.panel(item), config)]
+            assert np.array_equal(ex.graphs, getattr(entry, stack))
 
     def test_changed_input_misses(self, filter_calls):
         dataset = synthesize_dataset(5, 1, 60, seed=9)
@@ -296,6 +303,15 @@ class TestFilterCache:
         scored = evaluate_experiment(dataset, config, str(tmp_path))
         assert len(filter_calls) == 2
         assert report_records(scored) == report_records(trained)
+
+
+class TestBenchmarkGraphExamples:
+    @pytest.mark.parametrize("kind, share", [("ones", 0.0), ("zeros", 1.0), ("identity", 1.0)])
+    def test_graphs_and_sparsity_come_from_the_weights(self, kind, share):
+        (ex,) = _examples(synthesize_dataset(5, 1, 60, seed=17), ExperimentConfig(graph_kind=kind, **SMALL))
+        weights = benchmark_graph(5, kind).weights
+        assert np.array_equal(ex.graphs, np.broadcast_to(weights, ex.graphs.shape))
+        assert ex.sparsity_mean == filtering.sparsity(weights) == share
 
 
 class TestDegeneratePanel:
