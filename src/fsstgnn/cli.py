@@ -37,7 +37,8 @@ from .linalg import correlation_from_rows, is_positive_definite, write_matrix
 from .pipeline import (
     SWEEP_AXES,
     ExperimentConfig,
-    _uses_filter,
+    _filter_label,
+    _graph_label,
     evaluate_experiment,
     format_table,
     report_records,
@@ -185,26 +186,18 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _print_report(report, graph_label: str, filter_label: str, records_path, extra=None) -> None:
-    print(format_table([(graph_label, filter_label, report, None)]))
+def _print_report(report, records_path) -> None:
+    print(format_table([(_graph_label(report.config), _filter_label(report.config), report, None)]))
     if records_path:
-        write_records(records_path, report_records(report, extra))
+        write_records(records_path, report_records(report))
         print(f"records: {records_path}")
-
-
-def _filter_label(config: ExperimentConfig) -> str:
-    return config.filter.method if _uses_filter(config) else "/"
-
-
-def _graph_label(config: ExperimentConfig) -> str:
-    return "/" if config.model == "lstm" else config.graph_kind
 
 
 def _cmd_train(args) -> int:
     config = build_experiment_config(args)
     dataset = ingest_csv(args.input)
     report = run_experiment(dataset, config, jobs=args.jobs, checkpoint_dir=args.checkpoints)
-    _print_report(report, _graph_label(config), _filter_label(config), args.records)
+    _print_report(report, args.records)
     if args.checkpoints:
         print(f"checkpoints: {args.checkpoints}")
     return 0
@@ -214,7 +207,7 @@ def _cmd_evaluate(args) -> int:
     config = build_experiment_config(args)
     dataset = ingest_csv(args.input)
     report = evaluate_experiment(dataset, config, args.checkpoints, jobs=args.jobs)
-    _print_report(report, _graph_label(config), _filter_label(config), args.records)
+    _print_report(report, args.records)
     return 0
 
 

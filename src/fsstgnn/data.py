@@ -1,8 +1,8 @@
 """Sales dataset ingestion and synthesis.
 
 The CSV schema is `date,store,item,sales` with ISO dates, positive
-integer store/item ids and non-negative integer sales. A dataset pivots
-into one TimeSeriesPanel per item (rows = days, columns = stores).
+integer store/item ids and non-negative integer sales. A dataset is its
+per-item TimeSeriesPanels (rows = days, columns = stores), filled in one pass.
 
 The synthetic generator stands in for real store-item demand data at
 desk scale: per item, sales are a base level plus store-specific weekly
@@ -25,63 +25,17 @@ CSV_HEADER = ("date", "store", "item", "sales")
 
 @dataclass(frozen=True)
 class SalesDataset:
-    """Pivoted sales records: one panel of shape (days, stores) per item."""
+    """Validated sales: one panel of shape (days, stores) per item."""
 
     stores: tuple
     items: tuple
     dates: tuple
     panels: dict
 
-    @property
-    def n_days(self) -> int:
-        return len(self.dates)
-
     def panel(self, item: int) -> TimeSeriesPanel:
         if item not in self.panels:
             raise DataError(f"dataset has no item {item}")
         return self.panels[item]
-
-    @classmethod
-    def from_records(cls, records) -> "SalesDataset":
-        """Build from (date, store, item, sales) tuples, validating the
-        contiguous-dates and complete-grid invariants."""
-        by_series: dict[tuple, dict] = {}
-        for date, store, item, sales in records:
-            if sales < 0:
-                raise DataError(f"negative sales for store {store} item {item} on {date}")
-            series = by_series.setdefault((item, store), {})
-            if date in series:
-                raise DataError(f"duplicate record for store {store} item {item} on {date}")
-            series[date] = sales
-        if not by_series:
-            raise DataError("dataset has no records")
-        stores = tuple(sorted({s for (_, s) in by_series}))
-        items = tuple(sorted({i for (i, _) in by_series}))
-        all_dates = None
-        for (item, store), series in sorted(by_series.items()):
-            dates = tuple(sorted(series))
-            for a, b in zip(dates, dates[1:]):
-                if b - a != datetime.timedelta(days=1):
-                    raise DataError(f"gap after {a} for store {store} item {item}")
-            if all_dates is None:
-                all_dates = dates
-            elif dates != all_dates:
-                raise DataError(f"store {store} item {item} covers {dates[0]}..{dates[-1]}, "
-                                f"expected {all_dates[0]}..{all_dates[-1]}")
-        panels = {}
-        for item in items:
-            matrix = np.empty((len(all_dates), len(stores)))
-            for col, store in enumerate(stores):
-                series = by_series.get((item, store))
-                if series is None:
-                    raise DataError(f"missing series for store {store} item {item}")
-                matrix[:, col] = [series[d] for d in all_dates]
-            panels[item] = TimeSeriesPanel(
-                values=matrix,
-                series_ids=tuple(str(s) for s in stores),
-                timestamps=all_dates,
-            )
-        return cls(stores=stores, items=items, dates=all_dates, panels=panels)
 
     def to_csv(self, path) -> int:
         """Write schema-conformant CSV sorted by (date, store, item); returns row count."""
@@ -100,8 +54,9 @@ class SalesDataset:
 
 
 def ingest_csv(path) -> SalesDataset:
-    """Parse and validate a sales CSV into per-item panels."""
-    records = []
+    """Parse and validate a sales CSV into per-item panels: each row is checked
+    and filed under its series, then all series must cover the same days."""
+    by_series: dict[tuple, dict] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -110,7 +65,6 @@ def ingest_csv(path) -> SalesDataset:
             raise ParseError("empty file", line=1) from None
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise ParseError(f"header must be {','.join(CSV_HEADER)}, got {','.join(header)}", line=1)
-        seen = set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -130,12 +84,35 @@ def ingest_csv(path) -> SalesDataset:
                 raise ParseError(f"store and item ids must be positive, got {store}, {item}", line=line_no)
             if sales < 0:
                 raise ParseError(f"sales must be non-negative, got {sales}", line=line_no)
-            key = (date, store, item)
-            if key in seen:
+            series = by_series.setdefault((item, store), {})
+            if date in series:
                 raise ParseError(f"duplicate record for store {store} item {item} on {date}", line=line_no)
-            seen.add(key)
-            records.append((date, store, item, sales))
-    return SalesDataset.from_records(records)
+            series[date] = sales
+    if not by_series:
+        raise DataError("dataset has no records")
+    stores = tuple(sorted({s for (_, s) in by_series}))
+    items = tuple(sorted({i for (i, _) in by_series}))
+    all_dates = None
+    for (item, store), series in sorted(by_series.items()):
+        dates = tuple(sorted(series))
+        for a, b in zip(dates, dates[1:]):
+            if b - a != datetime.timedelta(days=1):
+                raise DataError(f"gap after {a} for store {store} item {item}")
+        if all_dates is None:
+            all_dates = dates
+        elif dates != all_dates:
+            raise DataError(f"store {store} item {item} covers {dates[0]}..{dates[-1]}, "
+                            f"expected {all_dates[0]}..{all_dates[-1]}")
+    panels = {}
+    for item in items:
+        matrix = np.empty((len(all_dates), len(stores)))
+        for col, store in enumerate(stores):
+            series = by_series.get((item, store))
+            if series is None:
+                raise DataError(f"missing series for store {store} item {item}")
+            matrix[:, col] = [series[d] for d in all_dates]
+        panels[item] = TimeSeriesPanel(matrix)
+    return SalesDataset(stores=stores, items=items, dates=all_dates, panels=panels)
 
 
 def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
@@ -164,9 +141,8 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
     weekdays = np.array([d.weekday() for d in dates])
     groups = np.array([s * n_groups // n_stores for s in range(n_stores)])
 
-    records = []
-    for item_pos in range(n_items):
-        item = item_pos + 1
+    panels = {}
+    for item in range(1, n_items + 1):
         base = rng.uniform(*base_range)
         trend = rng.uniform(-trend_scale, 2.0 * trend_scale)
         loadings = factor_loading * rng.uniform(0.8, 1.2, size=n_stores)
@@ -179,12 +155,12 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
             factors[:, t] = factor_persistence * factors[:, t - 1] + damp * shocks[:, t]
         factors *= factor_scale
         noise = rng.normal(0.0, noise_scale, size=(n_stores, n_days))
-        for s in range(n_stores):
-            store = s + 1
-            level = (base + trend * np.arange(n_days)
-                     + loadings[s] * factors[groups[s]]
-                     + season[s, weekdays] + noise[s])
-            sales = np.maximum(0, np.rint(level)).astype(int)
-            for day in range(n_days):
-                records.append((dates[day], store, item, int(sales[day])))
-    return SalesDataset.from_records(records)
+        level = (base + trend * np.arange(n_days)
+                 + loadings[:, None] * factors[groups]
+                 + season[:, weekdays] + noise)                 # (stores, days)
+        sales = np.maximum(0, np.rint(level)).astype(int)
+        # C order, as a panel pivoted row by row is: numpy sums a strided
+        # column in another order, and the results would move in the last bit
+        panels[item] = TimeSeriesPanel(np.ascontiguousarray(sales.T, dtype=float))
+    return SalesDataset(stores=tuple(range(1, n_stores + 1)), items=tuple(range(1, n_items + 1)),
+                        dates=dates, panels=panels)

@@ -237,24 +237,24 @@ def _shrink_stack(corrs, alpha: Optional[float]) -> FilterStack:
 
 def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
     """Cyclic coordinate descent on each problem's column lasso from the
-    warm start ``u``, updated in place. A problem's lanes leave after the
-    first pass in which no coordinate moved by ``inner_tol``."""
+    warm start ``u``. Every problem runs until all have stopped, on a copy
+    of ``u``; ``u`` keeps each one's iterate after the first pass in which
+    none of its coordinates moved by ``inner_tol``."""
     diag_m = np.diagonal(m, axis1=1, axis2=2)
-    lanes = (np.arange(len(u)), m, s12, s22, lam, -lam, diag_m, -(s22[:, None] * diag_m), u)
+    neg_lam, neg_denom = -lam, -(s22[:, None] * diag_m)
+    x, running = u.copy(), np.ones(len(u), dtype=bool)
     for _ in range(max_inner):
-        live, m, s12, s22, lam, neg_lam, diag_m, neg_denom, x = lanes
         start = x.copy()
         for k in range(x.shape[1]):
             residual = s12[:, k] + s22 * (np.add.reduce(m[:, k] * x, axis=1) - diag_m[:, k] * x[:, k])
             # residual minus its clip to [-lam, lam] is the soft threshold
             x[:, k] = (residual - np.minimum(np.maximum(residual, neg_lam), lam)) / neg_denom[:, k]
-        done = np.abs(x - start).max(axis=1, initial=0.0) < inner_tol
-        if done.any():
-            u[live[done]] = x[done]
-            lanes = tuple(a[~done] for a in lanes)
-            if not len(lanes[0]):
-                return u
-    u[lanes[0]] = lanes[-1]
+        done = running & (np.abs(x - start).max(axis=1, initial=0.0) < inner_tol)
+        u[done] = x[done]
+        running &= ~done
+        if not running.any():
+            return u
+    u[running] = x[running]
     return u
 
 

@@ -153,21 +153,15 @@ def is_positive_definite(m: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:
-    """A gap-free multivariate time series: rows are time steps, columns series.
-
-    Ingestion is responsible for rejecting or imputing missing values; a
-    panel never contains them.
-    """
+    """A gap-free multivariate time series of at least 2 steps and 2 series:
+    rows are time steps, columns series, all finite. Ingestion rejects or
+    imputes missing values; a panel never contains them."""
 
     values: np.ndarray
-    series_ids: tuple[str, ...]
-    timestamps: tuple
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "series_ids", tuple(str(s) for s in self.series_ids))
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
         if values.ndim != 2:
             raise ShapeError(f"panel values must be 2-D, got shape {values.shape}")
         t, n = values.shape
@@ -175,12 +169,6 @@ class TimeSeriesPanel:
             raise DataError(f"panel needs at least 2 steps and 2 series, got {t}x{n}")
         if not np.all(np.isfinite(values)):
             raise DataError("panel contains missing or non-finite values")
-        if len(self.series_ids) != n:
-            raise ShapeError(f"{len(self.series_ids)} series ids for {n} columns")
-        if len(self.timestamps) != t:
-            raise ShapeError(f"{len(self.timestamps)} timestamps for {t} rows")
-        if any(a >= b for a, b in zip(self.timestamps, self.timestamps[1:])):
-            raise DataError("timestamps must be strictly increasing")
 
     @property
     def n_steps(self) -> int:
@@ -202,11 +190,7 @@ class TimeSeriesPanel:
         """Panel of first differences (one row shorter)."""
         if self.n_steps < 3:
             raise DataError("differencing needs at least 3 rows")
-        return TimeSeriesPanel(
-            values=np.diff(self.values, axis=0),
-            series_ids=self.series_ids,
-            timestamps=self.timestamps[1:],
-        )
+        return TimeSeriesPanel(np.diff(self.values, axis=0))
 
 
 @dataclass(frozen=True)

@@ -293,16 +293,16 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Row-wise softmax over the last axis restricted to ``mask`` entries.
 
     Masked-out positions get probability exactly 0; each row must contain
-    at least one masked-in entry. The shift by the row maximum is a
-    detached constant, which leaves softmax gradients unchanged.
+    at least one masked-in entry. A masked-in logit is shifted by its row
+    maximum and a masked-out one by itself, a detached constant that keeps
+    exp from overflowing and leaves softmax gradients unchanged.
     """
     logits = as_tensor(logits)
     mask = np.asarray(mask, dtype=bool)
-    shifted_source = np.where(mask, logits.values, -np.inf)
-    row_max = shifted_source.max(axis=-1, keepdims=True)
+    row_max = np.where(mask, logits.values, -np.inf).max(axis=-1, keepdims=True)
     if np.any(~np.isfinite(row_max)):
         raise ShapeError("masked_softmax saw a row with no unmasked entries")
-    weights = mul(exp(sub(logits, row_max)), mask.astype(float))
+    weights = mul(exp(sub(logits, np.where(mask, row_max, logits.values))), mask.astype(float))
     return div(weights, tensor_sum(weights, axis=-1, keepdims=True))
 
 

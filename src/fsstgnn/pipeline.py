@@ -121,21 +121,20 @@ class ExperimentConfig:
         if not (0.0 <= self.val_fraction < 1.0):
             raise ParameterError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if min(self.seeds) < 0:
+            raise ParameterError(f"seeds must be >= 0, got {min(self.seeds)}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ParameterError(f"seeds must be distinct; {repeated[0]} is given more than once")
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("seeds", "filter")}
-        d["seeds"] = list(self.seeds)
-        filt = self.filter.relevant() if _uses_filter(self) else FilterConfig()
-        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(filt).items()}
-        return d
-
     @property
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        """Hash of every field; of the filter, the fields its method reads, or
+        the defaults when the run uses no filter."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter"}
+        filt = self.filter.relevant() if _uses_filter(self) else FilterConfig()
+        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(filt).items()}
+        return hashlib.sha256(json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,7 @@ class UnitResult:
 class MetricsReport:
     """Per-seed and aggregate (mean +/- sample std) metrics."""
 
-    config: dict
-    config_hash: str
+    config: ExperimentConfig
     per_seed: tuple          # ({seed, rmse, mae, mape, sparsity, fallbacks, mape_excluded}, ...)
     aggregate: dict          # {rmse_mean, rmse_std, mae_mean, ..., sparsity_mean}
     units: tuple = ()
@@ -190,8 +188,7 @@ class MetricsReport:
             aggregate[f"{key}_mean"] = float(values.mean())
             aggregate[f"{key}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         return MetricsReport(
-            config=config.to_dict(),
-            config_hash=config.config_hash,
+            config=config,
             per_seed=tuple(per_seed),
             aggregate=aggregate,
             units=units,
@@ -206,8 +203,25 @@ def _train_row_count(panel: TimeSeriesPanel, config: ExperimentConfig) -> int:
     return int(round(panel.n_steps * config.train_fraction))
 
 
+def _check_segments(panel: TimeSeriesPanel, config: ExperimentConfig) -> None:
+    """DataError unless the training rows fit the look-back plus targets and leave test rows."""
+    rows = _train_row_count(panel, config)
+    if rows <= config.lookback + 2:
+        raise DataError(f"training segment of {rows} rows cannot fit lookback {config.lookback} plus targets")
+    if rows >= panel.n_steps:
+        raise DataError("test segment is empty; lower train_fraction or add data")
+
+
 def _uses_filter(config: ExperimentConfig) -> bool:
     return config.model != "lstm" and config.graph_kind in ("correlation", "inverse-correlation")
+
+
+def _filter_label(config: ExperimentConfig) -> str:
+    return config.filter.method if _uses_filter(config) else "/"
+
+
+def _graph_label(config: ExperimentConfig) -> str:
+    return "/" if config.model == "lstm" else config.graph_kind
 
 
 def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> FilterConfig:
@@ -271,24 +285,18 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
                     filtered: FilterStack | None) -> _Examples:
     """One panel's examples; ``filtered`` holds its filtered windows, or is
-    None when the config uses no filter."""
+    None when the config uses no filter. The panel has passed
+    ``_check_segments``."""
     values = panel.values
     n_steps, n_series = values.shape
-    lookback = config.lookback
     train_rows = _train_row_count(panel, config)
-    if train_rows <= lookback + 2:
-        raise DataError(
-            f"training segment of {train_rows} rows cannot fit lookback {lookback} plus targets"
-        )
-    if train_rows >= n_steps:
-        raise DataError("test segment is empty; lower train_fraction or add data")
 
     mu = values[:train_rows].mean(axis=0)
     sd = values[:train_rows].std(axis=0, ddof=1)
     sd = np.where(sd == 0.0, 1.0, sd)
 
-    targets = np.arange(lookback, n_steps)
-    windows = _windows(panel, lookback)
+    targets = np.arange(config.lookback, n_steps)
+    windows = _windows(panel, config.lookback)
     feats = window_moments(windows)
     graphs = None
     sparsities, fallbacks = [], 0
@@ -476,7 +484,7 @@ def _filter_item(args) -> FilterStack:
     """Resolve the filter on one panel's training rows, then filter its windows."""
     panel, config = args
     rows = _train_row_count(panel, config)
-    panel_train = TimeSeriesPanel(panel.values[:rows], panel.series_ids, panel.timestamps[:rows])
+    panel_train = TimeSeriesPanel(panel.values[:rows])
     return _filter_panel(panel, config, resolve_filter(panel_train, config))
 
 
@@ -493,6 +501,8 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
     cache then keeps only the entries this call used.
     """
     panels = {item: dataset.panel(item) for item in dataset.items}
+    for panel in panels.values():       # before any panel is windowed
+        _check_segments(panel, config)
     keys = ({item: _filter_key(panel, config) for item, panel in panels.items()}
             if _uses_filter(config) else {})
     misses = {key: item for item, key in keys.items() if key not in _FILTER_CACHE}
@@ -595,14 +605,15 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
 
 
 def report_records(report: MetricsReport, extra: dict | None = None) -> list:
-    """One machine-readable record per seed."""
+    """One machine-readable record per seed; graph and filter read "/", as
+    the table does, where the run has none."""
     records = []
     for row in report.per_seed:
         record = {
-            "config_hash": report.config_hash,
-            "model": report.config["model"],
-            "graph": report.config["graph_kind"],
-            "filter": report.config["filter"]["method"],
+            "config_hash": report.config.config_hash,
+            "model": report.config.model,
+            "graph": _graph_label(report.config),
+            "filter": _filter_label(report.config),
             "seed": row["seed"],
             "rmse": row["rmse"],
             "mae": row["mae"],

@@ -22,7 +22,6 @@ from fsstgnn.linalg import (
     CorrelationMatrix,
     PD_PIVOT_FLOOR,
     PrecisionMatrix,
-    TimeSeriesPanel,
     symmetrize,
     correlation_stack,
     invert_spd,
@@ -130,15 +129,6 @@ def glasso_projected_oracle(s, lam, x0=None):
             best = res
     theta = unpack(best.x)
     return glasso_objective(s, theta, lam), theta
-
-
-def make_panel(values) -> TimeSeriesPanel:
-    values = np.asarray(values, dtype=float)
-    return TimeSeriesPanel(
-        values=values,
-        series_ids=tuple(str(i) for i in range(values.shape[1])),
-        timestamps=tuple(range(values.shape[0])),
-    )
 
 
 def corr_of(entries) -> CorrelationMatrix:

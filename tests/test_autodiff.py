@@ -170,6 +170,15 @@ class TestMaskedSoftmax:
         assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
         assert np.all(out[~mask] == 0.0)
 
+    def test_large_masked_out_logit_leaves_its_row_finite(self):
+        # the masked-out 1000 would overflow exp if shifted by the row's
+        # masked-in maximum; pytest turns that overflow warning into an error
+        logits = Tensor(np.array([[0.0, 1000.0], [0.0, 0.0]]), requires_grad=True)
+        out = ad.masked_softmax(logits, np.array([[True, False], [True, True]]))
+        assert out.values.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        ad.tensor_sum(ad.mul(out, np.array([[2.0, 3.0], [1.0, -1.0]]))).backward()
+        assert logits.grad.tolist() == [[0.0, 0.0], [0.5, -0.5]]
+
     def test_empty_row_rejected(self):
         logits = Tensor(np.zeros((2, 2)))
         mask = np.array([[True, True], [False, False]])

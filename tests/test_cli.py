@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import fsstgnn
 import fsstgnn.neural
-from fsstgnn import cli, filtering
+from fsstgnn import cli, filtering, pipeline
 from fsstgnn.filtering import FilterConfig
 from fsstgnn.pipeline import ExperimentConfig
 
@@ -123,6 +124,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: seeds must be distinct; 1") and "Traceback" not in err
 
+    def test_negative_seed_is_a_usage_error(self, small_csv, capsys):
+        argv = ["train", "--input", str(small_csv), "--model", "lstm", "--seeds", "-1", "--epochs", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds must be >= 0, got -1") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--lookback", "200"], ["--lookback", "200", "--model", "lstm"],
+                                       ["--lookback", "70"]],
+                             ids=["longer than the panel", "lstm", "longer than the training rows"])
+    def test_lookback_beyond_the_training_rows_is_a_data_error(self, small_csv, capsys, monkeypatch,
+                                                               flags):
+        # refused before any window is filtered: 64 of the 80 rows train
+        filtered = []
+        monkeypatch.setattr(pipeline, "filter_windows", lambda *args: filtered.append(args))
+        argv = ["train", "--input", str(small_csv), "--seeds", "0", "--epochs", "1", *flags]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: training segment of 64 rows cannot fit lookback {flags[1]}")
+        assert "Traceback" not in err and not filtered
+
     def test_corrupt_checkpoint_is_a_data_error(self, tmp_path, capsys):
         assert evaluate_with_checkpoint(tmp_path, "w 1 x\n1.0\n") == 2
         assert "data error: line 3:" in capsys.readouterr().err
@@ -191,6 +212,20 @@ class TestCliContracts:
         assert cli.main(["train", *common, "--threshold", "0.05", "--records", str(trained)]) == 0
         assert cli.main(["evaluate", *common, "--records", str(scored)]) == 0
         assert scored.read_bytes() == trained.read_bytes()
+
+    @pytest.mark.parametrize("run, labels", [
+        (["--model", "lstm", "--filter", "glasso"], ["/", "/"]),
+        (["--graph", "ones", "--filter", "shrinkage"], ["ones", "/"]),
+        (["--filter", "glasso", "--lambda", "0.1"], ["inverse-correlation", "glasso"]),
+    ], ids=["lstm", "ones-graph", "glasso"])
+    def test_records_name_the_graph_and_filter_the_table_shows(self, small_csv, tmp_path, capsys,
+                                                                run, labels):
+        records = tmp_path / "r.jsonl"
+        assert cli.main(["train", "--input", str(small_csv), *SMALL_RUN, "--seeds", "0,1", *run,
+                         "--records", str(records)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[:2] == labels
+        written = [json.loads(line) for line in records.read_text().splitlines()]
+        assert [[r["graph"], r["filter"]] for r in written] == [labels, labels]
 
     def test_graph_kind_sweep_labels_the_filter_of_each_row(self, small_csv, capsys):
         common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--filter", "mfcf"]

@@ -3,7 +3,7 @@ import datetime
 import numpy as np
 import pytest
 
-from fsstgnn.data import SalesDataset, ingest_csv, synthesize_dataset
+from fsstgnn.data import ingest_csv, synthesize_dataset
 from fsstgnn.errors import DataError, ParameterError, ParseError
 from fsstgnn.linalg import correlation_from_rows
 
@@ -24,7 +24,7 @@ class TestSynthesize:
         ds = synthesize_dataset(6, 3, 90, seed=0)
         assert ds.stores == (1, 2, 3, 4, 5, 6)
         assert ds.items == (1, 2, 3)
-        assert ds.n_days == 90
+        assert len(ds.dates) == 90
         assert ds.panel(2).values.shape == (90, 6)
 
     def test_zero_loading_gives_independent_stores(self):
@@ -56,6 +56,12 @@ class TestSynthesize:
         values = ds.panel(1).values
         assert np.all(values >= 0)
         assert np.all(values == np.rint(values))
+
+    def test_panels_are_c_contiguous(self):
+        # laid out as ingest_csv lays them out: numpy sums a strided column
+        # in another order, so results would move in the last bit
+        ds = synthesize_dataset(5, 2, 40, seed=6)
+        assert all(ds.panel(item).values.flags.c_contiguous for item in ds.items)
 
     def test_bad_counts(self):
         with pytest.raises(ParameterError):

@@ -25,7 +25,13 @@ from fsstgnn.filtering import (
     select_lambda_cv,
     sparsity,
 )
-from fsstgnn.linalg import cholesky_stack, correlation_from_rows, invert_spd, window_correlations
+from fsstgnn.linalg import (
+    TimeSeriesPanel,
+    cholesky_stack,
+    correlation_from_rows,
+    invert_spd,
+    window_correlations,
+)
 
 from _oracles import (
     corr_of,
@@ -34,7 +40,6 @@ from _oracles import (
     glasso_objective,
     glasso_projected_oracle,
     glasso_reference,
-    make_panel,
     outcome_row,
     precision_of,
     random_correlation,
@@ -586,31 +591,31 @@ class TestFilterConfig:
 class TestCrossValidation:
     def test_independent_noise_selects_strong_shrinkage(self):
         rng = np.random.default_rng(42)
-        panel = make_panel(rng.normal(size=(240, 8)))
+        panel = TimeSeriesPanel(rng.normal(size=(240, 8)))
         assert select_alpha_cv(panel, 4) >= 0.5
 
     def test_duplicated_column_selects_weak_shrinkage(self):
         rng = np.random.default_rng(100)
         values = rng.normal(size=(240, 5))
         values[:, 4] = values[:, 0]
-        panel = make_panel(values)
+        panel = TimeSeriesPanel(values)
         assert select_alpha_cv(panel, 4) <= 0.1
 
     def test_degenerate_fold_count_raises(self):
         rng = np.random.default_rng(20)
-        panel = make_panel(rng.normal(size=(30, 4)))
+        panel = TimeSeriesPanel(rng.normal(size=(30, 4)))
         with pytest.raises(DataError):
             select_alpha_cv(panel, 30)
 
     def test_too_few_folds_rejected(self):
         rng = np.random.default_rng(21)
-        panel = make_panel(rng.normal(size=(30, 4)))
+        panel = TimeSeriesPanel(rng.normal(size=(30, 4)))
         with pytest.raises(ParameterError):
             select_lambda_cv(panel, 1)
 
     def test_independent_noise_selects_large_lambda(self):
         rng = np.random.default_rng(0)
-        panel = make_panel(rng.normal(size=(160, 5)))
+        panel = TimeSeriesPanel(rng.normal(size=(160, 5)))
         lam = select_lambda_cv(panel, 4)
         assert lam >= LAMBDA_GRID[len(LAMBDA_GRID) // 2]
 
@@ -618,6 +623,6 @@ class TestCrossValidation:
         rng = np.random.default_rng(200)
         factor = rng.normal(size=(160, 1))
         values = 0.9 * factor + 0.45 * rng.normal(size=(160, 5))
-        panel = make_panel(values)
+        panel = TimeSeriesPanel(values)
         lam = select_lambda_cv(panel, 4)
         assert lam < LAMBDA_GRID[len(LAMBDA_GRID) // 2]

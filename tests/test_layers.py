@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fsstgnn.errors import ParameterError, RangeError, ShapeError
 from fsstgnn.graphs import benchmark_graph
+from fsstgnn.linalg import TimeSeriesPanel
 from fsstgnn.neural import (
     Adam,
     DenseReadout,
@@ -26,7 +27,7 @@ from fsstgnn.neural import (
 from fsstgnn.neural import autodiff as ad
 from fsstgnn.neural.models import SpatialTemporalModel, TemporalOnlyModel, set_parameters
 
-from _oracles import lstm_fused_reference, lstm_reference, make_panel, max_relative_error, numeric_grad
+from _oracles import lstm_fused_reference, lstm_reference, max_relative_error, numeric_grad
 
 
 def _sigmoid(x):
@@ -605,7 +606,7 @@ class TestMoments:
             assert np.array_equal(got, window_moments(window))
 
     def test_panel_wrapper_and_window_errors(self):
-        panel = make_panel(np.arange(20.0).reshape(10, 2))
+        panel = TimeSeriesPanel(np.arange(20.0).reshape(10, 2))
         feats = window_moments(panel.window(0, 10))
         assert feats.shape == (2, 4)
         with pytest.raises(RangeError):

@@ -1,4 +1,3 @@
-import datetime
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from fsstgnn.linalg import (
     write_matrix,
 )
 
-from _oracles import cholesky_reference, make_panel, precision_of, random_spd
+from _oracles import cholesky_reference, precision_of, random_spd
 
 
 class TestInvertSpd:
@@ -212,21 +211,21 @@ class TestComputeCorrelation:
     def test_identical_columns(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 1))
-        panel = make_panel(np.hstack([x, x]))
+        panel = TimeSeriesPanel(np.hstack([x, x]))
         corr = correlation_from_rows(panel.window(0, 50))
         assert corr.entries[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_column(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 1))
-        panel = make_panel(np.hstack([x, -x]))
+        panel = TimeSeriesPanel(np.hstack([x, -x]))
         corr = correlation_from_rows(panel.window(0, 50))
         assert corr.entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_independent_noise_bounded(self):
         # sampling error is about 3/sqrt(T) = 0.095 at T=1000
         rng = np.random.default_rng(6)
-        panel = make_panel(rng.normal(size=(1000, 10)))
+        panel = TimeSeriesPanel(rng.normal(size=(1000, 10)))
         corr = correlation_from_rows(panel.window(0, 1000))
         off = corr.entries - np.eye(10)
         assert np.abs(off).max() < 0.15
@@ -234,7 +233,7 @@ class TestComputeCorrelation:
     def test_invariants_on_random_panels(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            panel = make_panel(rng.normal(size=(30, 6)))
+            panel = TimeSeriesPanel(rng.normal(size=(30, 6)))
             corr = correlation_from_rows(panel.window(0, 30))
             assert np.abs(corr.entries - corr.entries.T).max() <= 1e-12
             assert np.all(np.diag(corr.entries) == 1.0)
@@ -277,12 +276,12 @@ class TestComputeCorrelation:
             assert np.array_equal(entries[1], [0.0, 1.0, 0.0])
 
     def test_window_out_of_bounds(self):
-        panel = make_panel(np.random.default_rng(10).normal(size=(20, 3)))
+        panel = TimeSeriesPanel(np.random.default_rng(10).normal(size=(20, 3)))
         with pytest.raises(RangeError):
             correlation_from_rows(panel.window(5, 25))
 
     def test_window_too_short(self):
-        panel = make_panel(np.random.default_rng(11).normal(size=(20, 3)))
+        panel = TimeSeriesPanel(np.random.default_rng(11).normal(size=(20, 3)))
         with pytest.raises(RangeError):
             correlation_from_rows(panel.window(4, 5))
 
@@ -290,26 +289,18 @@ class TestComputeCorrelation:
 class TestPanel:
     def test_too_small(self):
         with pytest.raises(DataError):
-            make_panel(np.ones((1, 3)))
+            TimeSeriesPanel(np.ones((1, 3)))
         with pytest.raises(DataError):
-            make_panel(np.ones((5, 1)))
+            TimeSeriesPanel(np.ones((5, 1)))
 
     def test_non_finite_rejected(self):
         values = np.ones((4, 3))
         values[2, 1] = np.nan
         with pytest.raises(DataError):
-            make_panel(values)
-
-    def test_unsorted_timestamps(self):
-        with pytest.raises(DataError):
-            TimeSeriesPanel(np.ones((3, 2)), ("a", "b"), (3, 1, 2))
-
-    def test_id_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            TimeSeriesPanel(np.ones((3, 2)), ("a",), (1, 2, 3))
+            TimeSeriesPanel(values)
 
     def test_differenced(self):
-        panel = make_panel(np.arange(12.0).reshape(6, 2))
+        panel = TimeSeriesPanel(np.arange(12.0).reshape(6, 2))
         diff = panel.differenced()
         assert diff.n_steps == 5
         assert np.all(diff.values == 2.0)

@@ -23,7 +23,7 @@ from fsstgnn.pipeline import (
     sweep,
 )
 
-from _oracles import make_panel, shrink_reference, stack_of
+from _oracles import shrink_reference, stack_of
 
 
 class TestNoTestLeakage:
@@ -38,13 +38,13 @@ class TestNoTestLeakage:
         rng = np.random.default_rng(40)
         values = 50.0 + rng.normal(size=(90, 6)).cumsum(axis=0)
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
-        panel = make_panel(values)
+        panel = TimeSeriesPanel(values)
         train_rows = _train_row_count(panel, config)
         changed = values.copy()
         changed[train_rows:] = 1e3 * rng.normal(size=changed[train_rows:].shape) ** 2
 
         before = _build_examples(panel, config, _filter_panel(panel, config, filt))
-        changed_panel = make_panel(changed)
+        changed_panel = TimeSeriesPanel(changed)
         after = _build_examples(changed_panel, config, _filter_panel(changed_panel, config, filt))
         seen = np.concatenate([before.fit_idx, before.val_idx])
         assert np.array_equal(before.fit_idx, after.fit_idx)
@@ -63,7 +63,7 @@ class TestGlassoFallback:
         values[:30, 1:] = 50.0          # windows inside these rows correlate as the identity
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
         filt = FilterConfig(method="glasso", lam=0.1)
-        panel = make_panel(values)
+        panel = TimeSeriesPanel(values)
         solved = _build_examples(panel, config, _filter_panel(panel, config, filt))
         capped_stack = functools.partial(filtering.glasso_stack, max_sweeps=1)
         monkeypatch.setattr(filtering, "glasso_stack", capped_stack)
@@ -220,7 +220,7 @@ class TestFilterCache:
         panel = dataset.panel(1)
         rows = _train_row_count(panel, configs[0])
         resolved = pipeline.resolve_filter(
-            TimeSeriesPanel(panel.values[:rows], panel.series_ids, panel.timestamps[:rows]), configs[0])
+            TimeSeriesPanel(panel.values[:rows]), configs[0])
         assert filt.method != "glasso" or resolved.lam is not None
         values = panel.values
         for config, examples in zip(configs, cold):
@@ -245,7 +245,7 @@ class TestFilterCache:
         values = panel.values.copy()
         values[3, 2] += 1.0
         changed = dataclasses.replace(dataset, panels={
-            1: TimeSeriesPanel(values, panel.series_ids, panel.timestamps)})
+            1: TimeSeriesPanel(values)})
         variants = [
             (changed, config),
             (dataset, dataclasses.replace(config, lookback=8)),
@@ -321,7 +321,7 @@ class TestDegeneratePanel:
         values = panel.values.copy()
         values[:, 2] = 7.0
         constant = dataclasses.replace(dataset, panels={
-            1: TimeSeriesPanel(values, panel.series_ids, panel.timestamps)})
+            1: TimeSeriesPanel(values)})
         records = report_records(run_experiment(constant, ExperimentConfig(**SMALL)))
         assert records and records[0]["fallbacks"] == 0
         for record in records:
