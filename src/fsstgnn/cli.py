@@ -10,14 +10,18 @@ glasso penalty. A value is parsed by the field's type: booleans as
 true/false, yes/no, on/off or 1/0, and seeds as comma-separated
 integers. Flags override the file, which overrides the defaults.
 
+A sweep value that makes no valid config, or that repeats an earlier
+value's config, exits 1 before anything runs.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric/convergence error. Outputs contain no timestamps, so repeated
 invocations with identical flags are byte-identical.
 """
 
 import argparse
+import functools
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Optional
 
 from .data import ingest_csv, synthesize_dataset
@@ -32,17 +36,15 @@ from .errors import (
     RangeError,
 )
 from .filtering import FILTER_METHODS, FilterConfig, apply_filter
-from .graphs import GRAPH_KINDS
 from .linalg import correlation_from_rows, is_positive_definite, write_matrix
 from .pipeline import (
     SWEEP_AXES,
     ExperimentConfig,
-    _filter_label,
-    _graph_label,
     evaluate_experiment,
     format_table,
     report_records,
     run_experiment,
+    run_labels,
     sweep,
     write_records,
 )
@@ -113,6 +115,8 @@ def read_config_file(path) -> dict:
 
 
 def _add_experiment_flags(parser) -> None:
+    parser.add_argument("--input", required=True, help="sales CSV path")
+    parser.add_argument("--records", help="write per-seed JSONL records here")
     parser.add_argument("--config", help="key=value configuration file; flags override it")
     for f in _config_fields():
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
@@ -187,7 +191,7 @@ def _cmd_filter(args) -> int:
 
 
 def _print_report(report, records_path) -> None:
-    print(format_table([(_graph_label(report.config), _filter_label(report.config), report, None)]))
+    print(format_table([(*run_labels(report.config), report, None)]))
     if records_path:
         write_records(records_path, report_records(report))
         print(f"records: {records_path}")
@@ -195,8 +199,7 @@ def _print_report(report, records_path) -> None:
 
 def _cmd_train(args) -> int:
     config = build_experiment_config(args)
-    dataset = ingest_csv(args.input)
-    report = run_experiment(dataset, config, jobs=args.jobs, checkpoint_dir=args.checkpoints)
+    report = run_experiment(ingest_csv(args.input), config, jobs=args.jobs, checkpoint_dir=args.checkpoints)
     _print_report(report, args.records)
     if args.checkpoints:
         print(f"checkpoints: {args.checkpoints}")
@@ -205,45 +208,30 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = build_experiment_config(args)
-    dataset = ingest_csv(args.input)
-    report = evaluate_experiment(dataset, config, args.checkpoints, jobs=args.jobs)
+    report = evaluate_experiment(ingest_csv(args.input), config, args.checkpoints, jobs=args.jobs)
     _print_report(report, args.records)
     return 0
 
 
 def _parse_sweep_values(axis: str, text: str) -> list:
     values = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-    if not values:
-        raise ParameterError("sweep needs a nonempty comma-separated --values list")
-    if axis == "sparsity":
-        try:
-            return [float(v) for v in values]
-        except ValueError:
-            raise ParameterError(f"sparsity sweep values must be numbers, got {text!r}") from None
-    return values
+    try:
+        return [float(v) for v in values] if axis == "sparsity" else values
+    except ValueError:
+        raise ParameterError(f"sparsity sweep values must be numbers, got {text!r}") from None
 
 
 def _cmd_sweep(args) -> int:
     config = build_experiment_config(args)
     dataset = ingest_csv(args.input)
-    values = _parse_sweep_values(args.axis, args.values)
-    rows = sweep(dataset, config, args.axis, values, jobs=args.jobs)
-    table_rows = []
-    records = []
+    rows = sweep(dataset, config, args.axis, _parse_sweep_values(args.axis, args.values), jobs=args.jobs)
+    table_rows, records = [], []
     for row in rows:
-        if args.axis == "graph-kind":
-            # labelled from the row's own kind; an unknown kind runs no filter either
-            graph_label = row.label
-            filter_label = (_filter_label(replace(config, graph_kind=row.label))
-                            if row.label in GRAPH_KINDS else "/")
-        elif args.axis == "filter-method":
-            graph_label, filter_label = config.graph_kind, row.label
-        else:
-            graph_label, filter_label = config.graph_kind, f"{config.filter.method}@{row.label}"
-        if row.failed:
-            table_rows.append((graph_label, filter_label, None, row.error))
-        else:
-            table_rows.append((graph_label, filter_label, row.report, None))
+        graph_label, filter_label = run_labels(row.config)
+        if args.axis == "sparsity" and filter_label != "/":
+            filter_label += f"@{row.label}"
+        table_rows.append((graph_label, filter_label, row.report, row.error))
+        if not row.failed:
             records.extend(report_records(row.report, {"axis": args.axis, "axis_value": row.label}))
     print(format_table(table_rows, title=f"sweep over {args.axis}"))
     if args.records:
@@ -259,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    gen = sub.add_parser("gen-data", help="synthesize a sales CSV",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    gen = add_command("gen-data", help="synthesize a sales CSV")
     gen.add_argument("--stores", type=int, default=10, help="number of stores")
     gen.add_argument("--items", type=int, default=5, help="number of items")
     gen.add_argument("--days", type=int, default=730, help="number of days")
@@ -273,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(func=_cmd_gen_data)
 
-    filt = sub.add_parser("filter", help="inspect one filtered window",
-                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    filt = add_command("filter", help="inspect one filtered window")
     filt.add_argument("--input", required=True, help="sales CSV path")
     filt.add_argument("--item", type=int, required=True, help="item id")
     filt.add_argument("--window", help="row window START:STOP (default: last 14 rows)")
@@ -287,28 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--out", required=True, help="output path prefix for matrix fixtures")
     filt.set_defaults(func=_cmd_filter)
 
-    train = sub.add_parser("train", help="train and evaluate on the test segment",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    train.add_argument("--input", required=True, help="sales CSV path")
-    train.add_argument("--records", help="write per-seed JSONL records here")
+    train = add_command("train", help="train and evaluate on the test segment")
     train.add_argument("--checkpoints", help="directory for per-(item, seed) checkpoints")
     _add_experiment_flags(train)
     train.set_defaults(func=_cmd_train)
 
-    evaluate = sub.add_parser("evaluate", help="score saved checkpoints on the test segment",
-                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    evaluate.add_argument("--input", required=True, help="sales CSV path")
-    evaluate.add_argument("--records", help="write per-seed JSONL records here")
+    evaluate = add_command("evaluate", help="score saved checkpoints on the test segment")
     evaluate.add_argument("--checkpoints", required=True, help="checkpoint directory from train")
     _add_experiment_flags(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 
-    sw = sub.add_parser("sweep", help="run one experiment per axis value",
-                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    sw.add_argument("--input", required=True, help="sales CSV path")
+    sw = add_command("sweep", help="run one experiment per axis value")
     sw.add_argument("--axis", choices=SWEEP_AXES, required=True, help="sweep axis")
     sw.add_argument("--values", required=True, help="comma-separated axis values")
-    sw.add_argument("--records", help="write per-seed JSONL records here")
     _add_experiment_flags(sw)
     sw.set_defaults(func=_cmd_sweep)
 

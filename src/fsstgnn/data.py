@@ -136,6 +136,10 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
         raise ParameterError("store, item and day counts must all be >= 1")
     if n_groups < 1 or n_groups > n_stores:
         raise ParameterError(f"n_groups must lie in [1, n_stores], got {n_groups}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if not noise_scale >= 0.0:
+        raise ParameterError(f"noise_scale must be >= 0, got {noise_scale}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dates = tuple(start_date + datetime.timedelta(days=d) for d in range(n_days))
     weekdays = np.array([d.weekday() for d in dates])

@@ -16,8 +16,9 @@ fit windows.
 
 Filtered windows are cached by content (``_prepare_units``), so a sweep
 over graph kinds, or an evaluation after training, filters each once.
-The config hash and the cache key see only the filter settings that the
-configured method reads (``FilterConfig.relevant``).
+The config hash sees only the settings that the run reads
+(``ExperimentConfig.relevant``), and the cache key only the filter
+settings that the configured method reads (``FilterConfig.relevant``).
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -127,13 +128,23 @@ class ExperimentConfig:
         if repeated:
             raise ParameterError(f"seeds must be distinct; {repeated[0]} is given more than once")
 
+    def relevant(self) -> "ExperimentConfig":
+        """This config with every field the run does not read at its default:
+        the LSTM reads no graph or GNN setting, the GCN no heads, and a run
+        without a filter no filter setting and no ``use_differences``."""
+        unread = {"lstm": ("graph_kind", "embed_dim", "gat_heads", "activation"),
+                  "fsst-gcn": ("gat_heads",)}.get(self.model, ())
+        if not _uses_filter(self):
+            unread += ("filter", "use_differences")
+        default = ExperimentConfig()
+        return replace(self, **{"filter": self.filter.relevant(),
+                                **{name: getattr(default, name) for name in unread}})
+
     @property
     def config_hash(self) -> str:
-        """Hash of every field; of the filter, the fields its method reads, or
-        the defaults when the run uses no filter."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "filter"}
-        filt = self.filter.relevant() if _uses_filter(self) else FilterConfig()
-        d["filter"] = {"lambda" if k == "lam" else k: v for k, v in asdict(filt).items()}
+        """Hash of ``relevant()``, so settings the run does not read leave it unchanged."""
+        d = asdict(self.relevant())
+        d["filter"]["lambda"] = d["filter"].pop("lam")
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()[:12]
 
 
@@ -157,7 +168,9 @@ class UnitResult:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-seed and aggregate (mean +/- sample std) metrics."""
+    """Per-seed and aggregate (mean +/- sample std) metrics. A seed whose
+    test targets are all zero has no MAPE term: its ``mape`` is None, and
+    so are ``mape_mean`` and ``mape_std``."""
 
     config: ExperimentConfig
     per_seed: tuple          # ({seed, rmse, mae, mape, sparsity, fallbacks, mape_excluded}, ...)
@@ -177,13 +190,16 @@ class MetricsReport:
                 "seed": seed,
                 "rmse": math.sqrt(sum(u.sse for u in group) / n),
                 "mae": sum(u.sae for u in group) / n,
-                "mape": 100.0 * sum(u.ape_sum for u in group) / terms if terms else 0.0,
+                "mape": 100.0 * sum(u.ape_sum for u in group) / terms if terms else None,
                 "sparsity": float(np.mean([u.sparsity_mean for u in group])),
                 "fallbacks": int(sum(u.fallbacks for u in group)),
                 "mape_excluded": int(sum(u.mape_excluded for u in group)),
             })
         aggregate = {}
         for key in ("rmse", "mae", "mape", "sparsity"):
+            if any(row[key] is None for row in per_seed):
+                aggregate[f"{key}_mean"] = aggregate[f"{key}_std"] = None
+                continue
             values = np.array([row[key] for row in per_seed], dtype=float)
             aggregate[f"{key}_mean"] = float(values.mean())
             aggregate[f"{key}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
@@ -216,12 +232,11 @@ def _uses_filter(config: ExperimentConfig) -> bool:
     return config.model != "lstm" and config.graph_kind in ("correlation", "inverse-correlation")
 
 
-def _filter_label(config: ExperimentConfig) -> str:
-    return config.filter.method if _uses_filter(config) else "/"
-
-
-def _graph_label(config: ExperimentConfig) -> str:
-    return "/" if config.model == "lstm" else config.graph_kind
+def run_labels(config: ExperimentConfig) -> tuple:
+    """The (graph, filter) labels of a run in tables and records; "/" for
+    what the run does not use."""
+    return ("/" if config.model == "lstm" else config.graph_kind,
+            config.filter.method if _uses_filter(config) else "/")
 
 
 def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> FilterConfig:
@@ -231,8 +246,6 @@ def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> Fi
     test time reuse the selected values.
     """
     filt = config.filter
-    if not _uses_filter(config):
-        return filt
     source = panel_train.differenced() if config.use_differences else panel_train
     if filt.method == "shrinkage" and filt.alpha is None:
         return replace(filt, alpha=select_alpha_cv(source, filt.cv_folds))
@@ -316,11 +329,8 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     train_mask = targets < train_rows
     train_positions = np.nonzero(train_mask)[0]
     test_positions = np.nonzero(~train_mask)[0]
-    n_val = int(round(len(train_positions) * config.val_fraction))
-    if config.val_fraction > 0.0 and len(train_positions) >= 3:
-        n_val = max(1, n_val)
-    else:
-        n_val = 0
+    n_val = (max(1, round(len(train_positions) * config.val_fraction))
+             if config.val_fraction > 0.0 and len(train_positions) >= 3 else 0)
     val_idx = train_positions[len(train_positions) - n_val:] if n_val else np.array([], dtype=int)
     fit_idx = train_positions[: len(train_positions) - n_val]
 
@@ -552,7 +562,7 @@ SWEEP_AXES = ("filter-method", "sparsity", "graph-kind")
 @dataclass(frozen=True)
 class SweepRow:
     label: str
-    value: object
+    config: ExperimentConfig
     report: MetricsReport | None
     error: str | None = None
 
@@ -562,28 +572,26 @@ class SweepRow:
 
 
 def _sweep_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "filter-method":
-        return replace(base, filter=replace(base.filter, method=str(value)))
     if axis == "graph-kind":
         return replace(base, graph_kind=str(value))
+    if axis == "filter-method":
+        return replace(base, filter=replace(base.filter, method=str(value)))
     # sparsity axis: drive whichever knob the configured method exposes
-    method = base.filter.method
-    if method == "glasso":
-        return replace(base, filter=replace(base.filter, lam=float(value)))
-    if method == "mfcf":
-        return replace(base, filter=replace(base.filter, mfcf_gain_threshold=float(value)))
-    if method == "shrinkage":
-        return replace(base, filter=replace(base.filter, alpha=float(value)))
-    raise ParameterError(f"filter method {method!r} has no sparsity knob to sweep")
+    knob = {"glasso": "lam", "mfcf": "mfcf_gain_threshold", "shrinkage": "alpha"}.get(base.filter.method)
+    if knob is None:
+        raise ParameterError(f"filter method {base.filter.method!r} has no sparsity knob to sweep")
+    return replace(base, filter=replace(base.filter, **{knob: float(value)}))
 
 
 def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, values, *,
           jobs: int = 1) -> list:
     """Run one experiment per value along the chosen axis.
 
-    A failing run marks its row and the sweep continues. Sparsity sweeps
-    are sorted by realized sparsity (densest last, matching the
-    descending table layout); other axes keep the caller's order.
+    Before anything runs, a value that makes no valid config, or two
+    values whose configs share a ``config_hash``, raise a ParameterError
+    naming them. A run that fails marks its row and the sweep continues.
+    Sparsity sweeps are sorted by realized sparsity (densest last, matching
+    the descending table layout); other axes keep the caller's order.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -591,14 +599,23 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
     if not values:
         raise ParameterError("sweep needs a nonempty list of values")
     _check_jobs(jobs)
-    rows = []
+    runs = {}                       # config_hash -> (value, config), in the caller's order
     for value in values:
         try:
             config = _sweep_config(base_config, axis, value)
-            report = run_experiment(dataset, config, jobs=jobs)
-            rows.append(SweepRow(label=str(value), value=value, report=report))
+        except ParameterError as exc:
+            raise ParameterError(f"sweep value {value!r}: {exc}") from None
+        if config.config_hash in runs:
+            raise ParameterError(f"sweep values {runs[config.config_hash][0]!r} and {value!r} "
+                                 f"run the same config {config.config_hash}")
+        runs[config.config_hash] = (value, config)
+    rows = []
+    for value, config in runs.values():
+        try:
+            report, error = run_experiment(dataset, config, jobs=jobs), None
         except (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError) as exc:
-            rows.append(SweepRow(label=str(value), value=value, report=None, error=str(exc)))
+            report, error = None, str(exc)
+        rows.append(SweepRow(label=str(value), config=config, report=report, error=error))
     if axis == "sparsity":
         rows.sort(key=lambda r: -(r.report.aggregate["sparsity_mean"] if r.report else -math.inf))
     return rows
@@ -608,12 +625,13 @@ def report_records(report: MetricsReport, extra: dict | None = None) -> list:
     """One machine-readable record per seed; graph and filter read "/", as
     the table does, where the run has none."""
     records = []
+    graph, filt = run_labels(report.config)
     for row in report.per_seed:
         record = {
             "config_hash": report.config.config_hash,
             "model": report.config.model,
-            "graph": _graph_label(report.config),
-            "filter": _filter_label(report.config),
+            "graph": graph,
+            "filter": filt,
             "seed": row["seed"],
             "rmse": row["rmse"],
             "mae": row["mae"],
@@ -635,9 +653,9 @@ def write_records(path, records) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _format_pm(mean: float, std: float, percent: bool = False) -> str:
+def _format_pm(mean: float | None, std: float | None, percent: bool = False) -> str:
     suffix = "%" if percent else ""
-    return f"{mean:.2f}{suffix} ± {std:.2f}{suffix}"
+    return "n/a" if mean is None else f"{mean:.2f}{suffix} ± {std:.2f}{suffix}"
 
 
 def format_table(rows, title: str | None = None) -> str:

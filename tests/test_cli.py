@@ -11,7 +11,9 @@ import pytest
 import fsstgnn
 import fsstgnn.neural
 from fsstgnn import cli, filtering, pipeline
+from fsstgnn.data import synthesize_dataset
 from fsstgnn.filtering import FilterConfig
+from fsstgnn.linalg import TimeSeriesPanel
 from fsstgnn.pipeline import ExperimentConfig
 
 # A non-default value for every config field, as text and as parsed.
@@ -28,7 +30,7 @@ SAMPLES = {
     "train_fraction": ("0.7", 0.7),
     "seeds": ("3,5", (3, 5)),
     "lstm_hidden": ("8", 8),
-    "embed_dim": ("4", 4),
+    "embed_dim": ("5", 5),
     "gat_heads": ("2", 2),
     "mlp_hidden": ("6", 6),
     "activation": ("relu", "relu"),
@@ -144,6 +146,37 @@ class TestExitCodes:
         assert err.startswith(f"data error: training segment of 64 rows cannot fit lookback {flags[1]}")
         assert "Traceback" not in err and not filtered
 
+    @pytest.mark.parametrize("flag, message", [("--seed", "seed must be >= 0, got -1"),
+                                               ("--noise-scale", "noise_scale must be >= 0, got -1")],
+                             ids=["seed -1", "noise-scale -1"])
+    def test_invalid_generator_setting_is_a_usage_error(self, tmp_path, capsys, flag, message):
+        csv = tmp_path / "sales.csv"
+        argv = ["gen-data", "--stores", "4", "--items", "1", "--days", "40", "--out", str(csv), flag, "-1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("run, axis, values, named", [
+        ([], "graph-kind", "ones,bogus", "value 'bogus'"),
+        ([], "sparsity", "0.01,0.01", "values 0.01 and 0.01"),
+        (["--model", "lstm"], "filter-method", "mfcf,empirical", "values 'mfcf' and 'empirical'"),
+        (["--model", "lstm"], "graph-kind", "ones,zeros", "values 'ones' and 'zeros'"),
+        (["--graph", "ones"], "sparsity", "0.01,0.05", "values 0.01 and 0.05"),
+        (["--filter", "empirical"], "sparsity", "0.01", "value 0.01"),
+    ], ids=["bogus", "repeated", "lstm-filters", "lstm-graphs", "ones-graph-sparsity", "empirical-sparsity"])
+    def test_sweep_value_without_a_config_of_its_own_is_a_usage_error(self, small_csv, capsys, monkeypatch,
+                                                                       run, axis, values, named):
+        # refused before anything is filtered or trained
+        calls = []
+        monkeypatch.setattr(pipeline, "filter_windows", lambda *args: calls.append(args))
+        monkeypatch.setattr(pipeline, "run_experiment", lambda *args, **kwargs: calls.append(args))
+        argv = ["sweep", "--input", str(small_csv), *SMALL_RUN, "--seeds", "0", *run,
+                "--axis", axis, "--values", values]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep {named}") and "Traceback" not in err and not calls
+
     def test_corrupt_checkpoint_is_a_data_error(self, tmp_path, capsys):
         assert evaluate_with_checkpoint(tmp_path, "w 1 x\n1.0\n") == 2
         assert "data error: line 3:" in capsys.readouterr().err
@@ -229,14 +262,99 @@ class TestCliContracts:
 
     def test_graph_kind_sweep_labels_the_filter_of_each_row(self, small_csv, capsys):
         common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--filter", "mfcf"]
-        assert cli.main(["sweep", *common, "--axis", "graph-kind",
-                         "--values", "ones,correlation,bogus"]) == 0
+        assert cli.main(["sweep", *common, "--axis", "graph-kind", "--values", "ones,correlation"]) == 0
         table = capsys.readouterr().out.splitlines()
-        assert [line.split()[:2] for line in table[3:]] == [
-            ["ones", "/"], ["correlation", "mfcf"], ["bogus", "/"]]
+        assert [line.split()[:2] for line in table[3:]] == [["ones", "/"], ["correlation", "mfcf"]]
         # the same label as a train run of that graph alone
         assert cli.main(["train", *common, "--graph", "ones"]) == 0
         assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["ones", "/"]
+
+    @pytest.mark.parametrize("run, axis, values, labels", [
+        (["--graph", "ones"], "sparsity", "0.01", [["ones", "/"]]),
+        ([], "sparsity", "0.05,0.01", [["inverse-correlation", "mfcf@0.01"],
+                                       ["inverse-correlation", "mfcf@0.05"]]),
+        (["--model", "lstm"], "filter-method", "glasso", [["/", "/"]]),
+        (["--model", "lstm"], "graph-kind", "ones", [["/", "/"]]),
+    ], ids=["ones-graph-sparsity", "mfcf-sparsity", "lstm-filter", "lstm-graph"])
+    def test_sweep_labels_each_row_from_its_own_config(self, small_csv, tmp_path, capsys,
+                                                       run, axis, values, labels):
+        records = tmp_path / "r.jsonl"
+        assert cli.main(["sweep", "--input", str(small_csv), *SMALL_RUN, "--seeds", "0", *run,
+                         "--axis", axis, "--values", values, "--records", str(records)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        # a sparsity sweep orders its rows by realized sparsity
+        assert sorted(line.split()[:2] for line in table[3:-1]) == labels
+        # the records carry the labels of a train run, without the sweep value
+        written = [json.loads(line) for line in records.read_text().splitlines()]
+        assert sorted([r["graph"], r["filter"]] for r in written) == [
+            [graph, filt.split("@")[0]] for graph, filt in labels]
+
+    def test_sweep_output_is_reproducible_and_independent_of_jobs(self, small_csv, tmp_path):
+        records = tmp_path / "sweep.jsonl"
+        argv = ["sweep", "--input", str(small_csv), "--seeds", "0,1", *SMALL_RUN,
+                "--axis", "filter-method", "--values", "mfcf,glasso,empirical", "--records", str(records)]
+        outputs = []
+        for jobs in ("1", "1", "2"):
+            done = run_cli(*argv, "--jobs", jobs)
+            assert done.returncode == 0, done.stderr
+            outputs.append((done.stdout, records.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_mape_over_no_terms_is_null(self, tmp_path, capsys):
+        dataset = synthesize_dataset(4, 1, 80, seed=0)
+        values = dataset.panel(1).values.copy()
+        values[64:] = 0.0                       # the whole test segment
+        csv, records = tmp_path / "zero.csv", tmp_path / "r.jsonl"
+        dataclasses.replace(dataset, panels={1: TimeSeriesPanel(values)}).to_csv(csv)
+        assert cli.main(["train", "--input", str(csv), *SMALL_RUN, "--seeds", "0,1",
+                         "--records", str(records)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[-1] == "n/a"
+        written = [json.loads(line) for line in records.read_text().splitlines()]
+        assert [(r["mape"], r["mape_excluded"]) for r in written] == [(None, 16 * 4)] * 2
+
+
+def _flag_and_text(name) -> list:
+    flag = FLAGS.get(name, "--" + name.replace("_", "-"))
+    text, value = SAMPLES[name]
+    return [flag] if value is True else [flag, text]
+
+
+# Per run, each field that relevant() resets because the run does not read it.
+UNREAD = [
+    *[(["--model", "lstm"], name) for name in ("graph_kind", "embed_dim", "gat_heads", "activation",
+                                               "use_differences", "method", "max_clique")],
+    (["--model", "fsst-gcn"], "gat_heads"),
+    *[(["--graph", "ones"], name) for name in ("method", "alpha", "lam", "max_clique",
+                                               "mfcf_gain_threshold", "cv_folds", "use_differences")],
+]
+
+
+class TestRelevantSettings:
+    @pytest.mark.parametrize("run, name", UNREAD, ids=[f"{run[1]}-{name}" for run, name in UNREAD])
+    def test_a_setting_the_run_does_not_read_changes_nothing(self, small_csv, tmp_path, run, name):
+        ckpt = tmp_path / "ckpt"
+        default, changed, scored = (tmp_path / f"{f}.jsonl" for f in ("default", "changed", "scored"))
+        common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", *run]
+        assert cli.main(["train", *common, "--records", str(default)]) == 0
+        assert cli.main(["train", *common, *_flag_and_text(name), "--checkpoints", str(ckpt),
+                         "--records", str(changed)]) == 0
+        assert changed.read_bytes() == default.read_bytes()
+        assert cli.main(["evaluate", *common, "--checkpoints", str(ckpt), "--records", str(scored)]) == 0
+        assert scored.read_bytes() == default.read_bytes()
+
+    @pytest.mark.parametrize("run, name", [(["--model", "lstm"], "lstm_hidden"),
+                                           (["--model", "fsst-gcn"], "activation"),
+                                           (["--model", "fsst-gat"], "gat_heads"),
+                                           (["--model", "fsst-gcn"], "use_differences")],
+                             ids=["lstm-lstm_hidden", "fsst-gcn-activation", "fsst-gat-gat_heads",
+                                  "fsst-gcn-use_differences"])
+    def test_a_setting_the_run_reads_still_blocks_evaluate(self, small_csv, tmp_path, capsys, run, name):
+        ckpt = tmp_path / "ckpt"
+        common = ["--input", str(small_csv), *SMALL_RUN, "--seeds", "0", *run, "--checkpoints", str(ckpt)]
+        assert cli.main(["train", *common, *_flag_and_text(name)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", *common]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint ")
 
 
 class TestExperimentConfig:

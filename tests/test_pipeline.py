@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -331,19 +332,29 @@ class TestDegeneratePanel:
 
 class TestSweep:
     def test_sweep_continues_past_a_failing_value(self, filter_calls):
+        # a clique of 6 does not fit 5 stores: only the mfcf run fails, once it filters
         dataset = synthesize_dataset(5, 2, 60, seed=12)
-        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
-        rows = sweep(dataset, config, "graph-kind",
-                     ["correlation", "bogus", "inverse-correlation"])
+        config = ExperimentConfig(filter=FilterConfig(max_clique=6), **SMALL)
+        rows = sweep(dataset, config, "filter-method", ["empirical", "mfcf", "shrinkage"])
         assert [row.failed for row in rows] == [False, True, False]
-        with pytest.raises(ParameterError) as raised:
-            ExperimentConfig(graph_kind="bogus")
-        assert rows[1].error == str(raised.value)
-        # only the first row filtered; the third row's graphs came from the cache
-        assert len(filter_calls) == 2
+        assert rows[1].error == "need at least max_clique=6 series, got 5"
+        assert [row.config.filter.method for row in rows] == ["empirical", "mfcf", "shrinkage"]
+        # two items for each run that filters, one for the run that fails at its first
+        assert len(filter_calls) == 2 + 1 + 2
         for row in (rows[0], rows[2]):
-            standalone = run_experiment(dataset, dataclasses.replace(config, graph_kind=row.value))
-            assert row.report == standalone
+            assert row.report == run_experiment(dataset, row.config)
+
+    @pytest.mark.parametrize("method, axis, values, message", [
+        ("mfcf", "graph-kind", ["ones", "bogus"], "sweep value 'bogus': unknown graph kind 'bogus'"),
+        ("mfcf", "sparsity", [0.01, 0.01], "sweep values 0.01 and 0.01 run the same config "),
+        ("empirical", "sparsity", [0.01], "sweep value 0.01: filter method 'empirical' has no sparsity"),
+    ], ids=["bogus", "repeated", "no-knob"])
+    def test_a_value_without_a_config_of_its_own_runs_nothing(self, filter_calls, method, axis, values,
+                                                              message):
+        config = ExperimentConfig(filter=FilterConfig(method=method), **SMALL)
+        with pytest.raises(ParameterError, match="^" + re.escape(message)):
+            sweep(synthesize_dataset(5, 1, 60, seed=12), config, axis, values)
+        assert filter_calls == []
 
 
 class TestConfigHash:
