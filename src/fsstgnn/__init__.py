@@ -24,7 +24,7 @@ from .filtering import (
     select_lambda_cv,
     sparsity,
 )
-from .graphs import FilteredGraph, benchmark_graph, from_filter_result
+from .graphs import benchmark_graph, from_filter_result
 from .linalg import (
     CorrelationMatrix,
     PrecisionMatrix,
@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "FilterConfig",
     "FilterResult",
-    "FilteredGraph",
     "MetricsReport",
     "PrecisionMatrix",
     "SalesDataset",

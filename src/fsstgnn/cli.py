@@ -11,7 +11,9 @@ true/false, yes/no, on/off or 1/0, and seeds as comma-separated
 integers. Flags override the file, which overrides the defaults.
 
 A sweep value that makes no valid config, or that repeats an earlier
-value's config, exits 1 before anything runs.
+value's config, exits 1 before anything runs; a sweep whose look-back
+and splits do not fit the data's segments exits 2, also before anything
+runs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric/convergence error. Outputs contain no timestamps, so repeated
@@ -174,12 +176,7 @@ def _cmd_filter(args) -> int:
             raise ParameterError(f"--window must be START:STOP, got {args.window!r}") from None
     rows = panel.window(start, stop)
     corr = correlation_from_rows(rows)
-    filt = FilterConfig(**_given(args, fields(FilterConfig)))
-    if filt.method == "shrinkage" and filt.alpha is None:
-        raise ParameterError("filter method shrinkage needs --alpha")
-    if filt.method == "glasso" and filt.lam is None:
-        raise ParameterError("filter method glasso needs --lambda")
-    result = apply_filter(corr, filt)
+    result = apply_filter(corr, FilterConfig(**_given(args, fields(FilterConfig))))
     write_matrix(f"{args.out}.correlation.txt", result.correlation.entries)
     write_matrix(f"{args.out}.precision.txt", result.precision.entries)
     pd_ok = is_positive_definite(result.precision.entries)

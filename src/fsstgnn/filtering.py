@@ -486,10 +486,10 @@ def filter_windows(corrs, config: FilterConfig) -> FilterStack:
         return mfcf_stack(corrs, config)
     if config.method == "glasso":
         if config.lam is None:
-            raise ParameterError("glasso needs lambda; select it by CV or set it explicitly")
+            raise ParameterError("glasso needs lambda (--lambda); set it, or let a run select it by CV")
         return glasso_stack(corrs, config.lam)
     if config.method == "shrinkage" and config.alpha is None:
-        raise ParameterError("shrinkage needs alpha; select it by CV or set it explicitly")
+        raise ParameterError("shrinkage needs alpha (--alpha); set it, or let a run select it by CV")
     return _shrink_stack(corrs, config.alpha if config.method == "shrinkage" else None)
 
 

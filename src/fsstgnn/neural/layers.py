@@ -13,6 +13,9 @@ from ..errors import ParameterError, ShapeError
 from . import autodiff as ad
 from .autodiff import Tensor
 
+# Negative-side slope of the LeakyReLU on the GAT's attention logits.
+LEAKY_SLOPE = 0.2
+
 ACTIVATIONS = {
     "relu": ad.relu,
     "tanh": ad.tanh,
@@ -50,18 +53,10 @@ class GcnLayer:
     is applied because correlation coefficients arrive already scaled.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "tanh", *, rng=None, weight=None):
+    def __init__(self, in_dim: int, out_dim: int, activation: str = "tanh", *, rng):
         self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
         self._act = resolve_activation(activation)
-        if weight is None:
-            if rng is None:
-                raise ParameterError("GcnLayer needs either an rng or an explicit weight")
-            weight = glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
-        self.weight = Tensor(np.asarray(weight, dtype=float), requires_grad=True)
-        if self.weight.values.shape != (in_dim, out_dim):
-            raise ShapeError(f"GCN weight must be {(in_dim, out_dim)}, got {self.weight.values.shape}")
+        self.weight = Tensor(glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim), requires_grad=True)
 
     def forward(self, graph_weights, features) -> Tensor:
         feats = _ensure_batched(features, 3)
@@ -84,24 +79,19 @@ class GatLayer:
     """Multi-head graph attention masked to each node's neighborhood: every
     j with a nonzero graph weight w_ij (negative ones included), plus i.
 
-    Per head: e_ij = LeakyReLU(a^T [W h_i || W h_j]) on neighboring pairs
-    only, rows softmax-normalized, and the head outputs averaged before
-    the activation. Weight magnitudes never enter, so a boolean adjacency
-    works as the graph too.
+    Per head (``_heads``): e_ij = LeakyReLU(a^T [W h_i || W h_j]) with slope
+    ``LEAKY_SLOPE`` on neighboring pairs only, rows softmax-normalized; the
+    head outputs are averaged before the activation. Weight magnitudes
+    never enter, so a boolean adjacency works as the graph too.
     """
 
-    def __init__(self, in_dim: int, head_dim: int, heads: int = 4, leaky_slope: float = 0.2,
-                 activation: str = "tanh", *, rng=None):
+    def __init__(self, in_dim: int, head_dim: int, heads: int = 4, activation: str = "tanh", *, rng):
         if heads < 1:
             raise ParameterError("GAT needs at least one attention head")
         self.in_dim = in_dim
         self.head_dim = head_dim
         self.heads = heads
-        self.leaky_slope = leaky_slope
-        self.activation = activation
         self._act = resolve_activation(activation)
-        if rng is None:
-            raise ParameterError("GatLayer needs an rng")
         self.head_weights = [
             Tensor(glorot_uniform(rng, (in_dim, head_dim), in_dim, head_dim), requires_grad=True)
             for _ in range(heads)
@@ -129,7 +119,7 @@ class GatLayer:
             projected = ad.matmul(feats, weight)                      # (B, N, D)
             src = ad.matmul(projected, attn[: self.head_dim])         # (B, N, 1)
             dst = ad.matmul(projected, attn[self.head_dim:])          # (B, N, 1)
-            logits = ad.leaky_relu(ad.add(src, ad.swap_last(dst)), self.leaky_slope)
+            logits = ad.leaky_relu(ad.add(src, ad.swap_last(dst)), LEAKY_SLOPE)
             alpha = ad.masked_softmax(logits, mask)                   # rows sum to 1 on neighborhoods
             heads.append((projected, alpha))
         return heads
@@ -142,10 +132,6 @@ class GatLayer:
         return self._act(ad.mul(combined, 1.0 / self.heads))
 
     __call__ = forward
-
-    def attention(self, graphs, features) -> list[np.ndarray]:
-        """Per-head attention matrices (values only), for inspection."""
-        return [alpha.values for _, alpha in self._heads(graphs, features)]
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -168,9 +154,7 @@ class LstmCell:
     its buffers from that thread's ``LstmWorkspace`` (see ``lstm_sequence``).
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, *, rng=None):
-        if rng is None:
-            raise ParameterError("LstmCell needs an rng")
+    def __init__(self, input_dim: int, hidden_dim: int, *, rng):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.w_input = Tensor(
@@ -204,9 +188,7 @@ class NodeReadout:
     """Two-layer MLP producing one scalar per node from its temporal
     (batch, nodes, width) and spatial embeddings, concatenated."""
 
-    def __init__(self, temporal_dim: int, spatial_dim: int, hidden_dim: int, *, rng=None):
-        if rng is None:
-            raise ParameterError("NodeReadout needs an rng")
+    def __init__(self, temporal_dim: int, spatial_dim: int, hidden_dim: int, *, rng):
         in_dim = temporal_dim + spatial_dim
         self.temporal_dim = temporal_dim
         self.spatial_dim = spatial_dim
@@ -244,9 +226,7 @@ class DenseReadout:
     Used by the temporal-only baseline, which has no per-node branch.
     """
 
-    def __init__(self, in_dim: int, hidden_dim: int, out_dim: int, *, rng=None):
-        if rng is None:
-            raise ParameterError("DenseReadout needs an rng")
+    def __init__(self, in_dim: int, hidden_dim: int, out_dim: int, *, rng):
         self.in_dim = in_dim
         self.w1 = Tensor(glorot_uniform(rng, (in_dim, hidden_dim), in_dim, hidden_dim), requires_grad=True)
         self.b1 = Tensor(np.zeros((1, hidden_dim)), requires_grad=True)

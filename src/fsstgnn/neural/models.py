@@ -27,9 +27,7 @@ class SpatialTemporalModel:
     """
 
     def __init__(self, n_series: int, *, gnn: str, lstm_hidden: int = 32, embed_dim: int = 16,
-                 gat_heads: int = 4, mlp_hidden: int = 32, activation: str = "tanh", rng=None):
-        if rng is None:
-            raise ParameterError("SpatialTemporalModel needs an rng")
+                 gat_heads: int = 4, mlp_hidden: int = 32, activation: str = "tanh", rng):
         if gnn not in ("gcn", "gat"):
             raise ParameterError(f"unknown gnn kind {gnn!r}; expected 'gcn' or 'gat'")
         self.n_series = n_series
@@ -69,10 +67,7 @@ class SpatialTemporalModel:
 class TemporalOnlyModel:
     """Plain LSTM baseline: no graphical or spatial information."""
 
-    def __init__(self, n_series: int, *, lstm_hidden: int = 32, mlp_hidden: int = 32, rng=None):
-        if rng is None:
-            raise ParameterError("TemporalOnlyModel needs an rng")
-        self.n_series = n_series
+    def __init__(self, n_series: int, *, lstm_hidden: int = 32, mlp_hidden: int = 32, rng):
         self.lstm = LstmCell(n_series, lstm_hidden, rng=rng)
         self.readout = DenseReadout(lstm_hidden, mlp_hidden, n_series, rng=rng)
 

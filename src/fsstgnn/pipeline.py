@@ -46,7 +46,7 @@ from .filtering import (
     select_lambda_cv,
     sparsity,
 )
-from .graphs import GRAPH_KINDS, benchmark_graph, check_graphs
+from .graphs import FILTERED_KINDS, GRAPH_KINDS, benchmark_graph, check_graphs
 from .linalg import TimeSeriesPanel, window_correlations
 from .neural.features import window_moments
 from .neural.layers import ACTIVATIONS
@@ -219,17 +219,25 @@ def _train_row_count(panel: TimeSeriesPanel, config: ExperimentConfig) -> int:
     return int(round(panel.n_steps * config.train_fraction))
 
 
+def _val_count(train_targets: int, val_fraction: float) -> int:
+    """How many of the last training targets are held out for validation."""
+    return max(1, round(train_targets * val_fraction)) if val_fraction > 0.0 and train_targets >= 3 else 0
+
+
 def _check_segments(panel: TimeSeriesPanel, config: ExperimentConfig) -> None:
-    """DataError unless the training rows fit the look-back plus targets and leave test rows."""
+    """DataError unless the training rows fit the look-back plus targets to fit, and leave test rows."""
     rows = _train_row_count(panel, config)
     if rows <= config.lookback + 2:
         raise DataError(f"training segment of {rows} rows cannot fit lookback {config.lookback} plus targets")
+    train_targets = rows - config.lookback
+    if _val_count(train_targets, config.val_fraction) >= train_targets:
+        raise DataError(f"val_fraction {config.val_fraction} holds out all {train_targets} training targets")
     if rows >= panel.n_steps:
         raise DataError("test segment is empty; lower train_fraction or add data")
 
 
 def _uses_filter(config: ExperimentConfig) -> bool:
-    return config.model != "lstm" and config.graph_kind in ("correlation", "inverse-correlation")
+    return config.model != "lstm" and config.graph_kind in FILTERED_KINDS
 
 
 def run_labels(config: ExperimentConfig) -> tuple:
@@ -314,14 +322,14 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     graphs = None
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
-        graphs = filtered.correlation if config.graph_kind == "correlation" else filtered.precision
+        graphs = getattr(filtered, FILTERED_KINDS[config.graph_kind])
         check_graphs(graphs, config.graph_kind)
         sparsities, fallbacks = filtered.sparsity, len(filtered.errors)
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)
         # a read-only view; _forward's fancy indexing copies the rows it takes
-        graphs = np.broadcast_to(bench.weights, (len(targets), n_series, n_series))
-        sparsities = [sparsity(bench.weights)] * len(targets)
+        graphs = np.broadcast_to(bench, (len(targets), n_series, n_series))
+        sparsities = [sparsity(bench)] * len(targets)
 
     targets_raw = values[targets]
     targets_std = (targets_raw - mu) / sd
@@ -329,8 +337,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     train_mask = targets < train_rows
     train_positions = np.nonzero(train_mask)[0]
     test_positions = np.nonzero(~train_mask)[0]
-    n_val = (max(1, round(len(train_positions) * config.val_fraction))
-             if config.val_fraction > 0.0 and len(train_positions) >= 3 else 0)
+    n_val = _val_count(len(train_positions), config.val_fraction)
     val_idx = train_positions[len(train_positions) - n_val:] if n_val else np.array([], dtype=int)
     fit_idx = train_positions[: len(train_positions) - n_val]
 
@@ -589,7 +596,9 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
 
     Before anything runs, a value that makes no valid config, or two
     values whose configs share a ``config_hash``, raise a ParameterError
-    naming them. A run that fails marks its row and the sweep continues.
+    naming them. No axis changes the look-back or the splits, so a panel
+    they do not fit raises ``_check_segments``'s DataError before any run.
+    A run that fails otherwise marks its row and the sweep continues.
     Sparsity sweeps are sorted by realized sparsity (densest last, matching
     the descending table layout); other axes keep the caller's order.
     """
@@ -609,6 +618,8 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
             raise ParameterError(f"sweep values {runs[config.config_hash][0]!r} and {value!r} "
                                  f"run the same config {config.config_hash}")
         runs[config.config_hash] = (value, config)
+    for item in dataset.items:
+        _check_segments(dataset.panel(item), base_config)
     rows = []
     for value, config in runs.values():
         try:

@@ -172,6 +172,11 @@ def sigmoid(a):
     return out
 
 
+def gat_attention(layer, graphs, features) -> list:
+    """Each head's (B, N, N) attention matrix of a ``GatLayer`` (values only)."""
+    return [alpha.values for _, alpha in layer._heads(graphs, features)]
+
+
 def lstm_reference(cell, seq):
     """The LSTM as one tape node per gate op: final hidden state of ``cell``
     over a (B, T, F) tensor, recording about a dozen nodes per step."""

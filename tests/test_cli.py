@@ -12,7 +12,7 @@ import fsstgnn
 import fsstgnn.neural
 from fsstgnn import cli, filtering, pipeline
 from fsstgnn.data import synthesize_dataset
-from fsstgnn.filtering import FilterConfig
+from fsstgnn.filtering import FilterConfig, filter_windows
 from fsstgnn.linalg import TimeSeriesPanel
 from fsstgnn.pipeline import ExperimentConfig
 
@@ -145,6 +145,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: training segment of 64 rows cannot fit lookback {flags[1]}")
         assert "Traceback" not in err and not filtered
+
+    def test_sweep_whose_segments_do_not_fit_is_a_data_error(self, small_csv, capsys, monkeypatch):
+        # no axis changes the look-back or the splits, so this is refused before any value runs
+        filtered = []
+        monkeypatch.setattr(pipeline, "filter_windows", lambda *args: filtered.append(args))
+        argv = ["sweep", "--input", str(small_csv), "--seeds", "0", "--epochs", "1", "--lookback", "70",
+                "--axis", "graph-kind", "--values", "ones,correlation"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not filtered
+        assert err.startswith("data error: training segment of 64 rows cannot fit lookback 70")
+        assert "Traceback" not in err
+
+    def test_sweep_row_that_fails_at_run_time_is_marked(self, small_csv, capsys):
+        argv = ["sweep", "--input", str(small_csv), *SMALL_RUN, "--seeds", "0", "--max-clique", "5",
+                "--axis", "filter-method", "--values", "mfcf,empirical"]
+        assert cli.main(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert "FAILED: need at least max_clique=5 series" in table[3]
+        assert "FAILED" not in table[4] and "±" in table[4]
+
+    @pytest.mark.parametrize("fraction, code", [("0.995", 2), ("0.98", 0)])
+    def test_validation_that_holds_out_every_training_target_is_a_data_error(
+            self, tmp_path, capsys, monkeypatch, fraction, code):
+        # 96 of 120 rows train, so lookback 14 leaves 82 training targets: 0.995 holds out
+        # all of them and 0.98 all but 2
+        csv = tmp_path / "sales.csv"
+        assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "120",
+                         "--out", str(csv)]) == 0
+        capsys.readouterr()
+        filtered = []
+
+        def counted(*args):
+            filtered.append(args)
+            return filter_windows(*args)
+
+        monkeypatch.setattr(pipeline, "filter_windows", counted)
+        argv = ["train", "--input", str(csv), *SMALL_RUN, "--lookback", "14", "--seeds", "0",
+                "--val-fraction", fraction]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and not filtered
+            assert err.startswith("data error: val_fraction 0.995 holds out all 82 training targets")
+        else:
+            assert err == "" and filtered and "nan" not in out.lower()
+
+    @pytest.mark.parametrize("method, parameter", [("glasso", "lambda"), ("shrinkage", "alpha")])
+    def test_filter_without_its_parameter_is_a_usage_error(self, small_csv, tmp_path, capsys,
+                                                          method, parameter):
+        argv = ["filter", "--input", str(small_csv), "--item", "1", "--method", method,
+                "--out", str(tmp_path / "w")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {method} needs {parameter} (--{parameter})")
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, message", [("--seed", "seed must be >= 0, got -1"),
                                                ("--noise-scale", "noise_scale must be >= 0, got -1")],

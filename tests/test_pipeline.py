@@ -1,19 +1,21 @@
 import dataclasses
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from fsstgnn import cli, filtering, pipeline
 from fsstgnn.data import synthesize_dataset
-from fsstgnn.errors import ConvergenceError, ParameterError
+from fsstgnn.errors import ConvergenceError, DataError, ParameterError
 from fsstgnn.filtering import FilterConfig
 from fsstgnn.graphs import benchmark_graph, from_filter_result
 from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows
 from fsstgnn.pipeline import (
     ExperimentConfig,
     _build_examples,
+    _check_segments,
     _filter_panel,
     _prepare_units,
     _run_units,
@@ -77,7 +79,7 @@ class TestGlassoFallback:
         assert 0 < sum(failed) < len(failed)
         assert (solved.fallbacks, capped.fallbacks) == (0, sum(failed))
         for row, corr in enumerate(corrs):
-            want = (from_filter_result(shrink_reference(corr), config.graph_kind).weights if failed[row]
+            want = (from_filter_result(shrink_reference(corr), config.graph_kind) if failed[row]
                     else solved.graphs[row])
             assert np.array_equal(capped.graphs[row], want), row
 
@@ -228,7 +230,7 @@ class TestFilterCache:
             for row in (0, len(values) - 8):
                 corr = correlation_from_rows(values[row: row + 7])
                 want = from_filter_result(filtering.apply_filter(corr, resolved), config.graph_kind)
-                assert np.array_equal(examples[0].graphs[row], want.weights)
+                assert np.array_equal(examples[0].graphs[row], want)
 
     @pytest.mark.parametrize("kind, stack", [("correlation", "correlation"),
                                              ("inverse-correlation", "precision")])
@@ -306,11 +308,37 @@ class TestFilterCache:
         assert report_records(scored) == report_records(trained)
 
 
+class TestSegments:
+    def test_check_raises_exactly_when_no_target_is_left_to_fit(self):
+        lookback = 4
+        raised = 0
+        for train_targets in range(3, 41):
+            # train_fraction 0.5 of twice the training rows: the training rows exactly
+            panel = TimeSeriesPanel(np.random.default_rng(train_targets).normal(
+                size=(2 * (lookback + train_targets), 3)))
+            for fraction in (0.0, 0.1, 0.5, 0.8, 0.9, 0.95, 0.97, 0.98, 0.99, 0.995):
+                config = ExperimentConfig(model="lstm", lookback=lookback, train_fraction=0.5,
+                                          val_fraction=fraction)
+                with np.errstate(all="ignore"), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    ex = _build_examples(panel, config, None)
+                assert len(ex.fit_idx) + len(ex.val_idx) == train_targets
+                try:
+                    _check_segments(panel, config)
+                except DataError as exc:
+                    assert len(ex.fit_idx) == 0, (train_targets, fraction)
+                    assert f"holds out all {train_targets} training targets" in str(exc)
+                    raised += 1
+                else:
+                    assert len(ex.fit_idx) > 0, (train_targets, fraction)
+        assert raised > 10
+
+
 class TestBenchmarkGraphExamples:
     @pytest.mark.parametrize("kind, share", [("ones", 0.0), ("zeros", 1.0), ("identity", 1.0)])
     def test_graphs_and_sparsity_come_from_the_weights(self, kind, share):
         (ex,) = _examples(synthesize_dataset(5, 1, 60, seed=17), ExperimentConfig(graph_kind=kind, **SMALL))
-        weights = benchmark_graph(5, kind).weights
+        weights = benchmark_graph(5, kind)
         assert np.array_equal(ex.graphs, np.broadcast_to(weights, ex.graphs.shape))
         assert ex.sparsity_mean == filtering.sparsity(weights) == share
 
