@@ -239,17 +239,25 @@ def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
     """Cyclic coordinate descent on each problem's column lasso from the
     warm start ``u``. Every problem runs until all have stopped, on a copy
     of ``u``; ``u`` keeps each one's iterate after the first pass in which
-    none of its coordinates moved by ``inner_tol``."""
-    diag_m = np.diagonal(m, axis1=1, axis2=2)
-    neg_lam, neg_denom = -lam, -(s22[:, None] * diag_m)
+    none of its coordinates moved by ``inner_tol``. Buffers are made once
+    per call; the product must stay C-contiguous, so that numpy sums each
+    problem's row the same way alone or in any batch."""
+    diag_m = np.diagonal(m, axis1=1, axis2=2).T.copy()      # one contiguous row per coordinate
+    neg_lam, neg_denom = -lam, -(s22 * diag_m)
     x, running = u.copy(), np.ones(len(u), dtype=bool)
+    steps = list(zip(np.ascontiguousarray(m.transpose(1, 0, 2)), s12.T.copy(), diag_m, neg_denom, x.T))
+    product, start, (residual, diag_term, clip) = np.empty_like(x), np.empty_like(x), np.empty((3, len(x)))
     for _ in range(max_inner):
-        start = x.copy()
-        for k in range(x.shape[1]):
-            residual = s12[:, k] + s22 * (np.add.reduce(m[:, k] * x, axis=1) - diag_m[:, k] * x[:, k])
+        np.copyto(start, x)
+        for m_k, s12_k, diag_k, denom_k, x_k in steps:
+            np.add.reduce(np.multiply(m_k, x, out=product), axis=1, out=residual)
+            np.subtract(residual, np.multiply(diag_k, x_k, out=diag_term), out=residual)
+            np.add(s12_k, np.multiply(s22, residual, out=residual), out=residual)
             # residual minus its clip to [-lam, lam] is the soft threshold
-            x[:, k] = (residual - np.minimum(np.maximum(residual, neg_lam), lam)) / neg_denom[:, k]
-        done = running & (np.abs(x - start).max(axis=1, initial=0.0) < inner_tol)
+            np.minimum(np.maximum(residual, neg_lam, out=clip), lam, out=clip)
+            np.divide(np.subtract(residual, clip, out=residual), denom_k, out=x_k)
+        deviation = np.abs(np.subtract(x, start, out=start), out=start).max(axis=1, initial=0.0)
+        done = running & (deviation < inner_tol)
         u[done] = x[done]
         running &= ~done
         if not running.any():

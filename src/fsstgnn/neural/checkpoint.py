@@ -90,8 +90,13 @@ def load_checkpoint(path, config_hash=None) -> dict[str, np.ndarray]:
             raise ParseError(f"parameter {name!r} has a negative dim", line=cursor + 1)
         if cursor + 1 >= len(lines):
             raise ParseError(f"missing values for parameter {name!r}", line=cursor + 2)
-        flat = np.array([_parse(float, tok, f"value of parameter {name!r}", cursor + 2)
-                         for tok in lines[cursor + 1].split()], dtype=float)
+        tokens = lines[cursor + 1].split()
+        try:
+            flat = np.array(tokens, dtype=float)
+        except ValueError:
+            flat = None
+        if flat is None or not np.isfinite(flat).all():     # the per-token parse names the bad token
+            flat = np.array([_parse(float, tok, f"value of parameter {name!r}", cursor + 2) for tok in tokens])
         expected = int(np.prod(shape)) if shape else 1
         if flat.size != expected:
             raise ParseError(f"parameter {name!r} has {flat.size} values, expected {expected}",

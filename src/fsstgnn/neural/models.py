@@ -23,14 +23,13 @@ class SpatialTemporalModel:
     The temporal branch regresses every series individually: one LSTM
     with shared weights consumes each column of the look-back window as
     a univariate sequence, so cross-series information enters only
-    through the spatial branch.
+    through the spatial branch. No weight depends on ``n_series``.
     """
 
     def __init__(self, n_series: int, *, gnn: str, lstm_hidden: int = 32, embed_dim: int = 16,
                  gat_heads: int = 4, mlp_hidden: int = 32, activation: str = "tanh", rng):
         if gnn not in ("gcn", "gat"):
             raise ParameterError(f"unknown gnn kind {gnn!r}; expected 'gcn' or 'gat'")
-        self.n_series = n_series
         self.lstm = LstmCell(1, lstm_hidden, rng=rng)
         if gnn == "gcn":
             self.gnn = GcnLayer(N_MOMENT_FEATURES, embed_dim, activation, rng=rng)

@@ -6,8 +6,9 @@ minimized by grid refinement / projected search instead of coordinate
 descent, chordality is tested by maximum cardinality search (itself
 cross-checked through networkx), and the fast paths (the fused LSTM op,
 the stacked LAPACK Cholesky and PD jitter, the table-scored MFCF build,
-the lockstep glasso batch, the stacked empirical and shrinkage filters)
-are checked against the slow references they replaced. ``record_row`` and ``outcome_row``
+the lockstep glasso batch and its preallocated column lasso, the stacked
+empirical and shrinkage filters) are checked against the slow references
+they replaced. ``record_row`` and ``outcome_row``
 put a row of a stacked filter record and a single-window result in one
 comparable form.
 """
@@ -391,6 +392,33 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
         jitter=jitter,
         sweeps=converged_sweeps,
     )
+
+
+def column_lasso_reference(m, s12, s22, u, lam, inner_tol, max_inner):
+    """``filtering._column_lasso`` written plainly: the same operations on
+    the same operands in the same order, on fresh arrays and strided views
+    at every coordinate step.
+
+    Cyclic coordinate descent on each problem's column lasso from the
+    warm start ``u``. Every problem runs until all have stopped, on a copy
+    of ``u``; ``u`` keeps each one's iterate after the first pass in which
+    none of its coordinates moved by ``inner_tol``."""
+    diag_m = np.diagonal(m, axis1=1, axis2=2)
+    neg_lam, neg_denom = -lam, -(s22[:, None] * diag_m)
+    x, running = u.copy(), np.ones(len(u), dtype=bool)
+    for _ in range(max_inner):
+        start = x.copy()
+        for k in range(x.shape[1]):
+            residual = s12[:, k] + s22 * (np.add.reduce(m[:, k] * x, axis=1) - diag_m[:, k] * x[:, k])
+            # residual minus its clip to [-lam, lam] is the soft threshold
+            x[:, k] = (residual - np.minimum(np.maximum(residual, neg_lam), lam)) / neg_denom[:, k]
+        done = running & (np.abs(x - start).max(axis=1, initial=0.0) < inner_tol)
+        u[done] = x[done]
+        running &= ~done
+        if not running.any():
+            return u
+    u[running] = x[running]
+    return u
 
 
 def shrink_reference(corr, alpha=None):

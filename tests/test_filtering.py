@@ -34,6 +34,7 @@ from fsstgnn.linalg import (
 )
 
 from _oracles import (
+    column_lasso_reference,
     corr_of,
     ensure_pd_reference,
     glasso_grid_oracle_2x2,
@@ -43,6 +44,7 @@ from _oracles import (
     outcome_row,
     precision_of,
     random_correlation,
+    random_spd,
     record_row,
     shrink_reference,
     stack_of,
@@ -326,6 +328,43 @@ class TestGlassoStack:
     def test_negative_lambda_rejected_for_the_batch(self):
         with pytest.raises(ParameterError):
             glasso_stack(np.array([np.eye(2), np.eye(2)]), [0.1, -0.1])
+
+
+@st.composite
+def column_lasso_problems(draw):
+    """Column-lasso inputs built as ``glasso_stack`` builds them, for 1 to 6
+    problems of one size p in 1..7 (q = p - 1 coordinates, 0 when p = 1).
+    Per problem: an SPD ``w``, a correlation ``s``, a warm start of zeros or
+    noise, and a penalty from 0 to far above every |s12|, where the
+    iterate settles in a pass or two while lambda = 0 keeps going, so the
+    problems stop at different passes. ``max_inner`` of 1 or 2 caps them."""
+    p, lanes = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = np.array([random_spd(rng, p) for _ in range(lanes)])
+    s = stack_of([random_correlation(rng, p, rows=draw(st.integers(p + 1, 20))) for _ in range(lanes)])
+    j = draw(st.integers(0, p - 1))
+    rest = np.delete(np.arange(p), j)
+    w12 = w[:, rest, j]
+    m = w[:, rest[:, None], rest] - w12[:, :, None] * w12[:, None, :] / w[:, j, j, None, None]
+    u = np.where(np.array(draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)))[:, None],
+                 rng.normal(scale=0.5, size=(lanes, p - 1)), 0.0)
+    lam = np.array(draw(st.lists(st.sampled_from((0.0, 1e-3, 0.05, 0.3, 10.0)), min_size=lanes,
+                                 max_size=lanes)))
+    caps = draw(st.sampled_from(((1e-8, 100), (1e-3, 100), (1e-8, 1), (1e-8, 2))))
+    return (m, s[:, rest, j], s[:, j, j], u, lam) + caps
+
+
+class TestColumnLasso:
+    @given(problem=column_lasso_problems())
+    @settings(max_examples=40)
+    def test_same_bits_as_the_reference(self, problem):
+        m, s12, s22, u, lam, inner_tol, max_inner = problem
+        inputs = [arr.copy() for arr in (m, s12, s22)]
+        want = column_lasso_reference(m, s12, s22, u.copy(), lam, inner_tol, max_inner)
+        got = filtering._column_lasso(m, s12, s22, u.copy(), lam, inner_tol, max_inner)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        for before, after in zip(inputs, (m, s12, s22)):
+            assert before.tobytes() == after.tobytes()
 
 
 class TestGlassoOptimality:

@@ -772,6 +772,22 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("values, message", [
+        ("1.0 abc nan", "value of parameter 'w' must be a number, got 'abc'"),
+        ("1.0 2.0 nan", "value of parameter 'w' must be finite, got 'nan'"),
+        ("1.0 -inf abc", "value of parameter 'w' must be finite, got '-inf'"),
+        ("1e999 2.0 3.0", "value of parameter 'w' must be finite, got '1e999'"),
+        ("0x10 2.0 3.0", "value of parameter 'w' must be a number, got '0x10'"),
+    ])
+    def test_bad_value_names_its_first_token_and_line(self, tmp_path, values, message):
+        from fsstgnn.errors import ParseError
+
+        path = tmp_path / "bad.ckpt"
+        path.write_text(f"fsstgnn-checkpoint 2 -\n2\na 1 1\n0.5\nw 1 3\n{values}\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert (str(err.value), err.value.line) == (f"line 6: {message}", 6)
+
     def test_set_parameters_into_model(self, tmp_path):
         rng = np.random.default_rng(26)
         model_a = TemporalOnlyModel(3, lstm_hidden=4, mlp_hidden=5, rng=rng)
