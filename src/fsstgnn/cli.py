@@ -104,8 +104,7 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(f"expected 'key = value', got {raw.rstrip()!r}", line=line_no)
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if key not in _FILE_KEYS:
                 raise ParameterError(f"unknown configuration key {key!r} (line {line_no})")
             f = _FILE_KEYS[key]
@@ -170,8 +169,7 @@ def _cmd_filter(args) -> int:
         start, stop = max(0, panel.n_steps - 14), panel.n_steps
     else:
         try:
-            start_text, stop_text = args.window.split(":")
-            start, stop = int(start_text), int(stop_text)
+            start, stop = (int(text) for text in args.window.split(":"))
         except ValueError:
             raise ParameterError(f"--window must be START:STOP, got {args.window!r}") from None
     rows = panel.window(start, stop)

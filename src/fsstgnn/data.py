@@ -75,9 +75,7 @@ def ingest_csv(path) -> SalesDataset:
             except ValueError:
                 raise ParseError(f"bad date {row[0]!r}", line=line_no) from None
             try:
-                store = int(row[1])
-                item = int(row[2])
-                sales = int(row[3])
+                store, item, sales = int(row[1]), int(row[2]), int(row[3])
             except ValueError:
                 raise ParseError(f"non-integer field in {row!r}", line=line_no) from None
             if store <= 0 or item <= 0:

@@ -539,12 +539,9 @@ def _forward_folds(panel: TimeSeriesPanel, folds: int):
     if np.any(np.diff(edges) < 1):
         raise DataError(f"{folds} folds over {t} rows leave an empty fold")
     for i in range(1, folds):
-        train_stop = int(edges[i])
-        val_stop = int(edges[i + 1])
+        train_stop, val_stop = int(edges[i]), int(edges[i + 1])
         if train_stop < 2:
-            raise DataError(
-                f"fold {i} leaves only {train_stop} training rows; need at least 2"
-            )
+            raise DataError(f"fold {i} leaves only {train_stop} training rows; need at least 2")
         yield (0, train_stop), (train_stop, val_stop)
 
 

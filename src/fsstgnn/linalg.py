@@ -106,11 +106,8 @@ def _column_cholesky(m: np.ndarray, min_pivot: float) -> np.ndarray:
     for j in range(n):
         pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
         if pivot <= min_pivot:
-            raise DefinitenessError(
-                f"matrix is not positive definite: pivot {j} is {pivot:.6e}",
-                pivot=j,
-                value=float(pivot),
-            )
+            raise DefinitenessError(f"matrix is not positive definite: pivot {j} is {pivot:.6e}",
+                                    pivot=j, value=float(pivot))
         lower[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
@@ -181,9 +178,7 @@ class TimeSeriesPanel:
     def window(self, start: int, stop: int) -> np.ndarray:
         """Validated slice of rows [start, stop)."""
         if not (0 <= start < stop <= self.n_steps):
-            raise RangeError(
-                f"window [{start}, {stop}) out of bounds for {self.n_steps} steps"
-            )
+            raise RangeError(f"window [{start}, {stop}) out of bounds for {self.n_steps} steps")
         return self.values[start:stop]
 
     def differenced(self) -> "TimeSeriesPanel":

@@ -370,7 +370,6 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     lease = (workspace or _WORKSPACE).lease(batch, steps, h_dim)
     gates, cells, cells_tanh, z, x_term, _ = lease
     z_gates = z.reshape(batch, 4, h_dim).transpose(1, 0, 2)    # z's column blocks
-    input_term = np.multiply if width == 1 else np.matmul   # (B, 1) @ (1, 4H): one term per entry
     # h lives in a slab of x_term, read before the input term overwrites it,
     # and gate_in * gate_cell in one of z, once the gates are read from it.
     hidden, product, cell = x_term.reshape(4, batch, h_dim)[0], z.reshape(4, batch, h_dim)[0], cells[0]
@@ -378,7 +377,12 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     for t in range(steps):
         # z = (h W_h + x_t W_in) + b, summed in the per-op tape's order.
         np.matmul(hidden, w_hidden.values, out=z)
-        z += input_term(seq.values[:, t, :], w_input.values, out=x_term)
+        if width == 1:      # (B, 1) @ (1, 4H) is one product per entry; w x_t == x_t w bit for bit
+            x_term[...] = w_input.values
+            x_term *= seq.values[:, t, :]
+        else:
+            np.matmul(seq.values[:, t, :], w_input.values, out=x_term)
+        z += x_term
         z += bias.values
         sigmoids, gate_cell = gates[t, :3], gates[t, 3]
         np.negative(z_gates[:2], out=sigmoids[:2])

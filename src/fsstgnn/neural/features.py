@@ -21,10 +21,11 @@ def window_moments(rows: np.ndarray) -> np.ndarray:
     count = rows.shape[-2]
     mean = rows.mean(axis=-2)
     centered = rows - mean[..., None, :]
-    m2 = (centered ** 2).mean(axis=-2)
+    squares = centered ** 2
+    m2 = squares.mean(axis=-2)
     degenerate = m2 == 0.0
     safe_m2 = np.where(degenerate, 1.0, m2)
-    std = np.sqrt((centered ** 2).sum(axis=-2) / (count - 1))
+    std = np.sqrt(squares.sum(axis=-2) / (count - 1))
     skew = (centered ** 3).mean(axis=-2) / safe_m2 ** 1.5
     kurt = (centered ** 4).mean(axis=-2) / safe_m2 ** 2 - 3.0
     skew[degenerate] = 0.0

@@ -17,6 +17,12 @@ from .layers import DenseReadout, GatLayer, GcnLayer, LstmCell, NodeReadout
 N_MOMENT_FEATURES = 4
 
 
+def _prefixed(**modules) -> dict[str, Tensor]:
+    """Each module's parameters, named ``<module>.<parameter>``, in order."""
+    return {f"{prefix}.{name}": p for prefix, module in modules.items()
+            for name, p in module.parameters().items()}
+
+
 class SpatialTemporalModel:
     """Per-series LSTM + GNN over (graph, moments) + shared node readout.
 
@@ -56,11 +62,7 @@ class SpatialTemporalModel:
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for prefix, module in (("lstm", self.lstm), ("gnn", self.gnn), ("readout", self.readout)):
-            for name, p in module.parameters().items():
-                params[f"{prefix}.{name}"] = p
-        return params
+        return _prefixed(lstm=self.lstm, gnn=self.gnn, readout=self.readout)
 
 
 class TemporalOnlyModel:
@@ -76,11 +78,7 @@ class TemporalOnlyModel:
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for prefix, module in (("lstm", self.lstm), ("readout", self.readout)):
-            for name, p in module.parameters().items():
-                params[f"{prefix}.{name}"] = p
-        return params
+        return _prefixed(lstm=self.lstm, readout=self.readout)
 
 
 def mse_loss(predictions: Tensor, targets) -> Tensor:

@@ -19,11 +19,18 @@ over graph kinds, or an evaluation after training, filters each once.
 The config hash sees only the settings that the run reads
 (``ExperimentConfig.relevant``), and the cache key only the filter
 settings that the configured method reads (``FilterConfig.relevant``).
+
+Examples reach pool workers by fork inheritance, never by pickling: each
+item's examples wait in ``_EXAMPLES`` under a key that the unit args
+carry, and each command empties that table when it ends. A sweep builds
+every panel's windows, features and targets once, prepares every value,
+then trains the units of all values in one pool.
 """
 
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -203,12 +210,7 @@ class MetricsReport:
             values = np.array([row[key] for row in per_seed], dtype=float)
             aggregate[f"{key}_mean"] = float(values.mean())
             aggregate[f"{key}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-        return MetricsReport(
-            config=config,
-            per_seed=tuple(per_seed),
-            aggregate=aggregate,
-            units=units,
-        )
+        return MetricsReport(config=config, per_seed=tuple(per_seed), aggregate=aggregate, units=units)
 
 
 def _unit_rng(seed: int, item: int, stream: int) -> np.random.Generator:
@@ -303,22 +305,50 @@ def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
     return record
 
 
-def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
-                    filtered: FilterStack | None) -> _Examples:
-    """One panel's examples; ``filtered`` holds its filtered windows, or is
-    None when the config uses no filter. The panel has passed
-    ``_check_segments``."""
+def _panel_part(panel: TimeSeriesPanel, config: ExperimentConfig) -> dict:
+    """The fields of a panel's examples that depend only on the panel, the
+    look-back and the splits, by name: all but the graphs and their stats."""
     values = panel.values
-    n_steps, n_series = values.shape
     train_rows = _train_row_count(panel, config)
 
     mu = values[:train_rows].mean(axis=0)
     sd = values[:train_rows].std(axis=0, ddof=1)
     sd = np.where(sd == 0.0, 1.0, sd)
 
-    targets = np.arange(config.lookback, n_steps)
+    targets = np.arange(config.lookback, panel.n_steps)
     windows = _windows(panel, config.lookback)
     feats = window_moments(windows)
+    targets_raw = values[targets]
+
+    train_mask = targets < train_rows
+    train_positions = np.nonzero(train_mask)[0]
+    n_val = _val_count(len(train_positions), config.val_fraction)
+    fit_idx = train_positions[: len(train_positions) - n_val]
+
+    # moment statistics come from the fit windows only, like mu and sd
+    feat_cols = feats[fit_idx].reshape(-1, 4)
+    fmu = feat_cols.mean(axis=0)
+    fsd = feat_cols.std(axis=0, ddof=1) if feat_cols.shape[0] > 1 else np.ones(4)
+    fsd = np.where(fsd == 0.0, 1.0, fsd)
+    return dict(
+        windows_std=(windows - mu) / sd,
+        features_std=(feats - fmu) / fsd,
+        targets_std=(targets_raw - mu) / sd,
+        targets_raw=targets_raw,
+        fit_idx=fit_idx,
+        val_idx=train_positions[len(train_positions) - n_val:] if n_val else np.array([], dtype=int),
+        test_idx=np.nonzero(~train_mask)[0],
+        mu=mu,
+        sd=sd,
+    )
+
+
+def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
+                    filtered: FilterStack | None, part: dict | None = None) -> _Examples:
+    """One panel's examples, from its ``_panel_part`` if given; ``filtered``
+    holds its filtered windows, or is None when the config uses no filter.
+    The panel has passed ``_check_segments``."""
+    n_targets, n_series = panel.n_steps - config.lookback, panel.n_series
     graphs = None
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
@@ -328,36 +358,11 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)
         # a read-only view; _forward's fancy indexing copies the rows it takes
-        graphs = np.broadcast_to(bench, (len(targets), n_series, n_series))
-        sparsities = [sparsity(bench)] * len(targets)
-
-    targets_raw = values[targets]
-    targets_std = (targets_raw - mu) / sd
-
-    train_mask = targets < train_rows
-    train_positions = np.nonzero(train_mask)[0]
-    test_positions = np.nonzero(~train_mask)[0]
-    n_val = _val_count(len(train_positions), config.val_fraction)
-    val_idx = train_positions[len(train_positions) - n_val:] if n_val else np.array([], dtype=int)
-    fit_idx = train_positions[: len(train_positions) - n_val]
-
-    # moment statistics come from the fit windows only, like mu and sd
-    feat_cols = feats[fit_idx].reshape(-1, 4)
-    fmu = feat_cols.mean(axis=0)
-    fsd = feat_cols.std(axis=0, ddof=1) if feat_cols.shape[0] > 1 else np.ones(4)
-    fsd = np.where(fsd == 0.0, 1.0, fsd)
-    feats = (feats - fmu) / fsd
+        graphs = np.broadcast_to(bench, (n_targets, n_series, n_series))
+        sparsities = [sparsity(bench)] * n_targets
     return _Examples(
-        windows_std=(windows - mu) / sd,
-        features_std=feats,
+        **(part or _panel_part(panel, config)),
         graphs=graphs,
-        targets_std=targets_std,
-        targets_raw=targets_raw,
-        fit_idx=fit_idx,
-        val_idx=val_idx,
-        test_idx=test_positions,
-        mu=mu,
-        sd=sd,
         sparsity_mean=float(np.mean(sparsities)) if len(sparsities) else 1.0,
         fallbacks=fallbacks,
     )
@@ -454,7 +459,8 @@ def _unit_config_hash(config: ExperimentConfig, seed: int) -> str:
 
 
 def _run_unit(args) -> UnitResult:
-    ex, n_series, config, item, seed, checkpoint_dir = args
+    key, n_series, config, item, seed, checkpoint_dir = args
+    ex = _EXAMPLES[key]
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
     epochs_ran = _train_unit(model, ex, config, seed, item)
     if checkpoint_dir is not None:
@@ -464,11 +470,11 @@ def _run_unit(args) -> UnitResult:
 
 
 def _eval_unit(args) -> UnitResult:
-    ex, n_series, config, item, seed, checkpoint_dir = args
+    key, n_series, config, item, seed, checkpoint_dir = args
     model = _build_model(n_series, config, _unit_rng(seed, item, 0))
     set_parameters(model, load_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)),
                                           _unit_config_hash(config, seed)))
-    return _evaluate_unit(model, ex, item, seed, epochs_ran=0)
+    return _evaluate_unit(model, _EXAMPLES[key], item, seed, epochs_ran=0)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -477,17 +483,18 @@ def _check_jobs(jobs: int) -> None:
 
 
 def _run_units(worker, unit_args, jobs: int):
-    """``worker`` over ``unit_args`` in a pool of min(jobs, units) processes,
-    or in this process when that is 1."""
+    """``worker`` over ``unit_args`` in a pool of min(jobs, units) forked
+    processes, which inherit ``_EXAMPLES``, or in this process when that is 1."""
     _check_jobs(jobs)
     workers = min(jobs, len(unit_args))
     if workers <= 1:
         return [worker(args) for args in unit_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(worker, unit_args))
 
 
 _FILTER_CACHE = {}     # _filter_key -> FilterStack, see _prepare_units
+_EXAMPLES = {}         # (config_hash, item) -> _Examples of the running command, see _prepare_units
 
 
 def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
@@ -506,9 +513,11 @@ def _filter_item(args) -> FilterStack:
 
 
 def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir,
-                   jobs: int = 1):
+                   jobs: int = 1, parts: dict | None = None):
     """Window, filter and standardize each item once; graphs and features
-    depend only on the data and config, so seeds share them.
+    depend only on the data and config, so seeds share them. Each item's
+    examples go into ``_EXAMPLES``, and its unit args carry their key. An
+    item in ``parts`` reuses its ``_panel_part``; the others add theirs.
 
     Filtered windows are cached under the SHA-256 of the panel values and
     shape, training-row count, lookback, use_differences and the fields of
@@ -531,11 +540,15 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
         _FILTER_CACHE.update(zip(misses, built))
         for key in set(_FILTER_CACHE) - set(keys.values()):
             del _FILTER_CACHE[key]
+    parts = {} if parts is None else parts
     unit_args = []
     for item, panel in panels.items():
-        ex = _build_examples(panel, config, _FILTER_CACHE[keys[item]] if keys else None)
-        for seed in config.seeds:
-            unit_args.append((ex, panel.n_series, config, item, seed, checkpoint_dir))
+        if item not in parts:
+            parts[item] = _panel_part(panel, config)
+        key = (config.config_hash, item)
+        _EXAMPLES[key] = _build_examples(panel, config, _FILTER_CACHE[keys[item]] if keys else None,
+                                         parts[item])
+        unit_args += [(key, panel.n_series, config, item, seed, checkpoint_dir) for seed in config.seeds]
     return unit_args
 
 
@@ -550,20 +563,25 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
     """
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    unit_args = _prepare_units(dataset, config, checkpoint_dir, jobs)
-    units = _run_units(_run_unit, unit_args, jobs)
+    try:
+        units = _run_units(_run_unit, _prepare_units(dataset, config, checkpoint_dir, jobs), jobs)
+    finally:
+        _EXAMPLES.clear()
     return MetricsReport.from_units(config, units)
 
 
 def evaluate_experiment(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, *,
                         jobs: int = 1) -> MetricsReport:
     """Score saved checkpoints on the test segment without training."""
-    unit_args = _prepare_units(dataset, config, checkpoint_dir, jobs)
-    units = _run_units(_eval_unit, unit_args, jobs)
+    try:
+        units = _run_units(_eval_unit, _prepare_units(dataset, config, checkpoint_dir, jobs), jobs)
+    finally:
+        _EXAMPLES.clear()
     return MetricsReport.from_units(config, units)
 
 
 SWEEP_AXES = ("filter-method", "sparsity", "graph-kind")
+_CAUGHT = (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError)   # mark a sweep row
 
 
 @dataclass(frozen=True)
@@ -590,6 +608,14 @@ def _sweep_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     return replace(base, filter=replace(base.filter, **{knob: float(value)}))
 
 
+def _sweep_unit(args):
+    """``_run_unit``, or the message of the caught error it raised."""
+    try:
+        return _run_unit(args)
+    except _CAUGHT as exc:
+        return str(exc)
+
+
 def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, values, *,
           jobs: int = 1) -> list:
     """Run one experiment per value along the chosen axis.
@@ -597,10 +623,14 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
     Before anything runs, a value that makes no valid config, or two
     values whose configs share a ``config_hash``, raise a ParameterError
     naming them. No axis changes the look-back or the splits, so a panel
-    they do not fit raises ``_check_segments``'s DataError before any run.
-    A run that fails otherwise marks its row and the sweep continues.
-    Sparsity sweeps are sorted by realized sparsity (densest last, matching
-    the descending table layout); other axes keep the caller's order.
+    they do not fit raises ``_check_segments``'s DataError before any run,
+    and the values share each panel's ``_panel_part``. Every value is
+    prepared, then all their units train in one ``_run_units`` call. A
+    value whose prepare, or first failing unit, raises a caught error
+    marks its row with the message ``run_experiment`` would raise; the
+    other rows still run. Sparsity sweeps are sorted by realized sparsity
+    (densest last, matching the descending table layout); other axes keep
+    the caller's order.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -620,41 +650,35 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
         runs[config.config_hash] = (value, config)
     for item in dataset.items:
         _check_segments(dataset.panel(item), base_config)
+    parts, prepared = {}, []        # per value: its unit args, or the message its prepare raised
+    try:
+        for _, config in runs.values():
+            try:
+                prepared.append(_prepare_units(dataset, config, None, jobs, parts))
+            except _CAUGHT as exc:
+                prepared.append(str(exc))
+        units = iter(_run_units(_sweep_unit, [a for p in prepared if isinstance(p, list) for a in p], jobs))
+    finally:
+        _EXAMPLES.clear()
     rows = []
-    for value, config in runs.values():
-        try:
-            report, error = run_experiment(dataset, config, jobs=jobs), None
-        except (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError) as exc:
-            report, error = None, str(exc)
-        rows.append(SweepRow(label=str(value), config=config, report=report, error=error))
+    for (value, config), p in zip(runs.values(), prepared):
+        results = [next(units) for _ in p] if isinstance(p, list) else [p]
+        errors = [r for r in results if isinstance(r, str)]
+        rows.append(SweepRow(label=str(value), config=config, error=errors[0] if errors else None,
+                             report=None if errors else MetricsReport.from_units(config, results)))
     if axis == "sparsity":
         rows.sort(key=lambda r: -(r.report.aggregate["sparsity_mean"] if r.report else -math.inf))
     return rows
 
 
 def report_records(report: MetricsReport, extra: dict | None = None) -> list:
-    """One machine-readable record per seed; graph and filter read "/", as
-    the table does, where the run has none."""
-    records = []
+    """One machine-readable record per seed: its ``per_seed`` row, the config
+    hash and model, and graph and filter labels that read "/", as the table
+    does, where the run has none."""
     graph, filt = run_labels(report.config)
-    for row in report.per_seed:
-        record = {
-            "config_hash": report.config.config_hash,
-            "model": report.config.model,
-            "graph": graph,
-            "filter": filt,
-            "seed": row["seed"],
-            "rmse": row["rmse"],
-            "mae": row["mae"],
-            "mape": row["mape"],
-            "sparsity": row["sparsity"],
-            "fallbacks": row["fallbacks"],
-            "mape_excluded": row["mape_excluded"],
-        }
-        if extra:
-            record.update(extra)
-        records.append(record)
-    return records
+    head = {"config_hash": report.config.config_hash, "model": report.config.model,
+            "graph": graph, "filter": filt}
+    return [{**head, **row, **(extra or {})} for row in report.per_seed]
 
 
 def write_records(path, records) -> None:

@@ -110,12 +110,15 @@ class TestJobs:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+    """Stands in for ProcessPoolExecutor: records its size and its
+    multiprocessing context, runs in process."""
 
     sizes = []
+    contexts = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
+        self.contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -132,12 +135,17 @@ class TestRunUnits:
     def sizes(self, monkeypatch):
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "contexts", [])
         return _RecordingPool.sizes
 
     def test_pool_is_no_larger_than_the_work(self, sizes):
         assert _run_units(str, [1, 2], 8) == ["1", "2"]
         assert _run_units(str, [1, 2, 3], 2) == ["1", "2", "3"]
         assert sizes == [2, 2]
+
+    def test_workers_are_forked_so_they_inherit_the_examples(self, sizes):
+        assert _run_units(str, [1, 2], 2) == ["1", "2"]
+        assert [context.get_start_method() for context in _RecordingPool.contexts] == ["fork"]
 
     def test_one_unit_or_one_job_runs_in_process(self, sizes):
         assert _run_units(str, [1], 8) == ["1"]
@@ -195,7 +203,8 @@ def filter_calls(monkeypatch):
 
 
 def _examples(dataset, config):
-    return [args[0] for args in _prepare_units(dataset, config, None)]
+    """Each item's examples, read from the table under the key its units carry."""
+    return [pipeline._EXAMPLES[args[0]] for args in _prepare_units(dataset, config, None)]
 
 
 SMALL = dict(lookback=7, seeds=(0,), epochs=1, lstm_hidden=4, embed_dim=4, mlp_hidden=4)
@@ -383,6 +392,133 @@ class TestSweep:
         with pytest.raises(ParameterError, match="^" + re.escape(message)):
             sweep(synthesize_dataset(5, 1, 60, seed=12), config, axis, values)
         assert filter_calls == []
+
+
+def _holds_array(value) -> bool:
+    """Whether ``value`` is, or holds in a tuple, list, dict or dataclass, an ndarray."""
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_array(v) for v in value)
+    if isinstance(value, dict):
+        return any(_holds_array(v) for v in value.values())
+    if dataclasses.is_dataclass(value):
+        return any(_holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return False
+
+
+TWO_SEEDS = {**SMALL, "seeds": (0, 1)}
+
+
+class TestSweepMatchesRunExperiment:
+    """``sweep`` prepares every value, shares each panel's windows and
+    features, and trains the units of all values in one pool; each row must
+    still be the report that ``run_experiment`` gives for its config."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("axis, values", [
+        ("graph-kind", ["correlation", "inverse-correlation", "ones"]),
+        ("sparsity", [0.0, 0.05]),
+    ], ids=["graph-kind", "sparsity"])
+    def test_each_row_is_its_run_experiment(self, axis, values, jobs):
+        dataset = synthesize_dataset(5, 2, 60, seed=18)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **TWO_SEEDS)
+        rows = sweep(dataset, config, axis, values, jobs=jobs)
+        assert len(rows) == len(values) and not any(row.failed for row in rows)
+        for row in rows:
+            assert row.report == run_experiment(dataset, row.config)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_unit_marks_only_its_row(self, monkeypatch, jobs):
+        train = pipeline._train_unit
+
+        def failing(model, ex, config, seed, item):
+            # both items fail at seed 1; the row names the first in unit order
+            if config.graph_kind == "correlation" and seed == 1:
+                raise ConvergenceError(f"unit {item}/{seed} did not converge")
+            return train(model, ex, config, seed, item)
+
+        monkeypatch.setattr(pipeline, "_train_unit", failing)
+        dataset = synthesize_dataset(5, 2, 60, seed=19)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **TWO_SEEDS)
+        rows = sweep(dataset, config, "graph-kind", ["inverse-correlation", "correlation", "ones"],
+                     jobs=jobs)
+        assert [row.failed for row in rows] == [False, True, False]
+        assert rows[1].error == "unit 1/1 did not converge"
+        with pytest.raises(ConvergenceError, match="^unit 1/1 did not converge$"):
+            run_experiment(dataset, rows[1].config, jobs=jobs)
+        for row in (rows[0], rows[2]):
+            assert row.report == run_experiment(dataset, row.config)
+
+
+class TestExamplesTable:
+    """Examples reach the units through ``pipeline._EXAMPLES``, never in
+    their arguments, and no command leaves the table filled."""
+
+    DATASET = dict(n_stores=5, n_items=2, n_days=60, seed=20)
+    CONFIG = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
+    KINDS = ["correlation", "ones"]
+
+    def test_unit_args_carry_keys_not_arrays(self, tmp_path, monkeypatch):
+        calls = []
+        run_units = pipeline._run_units
+
+        def spy(worker, unit_args, jobs):
+            calls.append((worker, unit_args, {args[0]: pipeline._EXAMPLES[args[0]] for args in unit_args
+                                              if worker is not pipeline._filter_item}))
+            return run_units(worker, unit_args, jobs)
+
+        monkeypatch.setattr(pipeline, "_run_units", spy)
+        dataset = synthesize_dataset(**self.DATASET)
+        run_experiment(dataset, self.CONFIG, checkpoint_dir=str(tmp_path), jobs=2)
+        evaluate_experiment(dataset, self.CONFIG, str(tmp_path), jobs=2)
+        sweep(dataset, self.CONFIG, "graph-kind", self.KINDS, jobs=2)
+        # the filter stage, which sends each panel, runs once: every later call hits the cache
+        assert [worker for worker, _, _ in calls] == [
+            pipeline._filter_item, pipeline._run_unit, pipeline._eval_unit, pipeline._sweep_unit]
+        for worker, unit_args, examples in calls[1:]:
+            assert len(unit_args) == len(examples) * len(self.CONFIG.seeds) > 0
+            assert not any(_holds_array(args) for args in unit_args), worker.__name__
+            assert all(isinstance(ex, pipeline._Examples) for ex in examples.values())
+        # the sweep's values share each panel's part, and only the graphs differ
+        sweep_examples = calls[3][2]
+        for item in dataset.items:
+            correlation, ones = (sweep_examples[(dataclasses.replace(self.CONFIG, graph_kind=kind)
+                                                 .config_hash, item)] for kind in self.KINDS)
+            assert correlation.windows_std is ones.windows_std
+            assert correlation.features_std is ones.features_std
+            assert not np.array_equal(correlation.graphs, ones.graphs)
+
+    def test_no_command_leaves_examples_behind(self, tmp_path):
+        dataset = synthesize_dataset(**self.DATASET)
+        run_experiment(dataset, self.CONFIG, checkpoint_dir=str(tmp_path))
+        assert pipeline._EXAMPLES == {}
+        evaluate_experiment(dataset, self.CONFIG, str(tmp_path))
+        assert pipeline._EXAMPLES == {}
+        sweep(dataset, self.CONFIG, "graph-kind", self.KINDS)
+        assert pipeline._EXAMPLES == {}
+
+    def test_no_failing_command_leaves_examples_behind(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(*args):
+            seen.append(len(pipeline._EXAMPLES))
+            raise RuntimeError("stop")
+
+        dataset = synthesize_dataset(**self.DATASET)
+        monkeypatch.setattr(pipeline, "_train_unit", stop)
+        with pytest.raises(RuntimeError, match="stop"):
+            run_experiment(dataset, self.CONFIG)
+        assert pipeline._EXAMPLES == {}
+        with pytest.raises(RuntimeError, match="stop"):
+            sweep(dataset, self.CONFIG, "graph-kind", self.KINDS)
+        assert pipeline._EXAMPLES == {}
+        monkeypatch.setattr(pipeline, "load_checkpoint", stop)
+        with pytest.raises(RuntimeError, match="stop"):
+            evaluate_experiment(dataset, self.CONFIG, str(tmp_path))
+        assert pipeline._EXAMPLES == {}
+        # each command had filled the table before its first unit raised
+        assert seen == [2, 2 * len(self.KINDS), 2]
 
 
 class TestConfigHash:
