@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .filtering import FILTER_METHODS, FilterConfig, apply_filter
+from .filtering import FILTER_METHODS, FilterConfig, filter_windows
 from .linalg import correlation_from_rows, is_positive_definite, write_matrix
 from .pipeline import (
     SWEEP_AXES,
@@ -174,14 +174,15 @@ def _cmd_filter(args) -> int:
             raise ParameterError(f"--window must be START:STOP, got {args.window!r}") from None
     rows = panel.window(start, stop)
     corr = correlation_from_rows(rows)
-    result = apply_filter(corr, FilterConfig(**_given(args, fields(FilterConfig))))
-    write_matrix(f"{args.out}.correlation.txt", result.correlation.entries)
-    write_matrix(f"{args.out}.precision.txt", result.precision.entries)
-    pd_ok = is_positive_definite(result.precision.entries)
-    print(f"sparsity={result.sparsity:.3f}")
-    print(f"positive_definite={'true' if pd_ok else 'false'}")
-    if result.jitter:
-        print(f"jitter={result.jitter:.1e}")
+    record = filter_windows(corr.entries[None], FilterConfig(**_given(args, fields(FilterConfig))))
+    if record.errors:
+        raise record.errors[0]
+    write_matrix(f"{args.out}.correlation.txt", record.correlation[0])
+    write_matrix(f"{args.out}.precision.txt", record.precision[0])
+    print(f"sparsity={record.sparsity[0]:.3f}")
+    print(f"positive_definite={'true' if is_positive_definite(record.precision[0]) else 'false'}")
+    if record.jitter[0]:
+        print(f"jitter={record.jitter[0]:.1e}")
     return 0
 
 

@@ -65,6 +65,11 @@ BASE_JITTER = 1e-8
 PD_JITTERS = (0.0,) + tuple(BASE_JITTER * 10.0 ** attempt for attempt in range(7))
 PRECISION_ZERO_TOL = 1e-10
 
+# Glasso's limits, read at call time: a problem stops once no entry moves by
+# GLASSO_TOL in a sweep and fails after GLASSO_MAX_SWEEPS; a column lasso stops
+# once no coordinate moves by GLASSO_INNER_TOL, or after GLASSO_MAX_INNER passes.
+GLASSO_MAX_SWEEPS, GLASSO_TOL, GLASSO_INNER_TOL, GLASSO_MAX_INNER = 500, 1e-6, 1e-8, 100
+
 # ``mfcf_stack`` builds at most as many windows at once as keep each
 # (windows, vertices, faces, face size) gain lookup under this many entries.
 MFCF_LOOKUP_LIMIT = 2 ** 22
@@ -266,8 +271,7 @@ def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
     return u
 
 
-def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
-                 inner_tol: float = 1e-8, max_inner: int = 100) -> FilterStack:
+def glasso_stack(corrs, lams) -> FilterStack:
     """Graphical lasso (see ``glasso``) of each correlation of a (k, p, p)
     stack, problem i with penalty ``lams[i]`` (one value may serve all),
     solved in lockstep. Each step of the sweep, column and coordinate
@@ -275,8 +279,8 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
     problem leaves at the inner pass and sweep where it would stop alone,
     and a drift refresh that is not positive definite fails only its own
     problem, so each row is bitwise the same alone or in any batch. A
-    problem that hits the sweep limit fails with a ConvergenceError
-    carrying the duality gap.
+    problem that hits the sweep limit, ``GLASSO_MAX_SWEEPS``, fails with a
+    ConvergenceError carrying the duality gap.
     """
     entries = _as_stack(corrs)
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(entries),))
@@ -288,7 +292,7 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
     diag_s = np.diagonal(s, axis1=1, axis2=2)[:, None, :]
     theta = np.where(np.eye(p, dtype=bool), 1.0 / diag_s, 0.0)
     w = np.where(np.eye(p, dtype=bool), diag_s, 0.0)       # w tracks theta^{-1}
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, GLASSO_MAX_SWEEPS + 1):
         if not len(idx):
             break
         theta_prev = theta.copy()
@@ -299,14 +303,14 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
             # every summed product is C-ordered, so numpy sums each problem's
             # row the same way in any batch; a strided operand would not
             u = _column_lasso(m, s[:, rest, j], s22, np.ascontiguousarray(theta[:, rest, j]),
-                              lam, inner_tol, max_inner)
+                              lam, GLASSO_INNER_TOL, GLASSO_MAX_INNER)
             mu = (m * u[:, None, :]).sum(axis=-1)
             theta[:, rest, j] = theta[:, j, rest] = u
             theta[:, j, j] = 1.0 / s22 + (u * mu).sum(axis=-1)
             w[:, rest[:, None], rest] = m + s22[:, None, None] * (mu[:, :, None] * mu[:, None, :])
             w[:, rest, j] = w[:, j, rest] = -s22[:, None] * mu
             w[:, j, j] = s22
-        running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < tol)
+        running = ~(np.abs(theta - theta_prev).max(axis=(1, 2)) < GLASSO_TOL)
         thetas[idx[~running]], sweeps[idx[~running]] = theta[~running], sweep
         rows = np.flatnonzero(running)
         lower, failed = cholesky_stack(theta[rows])         # refresh w to kill float drift
@@ -316,12 +320,11 @@ def glasso_stack(corrs, lams, *, max_sweeps: int = 500, tol: float = 1e-6,
         idx, s, lam, theta = (arr[running] for arr in (idx, s, lam, theta))
     for a, i in enumerate(idx.tolist()):
         gap = (s[a] * theta[a]).sum() - p + lam[a] * (np.abs(theta[a]).sum() - np.abs(np.diag(theta[a])).sum())
-        errors[i] = ConvergenceError(f"graphical lasso did not converge in {max_sweeps} sweeps", gap=float(gap))
+        errors[i] = ConvergenceError(f"graphical lasso did not converge in {GLASSO_MAX_SWEEPS} sweeps", gap=float(gap))
     return _record(thetas, jitter, errors, sweeps)
 
 
-def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
-           tol: float = 1e-6, inner_tol: float = 1e-8, max_inner: int = 100) -> FilterResult:
+def glasso(corr: CorrelationMatrix, lam: float) -> FilterResult:
     """L1-penalized precision estimation by primal block coordinate descent.
 
     Minimizes -logdet(T) + tr(C T) + lam * sum_{i!=j} |T_ij|. Each column
@@ -332,8 +335,7 @@ def glasso(corr: CorrelationMatrix, lam: float, *, max_sweeps: int = 500,
     one for ``glasso_stack``; raises the ConvergenceError or
     DefinitenessError the problem ends with.
     """
-    return _alone(glasso_stack(corr.entries[None], lam, max_sweeps=max_sweeps, tol=tol,
-                               inner_tol=inner_tol, max_inner=max_inner))
+    return _alone(glasso_stack(corr.entries[None], lam))
 
 
 def _insertions(entries: np.ndarray, max_clique: int, threshold: float):

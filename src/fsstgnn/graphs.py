@@ -21,13 +21,10 @@ BENCHMARK_KINDS = ("ones", "zeros", "identity")
 GRAPH_KINDS = (*FILTERED_KINDS, *BENCHMARK_KINDS)
 
 
-def check_graphs(weights: np.ndarray, kind: str) -> None:
-    """ShapeError unless the graph, or each graph of a stack, is symmetric;
-    ParameterError on an unknown kind."""
+def check_graphs(weights: np.ndarray) -> None:
+    """ShapeError unless the graph, or each graph of a stack, is symmetric."""
     if np.max(np.abs(weights - weights.swapaxes(-1, -2)), initial=0.0) > 1e-12:
         raise ShapeError("graph weights must be symmetric")
-    if kind not in GRAPH_KINDS:
-        raise ParameterError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
 
 
 def from_filter_result(result: FilterResult, kind: str) -> np.ndarray:

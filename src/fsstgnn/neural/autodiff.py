@@ -2,9 +2,10 @@
 
 A Tensor records the operation that produced it (parents plus a local
 gradient closure); ``backward`` on a scalar loss runs one reverse
-topological sweep and accumulates gradients into every tensor that
-requires them. Shapes follow numpy broadcasting, including a leading
-batch dimension, so a whole minibatch is one tape.
+topological sweep, accumulates gradients into every tensor that
+requires them and frees the tape, so a tape is swept once. Shapes
+follow numpy broadcasting, including a leading batch dimension, so a
+whole minibatch is one tape.
 
 The tape is deterministic: node ids increase monotonically and the
 sweep order depends only on graph structure, never on hashing or
@@ -43,12 +44,8 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    def backward(self, free_graph: bool = True) -> None:
-        backward(self, free_graph=free_graph)
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
+    def backward(self) -> None:
+        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad}, node={self.node_id})"
@@ -315,10 +312,10 @@ class LstmWorkspace(threading.local):
 
     A call takes views of a prefix of its thread's buffer, or replaces it if
     too small, and keeps a weak reference to the call's lease. Until that
-    lease dies (its tape backwarded with ``free_graph=True``, or dropped),
-    later calls in the thread get buffers of their own. The buffer is a
-    private anonymous map: a replaced one goes back to the system at once,
-    and a forked process writes to copies of its pages.
+    lease dies (its tape backwarded, or dropped), later calls in the thread
+    get buffers of their own. The buffer is a private anonymous map: a
+    replaced one goes back to the system at once, and a forked process
+    writes to copies of its pages.
     """
 
     def __init__(self):
@@ -338,10 +335,10 @@ class LstmWorkspace(threading.local):
         return lease
 
 
-_WORKSPACE = LstmWorkspace()      # what every ``lstm_sequence`` not given one leases from
+_WORKSPACE = LstmWorkspace()      # what every ``lstm_sequence`` leases from
 
 
-def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None = None) -> Tensor:
+def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
     """Final hidden state of an LSTM over a (B, T, F) sequence, as one tape node.
 
     ``w_input`` is (F, 4H), ``w_hidden`` (H, 4H) and ``bias`` (1, 4H) in gate
@@ -356,8 +353,8 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     per-step product may round differently.
 
     The saved gates, cell states and their tanh, the (B, 4H) buffers and
-    the backward's ``d_gates`` are views of ``workspace`` (by default the
-    calling thread's) while no live tape holds it, else of a new allocation,
+    the backward's ``d_gates`` are views of the calling thread's
+    ``_WORKSPACE`` while no live tape holds it, else of a new allocation,
     and the node's backward closure holds their lease. Every (B, H) array of
     both step loops is a slab of the (B, 4H) buffers. The output is a fresh
     array; no value or gradient depends on where the buffers live.
@@ -367,7 +364,7 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     h_dim = w_hidden.values.shape[0]
     # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
     # so the three sigmoid gates form one contiguous block.
-    lease = (workspace or _WORKSPACE).lease(batch, steps, h_dim)
+    lease = _WORKSPACE.lease(batch, steps, h_dim)
     gates, cells, cells_tanh, z, x_term, _ = lease
     z_gates = z.reshape(batch, 4, h_dim).transpose(1, 0, 2)    # z's column blocks
     # h lives in a slab of x_term, read before the input term overwrites it,
@@ -446,18 +443,16 @@ def lstm_sequence(seq, w_input, w_hidden, bias, workspace: LstmWorkspace | None 
     return out
 
 
-def backward(loss: Tensor, free_graph: bool = True) -> None:
+def backward(loss: Tensor) -> None:
     """Populate gradients of everything the scalar ``loss`` depends on.
 
     The sweep visits nodes in reverse topological order, which is
-    deterministic for a fixed sequence of operations. With ``free_graph``
-    each node's parents and backward closure are dropped once it has run,
-    so the intermediate buffers the closures saved are freed between
-    training steps and an ``lstm_sequence`` node's workspace lease is
-    released for the next forward. Without it the tape keeps its buffers,
-    and the lease, until the tape is dropped, and may be swept again:
-    interior gradients start from zero in every sweep, while leaf
-    gradients accumulate until ``zero_grad``.
+    deterministic for a fixed sequence of operations. Each node's parents
+    and backward closure are dropped once it has run, so the intermediate
+    buffers the closures saved are freed between training steps and an
+    ``lstm_sequence`` node's workspace lease is released for the next
+    forward; the tape cannot be swept again. Leaf gradients accumulate
+    until the optimizer's ``zero_grad``.
     """
     if not isinstance(loss, Tensor):
         raise TapeError("backward requires a Tensor loss")
@@ -477,8 +472,6 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
         if node.node_id in visited:
             continue
         visited.add(node.node_id)
-        if node._parents:
-            node.grad = None
         stack.append((node, True))
         for parent in node._parents:
             if parent.node_id not in visited and parent.requires_grad:
@@ -488,6 +481,6 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-        if free_graph and node._parents:
+        if node._parents:
             node._parents = ()
             node._backward = None

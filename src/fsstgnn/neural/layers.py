@@ -1,10 +1,11 @@
 """Network components: graph convolution, masked multi-head graph
 attention, an LSTM cell and the MLP readouts.
 
-All layers operate on batched inputs with a leading batch axis and are
-differentiable through :mod:`fsstgnn.neural.autodiff`. Weights are
-initialized uniformly in +/- sqrt(6 / (fan_in + fan_out)) from an
-explicit rng so runs are reproducible.
+All layers take inputs with a leading batch axis, raise ShapeError on
+an input without one, and are differentiable through
+:mod:`fsstgnn.neural.autodiff`. Weights are initialized uniformly in
++/- sqrt(6 / (fan_in + fan_out)) from an explicit rng so runs are
+reproducible.
 """
 
 import numpy as np
@@ -34,13 +35,11 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _ensure_batched(values, ndim: int):
-    """Promote an unbatched array/tensor to batch size 1."""
+def _batched(values, ndim: int) -> Tensor:
+    """An array or tensor as a tensor; ShapeError unless it is ``ndim``-D."""
     t = ad.as_tensor(values)
-    if t.values.ndim == ndim - 1:
-        t = ad.reshape(t, (1,) + t.values.shape)
     if t.values.ndim != ndim:
-        raise ShapeError(f"expected {ndim - 1}-D or {ndim}-D input, got shape {t.values.shape}")
+        raise ShapeError(f"expected a batched {ndim}-D input, got shape {t.values.shape}")
     return t
 
 
@@ -59,8 +58,8 @@ class GcnLayer:
         self.weight = Tensor(glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim), requires_grad=True)
 
     def forward(self, graph_weights, features) -> Tensor:
-        feats = _ensure_batched(features, 3)
-        weights = _ensure_batched(graph_weights, 3)
+        feats = _batched(features, 3)
+        weights = _batched(graph_weights, 3)
         if feats.values.shape[-1] != self.in_dim:
             raise ShapeError(f"feature width {feats.values.shape[-1]} != layer input dim {self.in_dim}")
         if weights.values.shape[-1] != weights.values.shape[-2] or weights.values.shape[-1] != feats.values.shape[-2]:
@@ -103,11 +102,9 @@ class GatLayer:
 
     def _heads(self, graphs, features) -> list[tuple[Tensor, Tensor]]:
         """Check the inputs; per head, the projected features and the attention."""
-        feats = _ensure_batched(features, 3)
+        feats = _batched(features, 3)
         mask = np.asarray(graphs) != 0
-        if mask.ndim == 2:
-            mask = mask[None, :, :]
-        if mask.shape[-1] != mask.shape[-2] or mask.shape[-1] != feats.values.shape[-2]:
+        if mask.ndim != 3 or mask.shape[-1] != mask.shape[-2] or mask.shape[-1] != feats.values.shape[-2]:
             raise ShapeError(f"graph {mask.shape} incompatible with features {feats.values.shape}")
         if feats.values.shape[-1] != self.in_dim:
             raise ShapeError(f"feature width {feats.values.shape[-1]} != layer input dim {self.in_dim}")
@@ -151,7 +148,7 @@ class LstmCell:
     runs hand-written backpropagation through time. The unfused reference
     it must match, and the earlier fused op it equals bit for bit at input
     width 1, live in ``tests/_oracles.py``. Every cell in a thread leases
-    its buffers from that thread's ``LstmWorkspace`` (see ``lstm_sequence``).
+    its buffers from the thread's ``autodiff._WORKSPACE`` (see ``lstm_sequence``).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, *, rng):
@@ -170,7 +167,7 @@ class LstmCell:
         self.bias = Tensor(bias, requires_grad=True)
 
     def forward(self, sequence) -> Tensor:
-        seq = _ensure_batched(sequence, 3)
+        seq = _batched(sequence, 3)
         _, steps, width = seq.values.shape
         if width != self.input_dim:
             raise ShapeError(f"sequence width {width} != LSTM input dim {self.input_dim}")
@@ -199,7 +196,7 @@ class NodeReadout:
 
     def forward(self, temporal, spatial) -> Tensor:
         temporal = ad.as_tensor(temporal)
-        spatial = _ensure_batched(spatial, 3)
+        spatial = _batched(spatial, 3)
         if temporal.values.shape[-1] != self.temporal_dim:
             raise ShapeError(f"temporal width {temporal.values.shape[-1]} != {self.temporal_dim}")
         if spatial.values.shape[-1] != self.spatial_dim:
@@ -234,9 +231,7 @@ class DenseReadout:
         self.b2 = Tensor(np.zeros((1, out_dim)), requires_grad=True)
 
     def forward(self, embedding) -> Tensor:
-        embedding = ad.as_tensor(embedding)
-        if embedding.values.ndim == 1:
-            embedding = ad.reshape(embedding, (1, -1))
+        embedding = _batched(embedding, 2)
         if embedding.values.shape[-1] != self.in_dim:
             raise ShapeError(f"embedding width {embedding.values.shape[-1]} != {self.in_dim}")
         hidden = ad.relu(ad.add(ad.matmul(embedding, self.w1), self.b1))

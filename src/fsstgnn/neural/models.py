@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import ParameterError
 from . import autodiff as ad
 from .autodiff import Tensor
-from .layers import DenseReadout, GatLayer, GcnLayer, LstmCell, NodeReadout
+from .layers import DenseReadout, GatLayer, GcnLayer, LstmCell, NodeReadout, _batched
 
 N_MOMENT_FEATURES = 4
 
@@ -51,9 +51,7 @@ class SpatialTemporalModel:
         weights, which the GCN convolves over and the GAT attends over
         the nonzero pattern of; features: (B, N, 4) standardized moments.
         """
-        win = ad.as_tensor(windows)
-        if win.values.ndim == 2:
-            win = ad.reshape(win, (1,) + win.values.shape)
+        win = _batched(windows, 3)
         batch, steps, n = win.values.shape
         per_node = ad.reshape(ad.swap_last(win), (batch * n, steps, 1))
         temporal = ad.reshape(self.lstm(per_node), (batch, n, -1))

@@ -353,7 +353,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
         graphs = getattr(filtered, FILTERED_KINDS[config.graph_kind])
-        check_graphs(graphs, config.graph_kind)
+        check_graphs(graphs)
         sparsities, fallbacks = filtered.sparsity, len(filtered.errors)
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)

@@ -51,17 +51,6 @@ class TestBasics:
         ad.tensor_sum(ad.add(x, x)).backward()
         assert x.grad[0] == 2.0
 
-    def test_kept_tape_sweeps_again_to_the_same_gradient(self):
-        w = Tensor(np.array([[2.0]]), requires_grad=True)
-        loss = ad.tensor_sum(ad.mul(w, 3.0))
-        loss.backward(free_graph=False)
-        assert w.grad[0, 0] == 3.0
-        w.zero_grad()
-        loss.backward(free_graph=False)
-        assert w.grad[0, 0] == 3.0
-        loss.backward(free_graph=False)                 # leaves accumulate across sweeps
-        assert w.grad[0, 0] == 6.0
-
     def test_backward_on_detached(self):
         x = Tensor(np.array([1.0]))
         with pytest.raises(TapeError):

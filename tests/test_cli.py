@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -109,8 +108,7 @@ class TestExitCodes:
 
     def test_glasso_that_does_not_converge_is_a_numeric_error(self, small_csv, tmp_path, capsys,
                                                               monkeypatch):
-        monkeypatch.setattr(filtering, "glasso_stack",
-                            functools.partial(filtering.glasso_stack, max_sweeps=1))
+        monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
         argv = ["filter", "--input", str(small_csv), "--item", "1", "--method", "glasso",
                 "--lambda", "0.1", "--out", str(tmp_path / "w")]
         assert cli.main(argv) == 3

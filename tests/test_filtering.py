@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,10 +192,11 @@ class TestGlasso:
         with pytest.raises(ParameterError):
             glasso(corr_of(np.eye(3)), -0.1)
 
-    def test_non_convergence_carries_gap(self):
+    def test_non_convergence_carries_gap(self, monkeypatch):
         corr = random_correlation(np.random.default_rng(15), 8, rows=9)
+        monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as err:
-            glasso(corr, 1e-4, max_sweeps=1)
+            glasso(corr, 1e-4)
         assert err.value.gap is not None
 
 
@@ -201,6 +204,16 @@ class TestGlasso:
 # caps, and a rank-deficient problem at a small lambda, which never meets
 # the tolerance, then costs a fraction of a second instead of a minute.
 CAPS = {"max_sweeps": 12, "max_inner": 15}
+
+
+@contextlib.contextmanager
+def glasso_caps(**caps):
+    """``filtering``'s glasso limits set from ``caps`` (``max_sweeps`` sets
+    ``GLASSO_MAX_SWEEPS``) inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in caps.items():
+            patch.setattr(filtering, f"GLASSO_{name.upper()}", value)
+        yield
 
 
 @st.composite
@@ -234,7 +247,8 @@ class TestGlassoStack:
     @settings(max_examples=25)
     def test_matches_scalar_reference(self, problems):
         corrs, lams = zip(*problems)
-        record = glasso_stack(stack_of(corrs), lams, **CAPS)
+        with glasso_caps(**CAPS):
+            record = glasso_stack(stack_of(corrs), lams)
         for k, (corr, lam) in enumerate(problems):
             history = []
             want = reference_outcome(corr, lam, **CAPS, objective=history)
@@ -255,13 +269,14 @@ class TestGlassoStack:
     @settings(max_examples=25)
     def test_batch_does_not_change_any_problem(self, problems):
         corrs, lams = zip(*problems)
-        together = glasso_stack(stack_of(corrs), lams, **CAPS)
-        reversed_ = glasso_stack(stack_of(corrs[::-1]), lams[::-1], **CAPS)
         last = len(problems) - 1
-        for k, (corr, lam) in enumerate(problems):
-            alone = record_row(glasso_stack(corr.entries[None], lam, **CAPS), 0)
-            assert record_row(together, k) == alone
-            assert record_row(reversed_, last - k) == alone
+        with glasso_caps(**CAPS):
+            together = glasso_stack(stack_of(corrs), lams)
+            reversed_ = glasso_stack(stack_of(corrs[::-1]), lams[::-1])
+            for k, (corr, lam) in enumerate(problems):
+                alone = record_row(glasso_stack(corr.entries[None], lam), 0)
+                assert record_row(together, k) == alone
+                assert record_row(reversed_, last - k) == alone
 
     @given(problems=glasso_batches())
     def test_sweep_limit_fails_only_the_hard_problems(self, problems):
@@ -273,7 +288,8 @@ class TestGlassoStack:
             bound = np.abs(corr.entries - np.eye(corr.n)).max()
             batch += [(corr, 1e-3), (corr, bound + 1e-6)]
         corrs, lams = zip(*batch)
-        record = glasso_stack(stack_of(corrs), lams, max_sweeps=1)
+        with glasso_caps(max_sweeps=1):
+            record = glasso_stack(stack_of(corrs), lams)
         for k, (corr, _) in enumerate(problems):
             want = reference_outcome(corr, 1e-3, max_sweeps=1)
             hard = record.errors.get(2 * k)

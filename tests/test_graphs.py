@@ -108,15 +108,13 @@ class TestGraphValidation:
     def test_asymmetric_rejected(self):
         weights = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ShapeError):
-            check_graphs(weights, "correlation")
+            check_graphs(weights)
 
     def test_stacked_graphs_are_checked(self):
         results = [mfcf(random_correlation(np.random.default_rng(60 + k), 6), FilterConfig(method="mfcf"))
                    for k in range(3)]
         stack = np.array([r.precision.entries for r in results])
-        check_graphs(stack, "inverse-correlation")
-        with pytest.raises(ParameterError):
-            check_graphs(stack[:1], "ring")
+        check_graphs(stack)
         stack[1, 0, 2] += 0.5           # one asymmetric graph fails the stack
         with pytest.raises(ShapeError):
-            check_graphs(stack, "inverse-correlation")
+            check_graphs(stack)

@@ -40,14 +40,14 @@ class TestGcn:
         layer = GcnLayer(3, 2, activation="none", rng=rng)
         feats = rng.normal(size=(4, 3))
         graph = benchmark_graph(4, "identity")
-        out = layer.forward(graph, feats).values[0]
+        out = layer.forward(graph[None], feats[None]).values[0]
         assert np.abs(out - feats @ layer.weight.values).max() < 1e-12
 
     def test_zeros_graph_gives_zero_output(self):
         rng = np.random.default_rng(1)
         layer = GcnLayer(3, 2, activation="none", rng=rng)
         graph = benchmark_graph(4, "zeros")
-        out = layer.forward(graph, rng.normal(size=(4, 3))).values
+        out = layer.forward(graph[None], rng.normal(size=(1, 4, 3))).values
         assert np.all(out == 0.0)
 
     def test_two_node_hand_example(self):
@@ -55,7 +55,7 @@ class TestGcn:
         layer.weight.values[...] = np.eye(2)
         weights = np.array([[1.0, 0.5], [0.5, 1.0]])
         feats = np.eye(2)
-        out = layer.forward(weights, feats).values[0]
+        out = layer.forward(weights[None], feats[None]).values[0]
         assert np.abs(out - np.array([[1.0, 0.5], [0.5, 1.0]])).max() < 1e-12
 
     def test_linear_in_graph_weights(self):
@@ -63,15 +63,15 @@ class TestGcn:
         layer = GcnLayer(3, 2, activation="none", rng=rng)
         weights = np.abs(rng.normal(size=(5, 5)))
         weights = 0.5 * (weights + weights.T)
-        feats = rng.normal(size=(5, 3))
-        base = layer.forward(weights, feats).values
-        scaled = layer.forward(4.0 * weights, feats).values
+        feats = rng.normal(size=(1, 5, 3))
+        base = layer.forward(weights[None], feats).values
+        scaled = layer.forward(4.0 * weights[None], feats).values
         assert np.abs(scaled - 4.0 * base).max() < 1e-10
 
     def test_dimension_mismatch(self):
         layer = GcnLayer(3, 2, rng=np.random.default_rng(3))
         with pytest.raises(ShapeError):
-            layer.forward(np.eye(4), np.ones((4, 5)))
+            layer.forward(np.eye(4)[None], np.ones((1, 4, 5)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -80,8 +80,8 @@ class TestGcn:
         weights = 0.5 * (weights + weights.T)
         feats = rng.normal(size=(5, 3))
         perm = np.array([3, 0, 4, 1, 2])
-        base = layer.forward(weights, feats).values[0]
-        permuted = layer.forward(weights[np.ix_(perm, perm)], feats[perm]).values[0]
+        base = layer.forward(weights[None], feats[None]).values[0]
+        permuted = layer.forward(weights[np.ix_(perm, perm)][None], feats[perm][None]).values[0]
         assert np.abs(permuted - base[perm]).max() < 1e-12
 
 
@@ -95,8 +95,8 @@ class TestGat:
     def test_self_loop_only_attention_is_one(self):
         rng = np.random.default_rng(5)
         layer = GatLayer(3, 2, heads=2, activation="none", rng=rng)
-        mask = np.eye(4, dtype=bool)
-        feats = rng.normal(size=(4, 3))
+        mask = np.eye(4, dtype=bool)[None]
+        feats = rng.normal(size=(1, 4, 3))
         for alpha in gat_attention(layer, mask, feats):
             assert np.abs(np.diagonal(alpha[0]) - 1.0).max() <= 1e-12
             off = alpha[0] - np.diag(np.diagonal(alpha[0]))
@@ -106,8 +106,8 @@ class TestGat:
         rng = np.random.default_rng(6)
         layer = GatLayer(3, 2, heads=1, activation="none", rng=rng)
         layer.head_attn[0].values[...] = 0.0       # all logits become 0
-        mask = np.ones((3, 3), dtype=bool)
-        alpha = gat_attention(layer, mask, rng.normal(size=(3, 3)))[0][0]
+        mask = np.ones((1, 3, 3), dtype=bool)
+        alpha = gat_attention(layer, mask, rng.normal(size=(1, 3, 3)))[0][0]
         assert np.abs(alpha - 1.0 / 3.0).max() < 1e-12
 
     def test_three_node_path_hand_computation(self):
@@ -128,8 +128,8 @@ class TestGat:
         alpha_manual = expapation / expapation.sum(axis=1, keepdims=True)
         out_manual = alpha_manual @ hw
 
-        alpha = gat_attention(layer, mask, feats)[0][0]
-        out = layer.forward(mask, feats).values[0]
+        alpha = gat_attention(layer, mask[None], feats[None])[0][0]
+        out = layer.forward(mask[None], feats[None]).values[0]
         assert np.abs(alpha - alpha_manual).max() < 1e-10
         assert np.abs(out - out_manual).max() < 1e-10
 
@@ -139,7 +139,7 @@ class TestGat:
         mask = rng.random((6, 6)) < 0.4
         mask |= mask.T
         np.fill_diagonal(mask, True)
-        for alpha in gat_attention(layer, mask, rng.normal(size=(6, 4))):
+        for alpha in gat_attention(layer, mask[None], rng.normal(size=(1, 6, 4))):
             sums = alpha[0].sum(axis=-1)
             assert np.abs(sums - 1.0).max() <= 1e-12
 
@@ -147,11 +147,11 @@ class TestGat:
         # same nonzero pattern, rescaled weights: bit-identical output
         rng = np.random.default_rng(9)
         layer = GatLayer(4, 3, heads=2, rng=rng)
-        feats = rng.normal(size=(5, 4))
+        feats = rng.normal(size=(1, 5, 4))
         mask = rng.random((5, 5)) < 0.5
         mask |= mask.T
         weights = mask * rng.normal(size=(5, 5))
-        weights = 0.5 * (weights + weights.T)
+        weights = 0.5 * (weights + weights.T)[None]
         out_a = layer.forward(weights, feats).values
         out_b = layer.forward(17.5 * weights, feats).values
         assert np.array_equal(out_a, out_b)
@@ -163,28 +163,28 @@ class TestGat:
     ], ids=["all-zero", "zero-diagonal"])
     def test_node_without_edges_attends_only_to_itself(self, weights):
         layer = GatLayer(2, 2, heads=2, activation="none", rng=np.random.default_rng(10))
-        feats = np.random.default_rng(13).normal(size=(3, 2))
-        for alpha in gat_attention(layer, weights, feats):
+        feats = np.random.default_rng(13).normal(size=(1, 3, 2))
+        for alpha in gat_attention(layer, weights[None], feats):
             assert alpha[0, 0, 0] == 1.0 and np.all(alpha[0, 0, 1:] == 0.0)
             assert np.all(np.diagonal(alpha[0]) > 0.0)
         # node 0 has no edge, so its output is its own projection averaged over heads
-        out = layer.forward(weights, feats).values[0, 0]
-        own = np.mean([feats[0] @ w.values for w in layer.head_weights], axis=0)
+        out = layer.forward(weights[None], feats).values[0, 0]
+        own = np.mean([feats[0, 0] @ w.values for w in layer.head_weights], axis=0)
         assert np.abs(out - own).max() < 1e-12
 
     def test_negative_weights_are_edges(self):
         rng = np.random.default_rng(14)
         layer = GatLayer(3, 2, heads=2, rng=rng)
-        feats = rng.normal(size=(4, 3))
-        weights = np.array([[0.0, -0.3, 0.0, 0.2],
-                            [-0.3, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, -1e-9],
-                            [0.2, 0.0, -1e-9, 0.0]])
+        feats = rng.normal(size=(1, 4, 3))
+        weights = np.array([[[0.0, -0.3, 0.0, 0.2],
+                             [-0.3, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0, -1e-9],
+                             [0.2, 0.0, -1e-9, 0.0]]])
         pattern = weights != 0.0
-        np.fill_diagonal(pattern, True)
+        np.fill_diagonal(pattern[0], True)
         for got, want in zip(gat_attention(layer, weights, feats), gat_attention(layer, pattern, feats)):
             assert np.array_equal(got, want)
-            assert np.array_equal(got[0] > 0.0, pattern)
+            assert np.array_equal(got > 0.0, pattern)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -194,8 +194,8 @@ class TestGat:
         np.fill_diagonal(mask, True)
         feats = rng.normal(size=(5, 3))
         perm = np.array([4, 2, 0, 3, 1])
-        base = layer.forward(mask, feats).values[0]
-        permuted = layer.forward(mask[np.ix_(perm, perm)], feats[perm]).values[0]
+        base = layer.forward(mask[None], feats[None]).values[0]
+        permuted = layer.forward(mask[np.ix_(perm, perm)][None], feats[perm][None]).values[0]
         assert np.abs(permuted - base[perm]).max() < 1e-12
 
     def test_needs_at_least_one_head(self):
@@ -208,16 +208,16 @@ class TestLstm:
         cell = LstmCell(3, 4, rng=np.random.default_rng(13))
         for p in cell.parameters().values():
             p.values[...] = 0.0
-        out = cell.forward(np.zeros((5, 3))).values
+        out = cell.forward(np.zeros((1, 5, 3))).values
         assert np.all(out == 0.0)
 
     def test_single_step_matches_gated_cell(self):
         rng = np.random.default_rng(14)
         cell = LstmCell(2, 3, rng=rng)
-        x = rng.normal(size=(1, 2))
+        x = rng.normal(size=(1, 1, 2))
         out = cell.forward(x).values[0]
 
-        z = x[0] @ cell.w_input.values + cell.bias.values[0]
+        z = x[0, 0] @ cell.w_input.values + cell.bias.values[0]
         h = 3
         gate_i = _sigmoid(z[:h])
         gate_f = _sigmoid(z[h:2 * h])
@@ -231,7 +231,7 @@ class TestLstm:
         rng = np.random.default_rng(15)
         cell = LstmCell(2, 3, rng=rng)
         seq = rng.normal(size=(3, 2))
-        out = cell.forward(seq).values[0]
+        out = cell.forward(seq[None]).values[0]
 
         h_state = np.zeros(3)
         c_state = np.zeros(3)
@@ -255,7 +255,7 @@ class TestLstm:
     def test_width_mismatch(self):
         cell = LstmCell(2, 3, rng=np.random.default_rng(17))
         with pytest.raises(ShapeError):
-            cell.forward(np.ones((4, 5)))
+            cell.forward(np.ones((1, 4, 5)))
 
 
 class TestFusedLstm:
@@ -263,8 +263,7 @@ class TestFusedLstm:
     place on the tape."""
 
     def _run(self, cell, build, values, mix):
-        for p in cell.parameters().values():
-            p.zero_grad()
+        self._zero_grads(cell)
         seq = Tensor(values, requires_grad=True)
         out = build(seq)
         ad.tensor_sum(ad.mul(out, mix)).backward()
@@ -322,6 +321,11 @@ class TestFusedLstm:
     def _grads(self, cell):
         return {name: p.grad.copy() for name, p in cell.parameters().items()}
 
+    @staticmethod
+    def _zero_grads(cell):
+        for p in cell.parameters().values():
+            p.grad[...] = 0.0
+
     def test_free_graph_releases_the_workspace(self):
         rng = np.random.default_rng(52)
         cell = LstmCell(1, 3, rng=rng)
@@ -329,7 +333,7 @@ class TestFusedLstm:
         first = cell.forward(values)
         lease = self._lease(first)
         addresses, lease = self._addresses(lease), weakref.ref(lease)
-        ad.tensor_sum(first).backward(free_graph=True)
+        ad.tensor_sum(first).backward()
         assert first._backward is None and first._parents == ()
         assert lease() is None
         second = cell.forward(values)
@@ -378,8 +382,6 @@ class TestFusedLstm:
         kept = cell.forward(values)
         assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(kept))
         loss = ad.tensor_sum(ad.mul(kept, mix))
-        loss.backward(free_graph=False)
-        first = self._grads(cell)
 
         def train_on_other():
             loss.backward()                            # releases the lease in the child
@@ -392,11 +394,12 @@ class TestFusedLstm:
         child.start()
         child.join(timeout=60)
         assert child.exitcode == 0
-        for p in cell.parameters().values():
-            p.zero_grad()
-        loss.backward(free_graph=False)
+        loss.backward()
+        kept_grads = self._grads(cell)
+        self._zero_grads(cell)
+        ad.tensor_sum(ad.mul(cell.forward(values), mix)).backward()
         for name, grad in self._grads(cell).items():
-            assert np.array_equal(grad, first[name]), name
+            assert np.array_equal(kept_grads[name], grad), name
 
     def test_kept_tape_backwards_again_after_another_forward(self):
         rng = np.random.default_rng(53)
@@ -404,16 +407,16 @@ class TestFusedLstm:
         values, other = rng.normal(size=(2, 5, 7, 1))
         mix = rng.normal(size=(5, 4))
         kept = cell.forward(values)
-        ad.tensor_sum(ad.mul(kept, mix)).backward(free_graph=False)
-        first = self._grads(cell)
         moved = cell.forward(other)                    # the workspace is still leased to ``kept``
         assert not any(np.shares_memory(a, b) for a in self._lease(kept) for b in self._lease(moved))
         ad.tensor_sum(ad.mul(moved, mix)).backward()
-        for p in cell.parameters().values():
-            p.zero_grad()
-        ad.tensor_sum(ad.mul(kept, mix)).backward(free_graph=False)
+        self._zero_grads(cell)
+        ad.tensor_sum(ad.mul(kept, mix)).backward()
+        kept_grads = self._grads(cell)
+        self._zero_grads(cell)
+        ad.tensor_sum(ad.mul(cell.forward(values), mix)).backward()
         for name, grad in self._grads(cell).items():
-            assert np.array_equal(grad, first[name]), name
+            assert np.array_equal(kept_grads[name], grad), name
 
     def test_two_forwards_before_one_backward(self):
         rng = np.random.default_rng(54)
@@ -422,14 +425,12 @@ class TestFusedLstm:
         mixes = rng.normal(size=(2, 6, 4))
         alone = []
         for v, mix in zip(values, mixes):
-            for p in cell.parameters().values():
-                p.zero_grad()
+            self._zero_grads(cell)
             seq = Tensor(v, requires_grad=True)
             out = cell.forward(seq)
             ad.tensor_sum(ad.mul(out, mix)).backward()
             alone.append((out.values, seq.grad, self._grads(cell)))
-        for p in cell.parameters().values():
-            p.zero_grad()
+        self._zero_grads(cell)
         seqs = [Tensor(v, requires_grad=True) for v in values]
         outs = [cell.forward(seq) for seq in seqs]
         ad.add(*(ad.tensor_sum(ad.mul(out, mix)) for out, mix in zip(outs, mixes))).backward()
@@ -489,17 +490,17 @@ class TestLstmAgainstHoistedOp:
     @pytest.mark.parametrize("steps", [1, 14])
     @pytest.mark.parametrize("batch", [1, 7, 64, 130])
     def test_width_one_is_bitwise_on_prefix_views(self, batch, steps, hidden):
-        # A workspace that first ran a larger batch: every buffer is a view
-        # of a prefix of its flat array, all but the first at a non-zero offset.
-        workspace = ad.LstmWorkspace()
+        # The thread's workspace after a larger batch, its tape dropped: every
+        # buffer is a view of a prefix of its flat array, all but the first at
+        # a non-zero offset.
         big = np.random.default_rng(0).normal(size=(batch + 3, steps + 1, 1))
-        ad.lstm_sequence(big, np.ones((1, 4 * hidden)), np.ones((hidden, 4 * hidden)), np.ones((1, 4 * hidden)),
-                         workspace)
-        flat = workspace._flat
+        ad.lstm_sequence(big, np.ones((1, 4 * hidden)), np.ones((hidden, 4 * hidden)), np.ones((1, 4 * hidden)))
+        flat = ad._WORKSPACE._flat
 
         def on_prefix_views(*args):
-            out = ad.lstm_sequence(*args, workspace)
-            assert workspace._flat is flat
+            out = ad.lstm_sequence(*args)
+            assert ad._WORKSPACE._flat is flat
+            assert all(np.shares_memory(buf, flat) for buf in TestFusedLstm._lease(out))
             return out
 
         fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden, op=on_prefix_views)
@@ -629,16 +630,16 @@ class TestGradientChecks:
         layer = GcnLayer(3, 2, activation="tanh", rng=rng)
         weights = rng.normal(size=(4, 4))
         weights = 0.5 * (weights + weights.T)
-        feats = rng.normal(size=(4, 3))
+        feats = rng.normal(size=(1, 4, 3))
         target = rng.normal(size=(1, 4, 2))
-        worst = self._check_model(layer, lambda: mse_loss(layer.forward(weights, feats), target))
+        worst = self._check_model(layer, lambda: mse_loss(layer.forward(weights[None], feats), target))
         assert worst < 1e-4
 
     def test_gat_layer_gradients(self):
         rng = np.random.default_rng(22)
         layer = GatLayer(3, 2, heads=2, activation="tanh", rng=rng)
-        mask = np.ones((4, 4), dtype=bool)
-        feats = rng.normal(size=(4, 3))
+        mask = np.ones((1, 4, 4), dtype=bool)
+        feats = rng.normal(size=(1, 4, 3))
         target = rng.normal(size=(1, 4, 2))
         worst = self._check_model(layer, lambda: mse_loss(layer.forward(mask, feats), target))
         assert worst < 1e-4
@@ -659,6 +660,49 @@ class TestGradientChecks:
         target = rng.normal(size=(2, 5))
         worst = self._check_model(head, lambda: mse_loss(head.forward(temporal, spatial), target))
         assert worst < 1e-4
+
+
+def _model(kind, rng):
+    """A small model over 4 series: the temporal-only one for ``lstm``, else
+    the spatial-temporal one with that GNN."""
+    if kind == "lstm":
+        return TemporalOnlyModel(4, lstm_hidden=3, mlp_hidden=3, rng=rng)
+    return SpatialTemporalModel(4, gnn=kind, lstm_hidden=3, embed_dim=2, mlp_hidden=3, rng=rng)
+
+
+GRAPHS, FEATURES = np.broadcast_to(np.eye(4), (2, 4, 4)), np.ones((2, 4, 4))
+
+
+class TestBatchAxis:
+    """Every layer and model takes its inputs with one leading batch axis, and
+    raises ShapeError on an input without it."""
+
+    UNBATCHED_CALLS = {
+        "gcn-graph": lambda rng: GcnLayer(3, 2, rng=rng).forward(np.eye(4), np.ones((1, 4, 3))),
+        "gcn-features": lambda rng: GcnLayer(3, 2, rng=rng).forward(np.eye(4)[None], np.ones((4, 3))),
+        "gat-graph": lambda rng: GatLayer(3, 2, rng=rng).forward(np.eye(4), np.ones((1, 4, 3))),
+        "gat-features": lambda rng: GatLayer(3, 2, rng=rng).forward(np.eye(4)[None], np.ones((4, 3))),
+        "lstm": lambda rng: LstmCell(3, 4, rng=rng).forward(np.ones((5, 3))),
+        "node-readout": lambda rng: NodeReadout(3, 2, 4, rng=rng).forward(np.ones((5, 3)), np.ones((5, 2))),
+        "dense-readout": lambda rng: DenseReadout(4, 5, 7, rng=rng).forward(np.ones(4)),
+        "gcn-model-graphs": lambda rng: _model("gcn", rng).forward(np.ones((2, 6, 4)), np.eye(4), FEATURES),
+        "gat-model-graphs": lambda rng: _model("gat", rng).forward(np.ones((2, 6, 4)), np.eye(4), FEATURES),
+        "gcn-model-features": lambda rng: _model("gcn", rng).forward(np.ones((2, 6, 4)), GRAPHS, np.ones((4, 4))),
+        "gat-model-features": lambda rng: _model("gat", rng).forward(np.ones((2, 6, 4)), GRAPHS, np.ones((4, 4))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNBATCHED_CALLS))
+    def test_unbatched_input_is_a_shape_error(self, name):
+        with pytest.raises(ShapeError):
+            self.UNBATCHED_CALLS[name](np.random.default_rng(70))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 4), (1, 2, 6, 4)], ids=["1-D", "2-D", "4-D"])
+    @pytest.mark.parametrize("kind", ["gcn", "gat", "lstm"])
+    def test_models_take_only_3d_windows(self, kind, shape):
+        model = _model(kind, np.random.default_rng(71))
+        assert model.forward(np.ones((2, 6, 4)), GRAPHS, FEATURES).values.shape == (2, 4)
+        with pytest.raises(ShapeError):
+            model.forward(np.ones(shape), GRAPHS, FEATURES)
 
 
 class TestDeterminism:
@@ -703,6 +747,25 @@ class TestAdam:
             p.grad[...] = 2.0 * p.values
             opt.step()
         assert np.abs(p.values).max() < 1e-3
+
+    @pytest.mark.parametrize("kind", ["gcn", "gat", "lstm"])
+    def test_every_parameter_is_a_leaf_with_a_gradient_buffer(self, kind):
+        # Adam reads and zeroes every parameter's ``grad`` without a None check
+        rng = np.random.default_rng(72)
+        model = _model(kind, rng)
+
+        def check():
+            for name, p in model.parameters().items():
+                assert type(p) is Tensor and p._parents == () and p._backward is None, name
+                assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.values.shape, name
+
+        check()
+        opt = Adam(model.parameters(), lr=0.01)
+        opt.zero_grad()
+        mse_loss(model.forward(rng.normal(size=(2, 6, 4)), GRAPHS, FEATURES), rng.normal(size=(2, 4))).backward()
+        opt.step()
+        assert opt.step_count == 1
+        check()
 
     def test_nan_gradient_raises(self):
         from fsstgnn.errors import NumericError

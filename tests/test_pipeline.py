@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import re
 import warnings
 
@@ -68,12 +67,11 @@ class TestGlassoFallback:
         filt = FilterConfig(method="glasso", lam=0.1)
         panel = TimeSeriesPanel(values)
         solved = _build_examples(panel, config, _filter_panel(panel, config, filt))
-        capped_stack = functools.partial(filtering.glasso_stack, max_sweeps=1)
-        monkeypatch.setattr(filtering, "glasso_stack", capped_stack)
+        monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
         capped = _build_examples(panel, config, _filter_panel(panel, config, filt))
 
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 70)]
-        errors = capped_stack(stack_of(corrs), 0.1).errors
+        errors = filtering.glasso_stack(stack_of(corrs), 0.1).errors
         assert all(isinstance(exc, ConvergenceError) for exc in errors.values())
         failed = [k in errors for k in range(len(corrs))]
         assert 0 < sum(failed) < len(failed)
