@@ -683,7 +683,7 @@ class TestBatchAxis:
         "gat-graph": lambda rng: GatLayer(3, 2, rng=rng).forward(np.eye(4), np.ones((1, 4, 3))),
         "gat-features": lambda rng: GatLayer(3, 2, rng=rng).forward(np.eye(4)[None], np.ones((4, 3))),
         "lstm": lambda rng: LstmCell(3, 4, rng=rng).forward(np.ones((5, 3))),
-        "node-readout": lambda rng: NodeReadout(3, 2, 4, rng=rng).forward(np.ones((5, 3)), np.ones((5, 2))),
+        "node-readout": lambda rng: NodeReadout(3, 2, 4, rng=rng).forward(np.ones((1, 5, 3)), np.ones((5, 2))),
         "dense-readout": lambda rng: DenseReadout(4, 5, 7, rng=rng).forward(np.ones(4)),
         "gcn-model-graphs": lambda rng: _model("gcn", rng).forward(np.ones((2, 6, 4)), np.eye(4), FEATURES),
         "gat-model-graphs": lambda rng: _model("gat", rng).forward(np.ones((2, 6, 4)), np.eye(4), FEATURES),
