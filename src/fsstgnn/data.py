@@ -22,6 +22,12 @@ from .linalg import TimeSeriesPanel
 
 CSV_HEADER = ("date", "store", "item", "sales")
 
+# Synthetic data: first day, item base-level range, shared AR(1) factor's scale and persistence.
+START_DATE = datetime.date(2013, 1, 1)
+BASE_RANGE = (40.0, 90.0)
+FACTOR_SCALE = 10.0
+FACTOR_PERSISTENCE = 0.85
+
 
 @dataclass(frozen=True)
 class SalesDataset:
@@ -115,11 +121,8 @@ def ingest_csv(path) -> SalesDataset:
 
 def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
                        factor_loading: float = 1.0, n_groups: int = 2,
-                       factor_scale: float = 10.0, factor_persistence: float = 0.85,
                        season_scale: float = 4.0, noise_scale: float = 8.0,
-                       trend_scale: float = 0.005,
-                       base_range: tuple = (40.0, 90.0),
-                       start_date: datetime.date = datetime.date(2013, 1, 1)) -> SalesDataset:
+                       trend_scale: float = 0.005) -> SalesDataset:
     """Deterministic synthetic store-item demand data.
 
     Stores are split into ``n_groups`` contiguous groups; each (group,
@@ -139,23 +142,23 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
     if not noise_scale >= 0.0:
         raise ParameterError(f"noise_scale must be >= 0, got {noise_scale}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    dates = tuple(start_date + datetime.timedelta(days=d) for d in range(n_days))
+    dates = tuple(START_DATE + datetime.timedelta(days=d) for d in range(n_days))
     weekdays = np.array([d.weekday() for d in dates])
     groups = np.array([s * n_groups // n_stores for s in range(n_stores)])
 
     panels = {}
     for item in range(1, n_items + 1):
-        base = rng.uniform(*base_range)
+        base = rng.uniform(*BASE_RANGE)
         trend = rng.uniform(-trend_scale, 2.0 * trend_scale)
         loadings = factor_loading * rng.uniform(0.8, 1.2, size=n_stores)
         season = rng.normal(0.0, season_scale, size=(n_stores, 7)) if season_scale > 0 else np.zeros((n_stores, 7))
         shocks = rng.normal(0.0, 1.0, size=(n_groups, n_days))
         factors = np.empty((n_groups, n_days))
         factors[:, 0] = shocks[:, 0]
-        damp = np.sqrt(1.0 - factor_persistence ** 2)
+        damp = np.sqrt(1.0 - FACTOR_PERSISTENCE ** 2)
         for t in range(1, n_days):
-            factors[:, t] = factor_persistence * factors[:, t - 1] + damp * shocks[:, t]
-        factors *= factor_scale
+            factors[:, t] = FACTOR_PERSISTENCE * factors[:, t - 1] + damp * shocks[:, t]
+        factors *= FACTOR_SCALE
         noise = rng.normal(0.0, noise_scale, size=(n_stores, n_days))
         level = (base + trend * np.arange(n_days)
                  + loadings[:, None] * factors[groups]

@@ -40,14 +40,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _check_square_symmetric(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
     dev = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if dev > atol:
+    if dev > SYMMETRY_ATOL:
         raise ShapeError(f"matrix is asymmetric (max |M - M^T| = {dev:.3e})")
     return m
 

@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor records the operation that produced it (parents plus a local
-gradient closure); ``backward`` on a scalar loss runs one reverse
+Every op states its value and one local gradient per operand, and
+``_node`` makes the tape node (only the fused ``lstm_sequence`` writes
+its own backward). ``backward`` on a scalar loss runs one reverse
 topological sweep, accumulates gradients into every tensor that
 requires them and frees the tape, so a tape is swept once. Shapes
 follow numpy broadcasting, including a leading batch dimension, so a
@@ -26,7 +27,8 @@ _node_counter = itertools.count()
 
 
 class Tensor:
-    """Value plus gradient container tracked on the computation tape."""
+    """Value plus gradient container tracked on the computation tape; a node
+    gets its parents and backward closure at construction (see ``_node``)."""
 
     __slots__ = ("values", "grad", "requires_grad", "node_id", "_parents", "_backward")
 
@@ -80,60 +82,43 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         tensor.grad += grad
 
 
+def _node(values, parents, *local_grads) -> Tensor:
+    """The tape node of one op: its ``values``, its ``parents`` and, per
+    parent, the local gradient that maps the node's gradient to that parent's.
+
+    On backward each parent that requires gradients, in order, accumulates
+    its local gradient of the node's gradient, so ``x + x`` accumulates
+    twice. A local gradient may read its operands' and its result's arrays
+    but never the node itself: a node whose closure refers to the node is a
+    reference cycle that outlives the tape until the gc runs.
+    """
+    def grad_fn(g):
+        for parent, local_grad in zip(parents, local_grads):
+            if parent.requires_grad:
+                _accumulate(parent, local_grad(g))
+
+    return Tensor(values, _parents=parents, _backward=grad_fn)
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values + b.values, _parents=(a, b))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values + b.values, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values - b.values, _parents=(a, b))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values - b.values, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values * b.values, _parents=(a, b))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.values)
-        if b.requires_grad:
-            _accumulate(b, g * a.values)
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values * b.values, (a, b), lambda g: g * b.values, lambda g: g * a.values)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values / b.values, _parents=(a, b))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g / b.values)
-        if b.requires_grad:
-            _accumulate(b, -g * a.values / (b.values ** 2))
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values / b.values, (a, b),
+                 lambda g: g / b.values, lambda g: -g * a.values / (b.values ** 2))
 
 
 def matmul(a, b) -> Tensor:
@@ -142,82 +127,38 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul operands must be at least 2-D")
     if a.values.shape[-1] != b.values.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
-    out = Tensor(a.values @ b.values, _parents=(a, b))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.values, -1, -2))
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.values, -1, -2) @ g)
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values @ b.values, (a, b),
+                 lambda g: g @ np.swapaxes(b.values, -1, -2), lambda g: np.swapaxes(a.values, -1, -2) @ g)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     result = np.exp(a.values)
-    out = Tensor(result, _parents=(a,))
-
-    def grad_fn(g):
-        # The closure holds the result array, not ``out``: a node whose
-        # closure refers to itself is a reference cycle until the gc runs.
-        if a.requires_grad:
-            _accumulate(a, g * result)
-
-    out._backward = grad_fn
-    return out
+    return _node(result, (a,), lambda g: g * result)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     result = np.tanh(a.values)
-    out = Tensor(result, _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - result ** 2))
-
-    out._backward = grad_fn
-    return out
+    return _node(result, (a,), lambda g: g * (1.0 - result ** 2))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.values, 0.0), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.values > 0.0))
-
-    out._backward = grad_fn
-    return out
+    return _node(np.maximum(a.values, 0.0), (a,), lambda g: g * (a.values > 0.0))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.where(a.values > 0.0, a.values, slope * a.values), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * np.where(a.values > 0.0, 1.0, slope))
-
-    out._backward = grad_fn
-    return out
+    return _node(np.where(a.values > 0.0, a.values, slope * a.values), (a,),
+                 lambda g: g * np.where(a.values > 0.0, 1.0, slope))
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.values.sum(axis=axis, keepdims=keepdims), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.values.shape))
-
-    out._backward = grad_fn
-    return out
+    squeezed = axis is not None and not keepdims
+    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), lambda g: np.broadcast_to(
+        np.expand_dims(g, axis) if squeezed else g, a.values.shape))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -226,49 +167,37 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _slice_of(axis: int, start: int, stop: int):
+    """The local gradient of one ``concat`` operand: its view of the output's."""
+    def local_grad(g):
+        index = [slice(None)] * g.ndim
+        index[axis] = slice(start, stop)
+        return g[tuple(index)]
+    return local_grad
+
+
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis), _parents=tuple(tensors))
-    sizes = [t.values.shape[axis] for t in tensors]
-
-    def grad_fn(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + size)
-                _accumulate(t, g[tuple(index)])
-            offset += size
-
-    out._backward = grad_fn
-    return out
+    tensors = tuple(as_tensor(t) for t in tensors)
+    bounds = list(itertools.accumulate((t.values.shape[axis] for t in tensors), initial=0))
+    return _node(np.concatenate([t.values for t in tensors], axis=axis), tensors,
+                 *(_slice_of(axis, start, stop) for start, stop in zip(bounds, bounds[1:])))
 
 
 def getitem(a, key) -> Tensor:
     """Basic (non-fancy) indexing with gradient scatter on backward."""
     a = as_tensor(a)
-    out = Tensor(a.values[key], _parents=(a,))
 
-    def grad_fn(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.values)
-            buf[key] += g
-            _accumulate(a, buf)
+    def local_grad(g):
+        buf = np.zeros_like(a.values)
+        buf[key] += g
+        return buf
 
-    out._backward = grad_fn
-    return out
+    return _node(a.values[key], (a,), local_grad)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.values.reshape(shape), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.values.shape))
-
-    out._backward = grad_fn
-    return out
+    return _node(a.values.reshape(shape), (a,), lambda g: g.reshape(a.values.shape))
 
 
 def swap_last(a) -> Tensor:
@@ -276,14 +205,7 @@ def swap_last(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim < 2:
         raise ShapeError("swap_last needs at least 2 dimensions")
-    out = Tensor(np.swapaxes(a.values, -1, -2), _parents=(a,))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            _accumulate(a, np.swapaxes(g, -1, -2))
-
-    out._backward = grad_fn
-    return out
+    return _node(np.swapaxes(a.values, -1, -2), (a,), lambda g: np.swapaxes(g, -1, -2))
 
 
 def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -392,7 +314,6 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
         cell = np.multiply(gate_forget, cell, out=cells[t])
         cell += np.multiply(gate_in, gate_cell, out=product)
         np.multiply(gate_out, np.tanh(cell, out=cells_tanh[t]), out=hidden)
-    out = Tensor(hidden.copy(), _parents=(seq, w_input, w_hidden, bias))
 
     def grad_fn(g):
         gates, cells, cells_tanh, z, x_term, d_gates = lease
@@ -439,8 +360,7 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
         if bias.requires_grad:
             _accumulate(bias, d_flat.sum(axis=0, keepdims=True))
 
-    out._backward = grad_fn
-    return out
+    return Tensor(hidden.copy(), _parents=(seq, w_input, w_hidden, bias), _backward=grad_fn)
 
 
 def backward(loss: Tensor) -> None:

@@ -1,8 +1,8 @@
 """Network components: graph convolution, masked multi-head graph
 attention, an LSTM cell and the MLP readouts.
 
-All layers take inputs with a leading batch axis, raise ShapeError on
-an input without one, and are differentiable through
+All layers take inputs with one leading batch axis of the same size,
+raise ShapeError otherwise, and are differentiable through
 :mod:`fsstgnn.neural.autodiff`. Weights are initialized uniformly in
 +/- sqrt(6 / (fan_in + fan_out)) from an explicit rng so runs are
 reproducible.
@@ -60,9 +60,10 @@ class GcnLayer:
     def forward(self, graph_weights, features) -> Tensor:
         feats = _batched(features, 3)
         weights = _batched(graph_weights, 3)
-        if feats.values.shape[-1] != self.in_dim:
-            raise ShapeError(f"feature width {feats.values.shape[-1]} != layer input dim {self.in_dim}")
-        if weights.values.shape[-1] != weights.values.shape[-2] or weights.values.shape[-1] != feats.values.shape[-2]:
+        batch, n_nodes, width = feats.values.shape
+        if width != self.in_dim:
+            raise ShapeError(f"feature width {width} != layer input dim {self.in_dim}")
+        if weights.values.shape != (batch, n_nodes, n_nodes):
             raise ShapeError(
                 f"graph weights {weights.values.shape} incompatible with features {feats.values.shape}"
             )
@@ -104,11 +105,12 @@ class GatLayer:
         """Check the inputs; per head, the projected features and the attention."""
         feats = _batched(features, 3)
         mask = np.asarray(graphs) != 0
-        if mask.ndim != 3 or mask.shape[-1] != mask.shape[-2] or mask.shape[-1] != feats.values.shape[-2]:
+        batch, n_nodes, width = feats.values.shape
+        if mask.shape != (batch, n_nodes, n_nodes):
             raise ShapeError(f"graph {mask.shape} incompatible with features {feats.values.shape}")
-        if feats.values.shape[-1] != self.in_dim:
-            raise ShapeError(f"feature width {feats.values.shape[-1]} != layer input dim {self.in_dim}")
-        diag = np.arange(mask.shape[-1])
+        if width != self.in_dim:
+            raise ShapeError(f"feature width {width} != layer input dim {self.in_dim}")
+        diag = np.arange(n_nodes)
         mask[..., diag, diag] = True
 
         heads = []

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from fsstgnn.errors import ShapeError, TapeError
 from fsstgnn.neural import autodiff as ad
+from fsstgnn.neural import mse_loss
 from fsstgnn.neural.autodiff import Tensor
 
 from _oracles import max_relative_error, numeric_grad, sigmoid
@@ -135,6 +138,11 @@ class TestOpGradients:
     def test_concat(self):
         _check_op(lambda a, b: ad.concat([a, b], axis=-1), (2, 3), (2, 2))
 
+    def test_concat_middle_axis_around_a_constant(self):
+        const = Tensor(np.random.default_rng(9).normal(size=(2, 2, 3)))
+        _check_op(lambda a, b: ad.concat([a, const, b], axis=1), (2, 3, 3), (2, 1, 3))
+        assert const.grad is None
+
     def test_getitem(self):
         _check_op(lambda a: a[:, 1, :], (3, 4, 2))
 
@@ -183,3 +191,50 @@ class TestShapes:
     def test_matmul_inner_dim_checked(self):
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+
+MASK = np.array([[True, True, False], [True, True, True], [False, True, True]])
+
+# Every op of the tape, and the ones composed of them: (build, operand shapes).
+OPS = {
+    "add": (ad.add, (2, 3), (2, 3)),
+    "sub": (ad.sub, (2, 3), (1, 3)),
+    "mul": (ad.mul, (2, 3), (2, 3)),
+    "div": (ad.div, (2, 3), (2, 3)),
+    "matmul": (ad.matmul, (2, 3, 4), (4, 2)),
+    "exp": (ad.exp, (2, 3)),
+    "tanh": (ad.tanh, (2, 3)),
+    "relu": (ad.relu, (2, 3)),
+    "leaky_relu": (lambda a: ad.leaky_relu(a, 0.2), (2, 3)),
+    "tensor_sum": (lambda a: ad.tensor_sum(a, axis=0), (2, 3)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=0), (2, 3), (1, 3)),
+    "getitem": (lambda a: a[:, 1:], (2, 3)),
+    "reshape": (lambda a: ad.reshape(a, (3, 2)), (2, 3)),
+    "swap_last": (ad.swap_last, (2, 3)),
+    "mean": (lambda a: ad.mean(a, axis=-1), (2, 3)),
+    "masked_softmax": (lambda a: ad.masked_softmax(a, MASK), (3, 3)),
+    "mse_loss": (lambda a: mse_loss(a, np.ones((2, 3))), (2, 3)),
+}
+
+
+class TestNoCycles:
+    """No closure on the tape refers to its own node, so a tape is freed
+    as soon as it is dropped, backwarded or not, without the gc."""
+
+    @pytest.mark.parametrize("backwarded", [False, True], ids=["dropped", "backwarded"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_tape_leaves_no_cycles(self, name, backwarded):
+        build, *shapes = OPS[name]
+        rng = np.random.default_rng(20)
+        gc.collect()
+        gc.disable()
+        try:
+            operands = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+            out = build(*operands)
+            if backwarded:
+                ad.tensor_sum(out).backward()
+                assert all(t.grad is not None for t in operands)
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

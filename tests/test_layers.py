@@ -440,10 +440,14 @@ class TestFusedLstm:
         for name, grad in self._grads(cell).items():
             assert np.array_equal(grad, alone[0][2][name] + alone[1][2][name]), name
 
-    @pytest.mark.parametrize("gnn", ["gcn", "gat"])
+    @pytest.mark.parametrize("gnn", ["gcn", "gat", "lstm"])
     def test_dropped_forward_leaves_no_cycles(self, gnn):
+        # a dropped forward, and a backwarded tape, free without the gc
         rng = np.random.default_rng(55)
-        model = SpatialTemporalModel(5, gnn=gnn, lstm_hidden=4, embed_dim=3, mlp_hidden=4, rng=rng)
+        if gnn == "lstm":
+            model = TemporalOnlyModel(5, lstm_hidden=4, mlp_hidden=4, rng=rng)
+        else:
+            model = SpatialTemporalModel(5, gnn=gnn, lstm_hidden=4, embed_dim=3, mlp_hidden=4, rng=rng)
         inputs = (rng.normal(size=(3, 14, 5)), np.broadcast_to(np.eye(5), (3, 5, 5)),
                   rng.normal(size=(3, 5, 4)))
         gc.collect()
@@ -451,6 +455,8 @@ class TestFusedLstm:
         try:
             for _ in range(3):
                 model.forward(*inputs)
+            assert gc.collect() == 0
+            mse_loss(model.forward(*inputs), np.zeros((3, 5))).backward()
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -674,8 +680,9 @@ GRAPHS, FEATURES = np.broadcast_to(np.eye(4), (2, 4, 4)), np.ones((2, 4, 4))
 
 
 class TestBatchAxis:
-    """Every layer and model takes its inputs with one leading batch axis, and
-    raises ShapeError on an input without it."""
+    """Every layer and model takes its inputs with one leading batch axis of
+    the same size, and raises ShapeError on an input without it or on graphs
+    and features of different batch sizes."""
 
     UNBATCHED_CALLS = {
         "gcn-graph": lambda rng: GcnLayer(3, 2, rng=rng).forward(np.eye(4), np.ones((1, 4, 3))),
@@ -691,10 +698,20 @@ class TestBatchAxis:
         "gat-model-features": lambda rng: _model("gat", rng).forward(np.ones((2, 6, 4)), GRAPHS, np.ones((4, 4))),
     }
 
+    MISMATCHED_BATCH_CALLS = {
+        "gcn-batch": lambda rng: GcnLayer(3, 2, rng=rng).forward(GRAPHS, np.ones((3, 4, 3))),
+        "gat-batch": lambda rng: GatLayer(3, 2, rng=rng).forward(GRAPHS, np.ones((3, 4, 3))),
+    }
+
     @pytest.mark.parametrize("name", sorted(UNBATCHED_CALLS))
     def test_unbatched_input_is_a_shape_error(self, name):
         with pytest.raises(ShapeError):
             self.UNBATCHED_CALLS[name](np.random.default_rng(70))
+
+    @pytest.mark.parametrize("name", sorted(MISMATCHED_BATCH_CALLS))
+    def test_mismatched_batches_are_a_shape_error(self, name):
+        with pytest.raises(ShapeError, match=r"\(2, 4, 4\).*\(3, 4, 3\)"):
+            self.MISMATCHED_BATCH_CALLS[name](np.random.default_rng(72))
 
     @pytest.mark.parametrize("shape", [(6,), (6, 4), (1, 2, 6, 4)], ids=["1-D", "2-D", "4-D"])
     @pytest.mark.parametrize("kind", ["gcn", "gat", "lstm"])
