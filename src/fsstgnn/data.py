@@ -139,6 +139,10 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
         raise ParameterError(f"n_groups must lie in [1, n_stores], got {n_groups}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    for name, value in (("factor_loading", factor_loading), ("noise_scale", noise_scale),
+                        ("season_scale", season_scale), ("trend_scale", trend_scale)):
+        if not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if not noise_scale >= 0.0:
         raise ParameterError(f"noise_scale must be >= 0, got {noise_scale}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -12,9 +12,10 @@ inverts back to it, the realized off-diagonal sparsity, the jitter and
 the glasso sweeps, or the error the window ended with. The precision is
 the filter's output; MFCF's clique forest is only how it is built, and
 nothing of it is kept. The glasso cross-validation grid is one
-``glasso_stack`` batch too. A single window (``apply_filter``,
-``glasso``, ``mfcf``) is a batch of one, whose row becomes a validated
-``FilterResult``.
+``glasso_stack`` batch too, and each cross-validation fold scores its
+candidates' held-out likelihoods as one stack. A single window
+(``apply_filter``, ``glasso``, ``mfcf``) is a batch of one, whose row
+becomes a validated ``FilterResult``.
 
 Every method first makes its windows positive definite by
 ``_ensure_pd_stack`` and checks its precisions by ``precision_stack``;
@@ -42,7 +43,6 @@ from .linalg import (
     CorrelationMatrix,
     PrecisionMatrix,
     TimeSeriesPanel,
-    cholesky_lower,
     cholesky_stack,
     correlation_from_rows,
     correlation_stack,
@@ -156,9 +156,9 @@ class FilterStack:
 
 
 def sparsity(precision):
-    """Fraction of zero off-diagonal precision entries over n*(n-1): a
-    float for one matrix, an array for a (k, n, n) stack; 1 for 1x1."""
-    entries = np.asarray(getattr(precision, "entries", precision), dtype=float)
+    """Fraction of zero off-diagonal entries of a precision array over
+    n*(n-1): a float for one matrix, an array for a (k, n, n) stack; 1 for 1x1."""
+    entries = np.asarray(precision, dtype=float)
     n = entries.shape[-1]
     nonzero = (np.count_nonzero(entries, axis=(-2, -1))
                - np.count_nonzero(np.diagonal(entries, axis1=-2, axis2=-1), axis=-1))
@@ -518,22 +518,25 @@ def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     return _alone(filter_windows(corr.entries[None], config))
 
 
-def _gaussian_score(x: np.ndarray, sigma: np.ndarray) -> float:
-    """Mean per-row Gaussian log-likelihood of centered rows under N(0, sigma)."""
-    try:
-        lower = cholesky_lower(sigma, min_pivot=PD_PIVOT_FLOOR)
-    except DefinitenessError:
-        return -math.inf
-    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    solved = np.linalg.solve(lower, x.T)            # sigma^{-1} = L^-T L^-1
-    quad = float((solved ** 2).sum()) / x.shape[0]
-    n = sigma.shape[0]
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+def _gaussian_scores(x: np.ndarray, sigmas: np.ndarray, failed=()) -> np.ndarray:
+    """Mean per-row Gaussian log-likelihood of centered rows under N(0,
+    sigma) for each sigma of a (k, n, n) stack, by one ``cholesky_stack`` and
+    one stacked solve; -inf at ``failed`` and where sigma is not PD."""
+    lower, errors = cholesky_stack(sigmas, PD_PIVOT_FLOOR)
+    ok = ~np.isin(np.arange(len(sigmas)), [*errors, *failed])
+    # sigma^{-1} = L^-T L^-1; the [None] keeps b a stack of matrices on numpy < 2
+    solved = np.linalg.solve(lower[ok], x.T[None])
+    logdet = 2.0 * np.log(np.diagonal(lower[ok], axis1=1, axis2=2)).sum(axis=1)
+    quad = (solved ** 2).sum(axis=(1, 2)) / len(x)
+    scores = np.full(len(sigmas), -math.inf)
+    scores[ok] = -0.5 * (sigmas.shape[-1] * math.log(2.0 * math.pi) + logdet + quad)
+    return scores
 
 
 def _forward_folds(panel: TimeSeriesPanel, folds: int):
-    """Contiguous time blocks scored forward: train on everything before
-    each validation block (never shuffled, never looking ahead)."""
+    """Contiguous time blocks scored forward, never shuffled and never
+    looking ahead: per fold, the correlation of every row before its
+    validation block, and the block standardized by those rows."""
     if folds < 2:
         raise ParameterError(f"cross-validation needs >= 2 folds, got {folds}")
     t = panel.n_steps
@@ -544,41 +547,32 @@ def _forward_folds(panel: TimeSeriesPanel, folds: int):
         train_stop, val_stop = int(edges[i]), int(edges[i + 1])
         if train_stop < 2:
             raise DataError(f"fold {i} leaves only {train_stop} training rows; need at least 2")
-        yield (0, train_stop), (train_stop, val_stop)
-
-
-def _standardized_validation(panel, train, val):
-    rows_train = panel.values[train[0]: train[1]]
-    rows_val = panel.values[val[0]: val[1]]
-    mu = rows_train.mean(axis=0)
-    sd = rows_train.std(axis=0, ddof=1)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return correlation_from_rows(rows_train).entries, (rows_val - mu) / sd
+        rows_train = panel.values[:train_stop]
+        sd = rows_train.std(axis=0, ddof=1)
+        x_val = (panel.values[train_stop:val_stop] - rows_train.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+        yield correlation_from_rows(rows_train).entries, x_val
 
 
 def select_alpha_cv(panel: TimeSeriesPanel, folds: int) -> float:
-    """Shrinkage weight maximizing mean held-out Gaussian log-likelihood."""
-    scores = np.zeros(len(ALPHA_GRID))
-    for train, val in _forward_folds(panel, folds):
-        corr_train, x_val = _standardized_validation(panel, train, val)
-        eye = np.eye(corr_train.shape[0])
-        for i, alpha in enumerate(ALPHA_GRID):
-            sigma = (1.0 - alpha) * corr_train + alpha * eye
-            scores[i] += _gaussian_score(x_val, sigma)
+    """Shrinkage weight maximizing mean held-out Gaussian log-likelihood.
+    Each fold scores its candidates (1 - alpha) * C + alpha * I over
+    ``ALPHA_GRID`` as one stack."""
+    alphas, scores = np.array(ALPHA_GRID)[:, None, None], np.zeros(len(ALPHA_GRID))
+    for corr_train, x_val in _forward_folds(panel, folds):
+        scores += _gaussian_scores(x_val, (1.0 - alphas) * corr_train + alphas * np.eye(len(corr_train)))
     return float(ALPHA_GRID[int(np.argmax(scores))])
 
 
 def select_lambda_cv(panel: TimeSeriesPanel, folds: int) -> float:
     """L1 penalty maximizing mean held-out Gaussian log-likelihood over a
     logarithmic grid. All (fold, lambda) problems are solved by one
-    ``glasso_stack`` call; a problem that ends in an error scores -inf."""
-    splits = [_standardized_validation(panel, train, val) for train, val in _forward_folds(panel, folds)]
-    grid = len(LAMBDA_GRID)
+    ``glasso_stack`` call, and each fold scores its slice of the record as
+    one stack; a problem that ends in an error scores -inf."""
+    splits, grid = list(_forward_folds(panel, folds)), len(LAMBDA_GRID)
     record = glasso_stack(np.repeat([corr_train for corr_train, _ in splits], grid, axis=0),
                           LAMBDA_GRID * len(splits))
     scores = np.zeros(grid)
     for f, (_, x_val) in enumerate(splits):
-        for i in range(grid):
-            k = f * grid + i
-            scores[i] += -math.inf if k in record.errors else _gaussian_score(x_val, record.correlation[k])
+        failed = [k % grid for k in record.errors if k // grid == f]
+        scores += _gaussian_scores(x_val, record.correlation[f * grid: (f + 1) * grid], failed)
     return float(LAMBDA_GRID[int(np.argmax(scores))])

@@ -22,11 +22,8 @@ FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, params: dict, config_hash: str = "-") -> None:
-    """Write named arrays (Tensors or ndarrays) to ``path`` under ``config_hash``."""
-    arrays = {}
-    for name, p in params.items():
-        values = getattr(p, "values", p)
-        arrays[str(name)] = np.asarray(values, dtype=float)
+    """Write named Tensors' values to ``path`` under ``config_hash``."""
+    arrays = {str(name): np.asarray(p.values, dtype=float) for name, p in params.items()}
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{FORMAT_NAME} {FORMAT_VERSION} {config_hash}\n")
         handle.write(f"{len(arrays)}\n")

@@ -7,23 +7,34 @@ descent, chordality is tested by maximum cardinality search (itself
 cross-checked through networkx), and the fast paths (the fused LSTM op,
 the stacked LAPACK Cholesky and PD jitter, the table-scored MFCF build,
 the lockstep glasso batch and its preallocated column lasso, the stacked
-empirical and shrinkage filters) are checked against the slow references
-they replaced. ``record_row`` and ``outcome_row``
-put a row of a stacked filter record and a single-window result in one
-comparable form.
+empirical and shrinkage filters, the cross-validation's stacked
+likelihood scores) are checked against the slow references they
+replaced. ``record_row`` and ``outcome_row`` put a row of a stacked
+filter record and a single-window result in one comparable form.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from fsstgnn.errors import ConvergenceError, DefinitenessError
-from fsstgnn.filtering import BASE_JITTER, PRECISION_ZERO_TOL, FilterResult, sparsity
+from fsstgnn.filtering import (
+    ALPHA_GRID,
+    BASE_JITTER,
+    LAMBDA_GRID,
+    PRECISION_ZERO_TOL,
+    FilterResult,
+    glasso_stack,
+    sparsity,
+)
 from fsstgnn.linalg import (
     CorrelationMatrix,
     PD_PIVOT_FLOOR,
     PrecisionMatrix,
     symmetrize,
+    cholesky_stack,
+    correlation_from_rows,
     correlation_stack,
     invert_spd,
     precision_stack,
@@ -388,7 +399,7 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
     return FilterResult(
         correlation=corr_of(invert_spd(precision.entries)),
         precision=precision,
-        sparsity=sparsity(precision),
+        sparsity=sparsity(precision.entries),
         jitter=jitter,
         sweeps=converged_sweeps,
     )
@@ -432,8 +443,51 @@ def shrink_reference(corr, alpha=None):
     entries, jitter = ensure_pd_reference(entries)
     corr = corr_of(entries)
     precision = precision_of(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
-    return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision),
+    return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision.entries),
                         jitter=jitter)
+
+
+def gaussian_score_reference(x, sigma):
+    """Mean per-row Gaussian log-likelihood of centered rows ``x`` under
+    N(0, sigma), one matrix at a time, factored as a batch of one: -inf
+    if sigma is not positive definite."""
+    (lower,), errors = cholesky_stack(sigma[None], PD_PIVOT_FLOOR)
+    if errors:
+        return -math.inf
+    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
+    solved = np.linalg.solve(lower, x.T)            # sigma^{-1} = L^-T L^-1
+    quad = float((solved ** 2).sum()) / x.shape[0]
+    n = sigma.shape[0]
+    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+
+def cv_scores_reference(panel, folds, method):
+    """The per-grid held-out scores, summed over folds, that
+    ``select_alpha_cv`` (method "shrinkage") or ``select_lambda_cv``
+    ("glasso") maximizes, scored one (fold, candidate) at a time by
+    ``gaussian_score_reference``; a glasso problem that ends in an error
+    scores -inf. Each fold trains on every row before its validation block
+    and standardizes the block by those rows' mean and standard deviation
+    (1 where that is 0)."""
+    splits, edges = [], np.round(np.linspace(0, panel.n_steps, folds + 1)).astype(int)
+    for stop, val_stop in zip(edges[1:-1], edges[2:]):
+        rows = panel.values[:stop]
+        sd = rows.std(axis=0, ddof=1)
+        x_val = (panel.values[stop:val_stop] - rows.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+        splits.append((correlation_from_rows(rows).entries, x_val))
+    grid = ALPHA_GRID if method == "shrinkage" else LAMBDA_GRID
+    if method == "glasso":
+        record = glasso_stack(np.repeat([corr for corr, _ in splits], len(grid), axis=0), grid * len(splits))
+    scores = np.zeros(len(grid))
+    for f, (corr_train, x_val) in enumerate(splits):
+        for i, value in enumerate(grid):
+            k = f * len(grid) + i
+            if method == "shrinkage":
+                sigma = (1.0 - value) * corr_train + value * np.eye(corr_train.shape[0])
+                scores[i] += gaussian_score_reference(x_val, sigma)
+            else:
+                scores[i] += -math.inf if k in record.errors else gaussian_score_reference(x_val, record.correlation[k])
+    return scores
 
 
 def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:

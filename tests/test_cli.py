@@ -200,12 +200,16 @@ class TestExitCodes:
         assert err.startswith(f"error: {method} needs {parameter} (--{parameter})")
         assert "Traceback" not in err and not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("flag, message", [("--seed", "seed must be >= 0, got -1"),
-                                               ("--noise-scale", "noise_scale must be >= 0, got -1")],
-                             ids=["seed -1", "noise-scale -1"])
-    def test_invalid_generator_setting_is_a_usage_error(self, tmp_path, capsys, flag, message):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--noise-scale", "-1", "noise_scale must be >= 0, got -1"),
+        # a non-finite level would be cast to a garbage integer sales count
+        ("--factor-loading", "nan", "factor_loading must be finite, got nan"),
+        ("--noise-scale", "inf", "noise_scale must be finite, got inf"),
+    ], ids=["seed -1", "noise-scale -1", "factor-loading nan", "noise-scale inf"])
+    def test_invalid_generator_setting_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         csv = tmp_path / "sales.csv"
-        argv = ["gen-data", "--stores", "4", "--items", "1", "--days", "40", "--out", str(csv), flag, "-1"]
+        argv = ["gen-data", "--stores", "4", "--items", "1", "--days", "40", "--out", str(csv), flag, value]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err

@@ -69,6 +69,12 @@ class TestSynthesize:
         with pytest.raises(ParameterError):
             synthesize_dataset(4, 1, 10, seed=0, n_groups=5)
 
+    @pytest.mark.parametrize("name", ["factor_loading", "noise_scale", "season_scale", "trend_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            synthesize_dataset(4, 1, 10, seed=0, **{name: value})
+
 
 class TestCsvRoundTrip:
     def test_to_csv_and_back(self, tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from fsstgnn.linalg import (
 from _oracles import (
     column_lasso_reference,
     corr_of,
+    cv_scores_reference,
     ensure_pd_reference,
+    gaussian_score_reference,
     glasso_grid_oracle_2x2,
     glasso_objective,
     glasso_projected_oracle,
@@ -408,11 +411,11 @@ class TestGlassoOptimality:
 
 class TestSparsity:
     def test_diagonal_matrix(self):
-        assert sparsity(precision_of(np.eye(4))) == 1.0
+        assert sparsity(precision_of(np.eye(4)).entries) == 1.0
 
     def test_dense_matrix(self):
         entries = np.eye(4) + 0.1 * (np.ones((4, 4)) - np.eye(4))
-        assert sparsity(precision_of(entries)) == 0.0
+        assert sparsity(precision_of(entries).entries) == 0.0
 
     def test_one_by_one_stack_gives_an_array(self):
         shares = sparsity(np.ones((3, 1, 1)))
@@ -643,7 +646,66 @@ class TestFilterConfig:
         assert mfcf_result.sparsity == pytest.approx(0.1) and mfcf_result.sweeps is None
 
 
+def scored_folds(monkeypatch, panel, folds, method):
+    """The selector's choice for ``method`` and, per fold, the (x, candidates,
+    failed, scores) of its ``_gaussian_scores`` call."""
+    calls, score = [], filtering._gaussian_scores
+
+    def spy(x, sigmas, failed=()):
+        calls.append((x, sigmas, list(failed), score(x, sigmas, failed)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(filtering, "_gaussian_scores", spy)
+    return (select_alpha_cv if method == "shrinkage" else select_lambda_cv)(panel, folds), calls
+
+
+def check_against_reference(monkeypatch, panel, folds, method):
+    """Each fold's stacked scores, their sum and the choice are bitwise
+    those of the one-at-a-time reference; returns the fold calls."""
+    chosen, calls = scored_folds(monkeypatch, panel, folds, method)
+    assert len(calls) == folds - 1
+    total = np.zeros(len(calls[0][3]))
+    for x, sigmas, failed, scores in calls:
+        want = [-math.inf if i in failed else gaussian_score_reference(x, sigma) for i, sigma in enumerate(sigmas)]
+        assert scores.tobytes() == np.array(want).tobytes()
+        total += scores
+    reference = cv_scores_reference(panel, folds, method)
+    assert total.tobytes() == reference.tobytes()
+    assert chosen == (ALPHA_GRID if method == "shrinkage" else LAMBDA_GRID)[int(np.argmax(reference))]
+    return calls
+
+
 class TestCrossValidation:
+    @pytest.mark.parametrize("folds", [2, 5])
+    @pytest.mark.parametrize("method", ["shrinkage", "glasso"])
+    @pytest.mark.parametrize("differenced", [False, True], ids=["raw", "differenced"])
+    def test_fold_scores_match_one_at_a_time_reference(self, monkeypatch, method, folds, differenced):
+        panel = synthesize_dataset(7, 1, 180, seed=4).panel(1)
+        check_against_reference(monkeypatch, panel.differenced() if differenced else panel, folds, method)
+
+    def test_singular_candidate_scores_minus_inf(self, monkeypatch):
+        # a duplicated column makes every fold's correlation, alpha = 0's
+        # candidate, singular; a constant column would not (it correlates 0)
+        values = synthesize_dataset(7, 1, 180, seed=4).panel(1).values.copy()
+        values[:, 3] = values[:, 0]
+        calls = check_against_reference(monkeypatch, TimeSeriesPanel(values), 5, "shrinkage")
+        assert all(scores[0] == -math.inf and np.isfinite(scores[1:]).all() for *_, scores in calls)
+
+    def test_failed_glasso_problems_score_minus_inf(self, monkeypatch):
+        panel = synthesize_dataset(7, 1, 180, seed=4).panel(1)
+        with glasso_caps(max_sweeps=1):
+            calls = check_against_reference(monkeypatch, panel, 5, "glasso")
+        assert any(failed for _, _, failed, _ in calls)
+        for _, _, failed, scores in calls:
+            assert np.isneginf(scores[failed]).all() and np.isfinite(np.delete(scores, failed)).all()
+
+    def test_all_failed_picks_the_first_grid_value(self, monkeypatch):
+        panel = synthesize_dataset(7, 1, 180, seed=4).panel(1)
+        with glasso_caps(max_sweeps=0):
+            calls = check_against_reference(monkeypatch, panel, 5, "glasso")
+            assert select_lambda_cv(panel, 5) == LAMBDA_GRID[0]
+        assert all(np.isneginf(scores).all() for *_, scores in calls)
+
     def test_independent_noise_selects_strong_shrinkage(self):
         rng = np.random.default_rng(42)
         panel = TimeSeriesPanel(rng.normal(size=(240, 8)))

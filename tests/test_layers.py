@@ -807,12 +807,12 @@ class TestCheckpoints:
 
     def test_versioned_header(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2))}, "0123456789ab")
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, "0123456789ab")
         assert path.read_text().splitlines()[0] == "fsstgnn-checkpoint 2 0123456789ab"
 
     def test_other_config_hash_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2))}, "0123456789ab")
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))}, "0123456789ab")
         assert np.array_equal(load_checkpoint(path, "0123456789ab")["w"], np.ones((2, 2)))
         with pytest.raises(ParameterError, match="0123456789ab.*ba9876543210"):
             load_checkpoint(path, "ba9876543210")
