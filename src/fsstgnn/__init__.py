@@ -2,7 +2,7 @@
 GNN forecaster for multivariate sales series.
 
 The package estimates (inverse) correlation matrices from look-back
-windows, filters each panel's windows as one stack by shrinkage,
+windows, filters the windows of all panels as one stack by shrinkage,
 graphical lasso or a greedy clique forest (or leaves them unfiltered),
 turns the results into weighted graphs, and trains an
 LSTM + GNN + MLP forecaster on top of a small reverse-mode autodiff

@@ -130,8 +130,8 @@ def _add_experiment_flags(parser) -> None:
             kwargs["type"] = _value_parser(f)
         parser.add_argument(flag, dest=f.name, **kwargs)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes over items (graph building) and (item, seed) "
-                             "units (training); 1 = fully serial")
+                        help="worker processes over (item, seed) units (training and scoring); "
+                             "filtering runs in process; 1 = fully serial")
 
 
 def _given(args, settings) -> dict:
@@ -174,7 +174,7 @@ def _cmd_filter(args) -> int:
             raise ParameterError(f"--window must be START:STOP, got {args.window!r}") from None
     rows = panel.window(start, stop)
     corr = correlation_from_rows(rows)
-    record = filter_windows(corr.entries[None], FilterConfig(**_given(args, fields(FilterConfig))))
+    record = filter_windows(corr.entries[None], [FilterConfig(**_given(args, fields(FilterConfig)))])
     if record.errors:
         raise record.errors[0]
     write_matrix(f"{args.out}.correlation.txt", record.correlation[0])

@@ -143,8 +143,8 @@ def synthesize_dataset(n_stores: int, n_items: int, n_days: int, seed: int, *,
                         ("season_scale", season_scale), ("trend_scale", trend_scale)):
         if not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
-    if not noise_scale >= 0.0:
-        raise ParameterError(f"noise_scale must be >= 0, got {noise_scale}")
+        if value < 0.0 and name != "factor_loading":
+            raise ParameterError(f"{name} must be >= 0, got {value}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dates = tuple(START_DATE + datetime.timedelta(days=d) for d in range(n_days))
     weekdays = np.array([d.weekday() for d in dates])

@@ -4,14 +4,15 @@ shrinkage, graphical lasso and the maximally filtered clique forest
 measurement.
 
 ``filter_windows`` is the one dispatch on the method. It filters a
-(W, n, n) stack of window correlations (the look-back windows of a
-panel) as one lockstep batch, by ``_shrink_stack``, ``glasso_stack`` or
-``mfcf_stack``, into one ``FilterStack``: per window a filtered dense
-correlation, a (possibly sparse) positive-definite precision matrix that
-inverts back to it, the realized off-diagonal sparsity, the jitter and
-the glasso sweeps, or the error the window ended with. The precision is
-the filter's output; MFCF's clique forest is only how it is built, and
-nothing of it is kept. The glasso cross-validation grid is one
+(W, n, n) stack of window correlations (the look-back windows of one or
+more panels), each under its own resolved config, as one lockstep batch
+by ``_shrink_stack``, ``glasso_stack`` or ``mfcf_stack`` into one
+``FilterStack``: per window a filtered dense correlation, a (possibly
+sparse) positive-definite precision matrix that inverts back to it, the
+realized off-diagonal sparsity, the jitter and the glasso sweeps, or the
+error the window ended with. The precision is the filter's output;
+MFCF's clique forest is only how it is built, and nothing of it is
+kept. The glasso cross-validation grid of all panels is one
 ``glasso_stack`` batch too, and each cross-validation fold scores its
 candidates' held-out likelihoods as one stack. A single window
 (``apply_filter``, ``glasso``, ``mfcf``) is a batch of one, whose row
@@ -26,7 +27,7 @@ fails alone, with the error it would get alone.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -219,10 +220,10 @@ def _record(precision: np.ndarray, jitter: np.ndarray, errors: dict, sweeps=0,
                        errors=errors)
 
 
-def _shrink_stack(corrs, alpha: Optional[float]) -> FilterStack:
+def _shrink_stack(corrs, alpha: Optional[np.ndarray]) -> FilterStack:
     """The empirical filter (``alpha`` None) or convex shrinkage toward the
-    scaled identity of a (W, n, n) correlation stack: per window, the
-    correlation made positive definite and its straight inverse.
+    scaled identity of a (W, n, n) correlation stack, window w by
+    ``alpha[w]``: the correlation made positive definite, and its inverse.
 
     shrunk = (1 - alpha) * C + alpha * (tr C / n) * I, which for a
     correlation matrix scales every off-diagonal by (1 - alpha) and every
@@ -232,7 +233,7 @@ def _shrink_stack(corrs, alpha: Optional[float]) -> FilterStack:
     if alpha is not None:
         n = entries.shape[-1]
         target = np.trace(entries, axis1=1, axis2=2) / n
-        entries = (1.0 - alpha) * entries + (alpha * target)[:, None, None] * np.eye(n)
+        entries = (1.0 - alpha[:, None, None]) * entries + (alpha * target)[:, None, None] * np.eye(n)
     entries, jitter, errors, rows = _ensure_pd_stack(entries)
     correlation = correlation_stack(entries)
     inverses = np.zeros_like(entries)
@@ -487,20 +488,26 @@ def mfcf(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     return _alone(mfcf_stack(corr.entries[None], config))
 
 
-def filter_windows(corrs, config: FilterConfig) -> FilterStack:
-    """The FilterStack of a (W, n, n) stack of window correlations under a
-    resolved config. The one dispatch on the filter method: every method
+def filter_windows(corrs, configs) -> FilterStack:
+    """The FilterStack of a (W, n, n) stack of window correlations, window
+    w under the resolved config ``configs[w]``, which may differ only in
+    alpha or lambda. The one dispatch on the filter method: every method
     filters the windows as one lockstep stack, and each window's row is
     bitwise the same alone or in any batch."""
-    if config.method == "mfcf":
-        return mfcf_stack(corrs, config)
-    if config.method == "glasso":
-        if config.lam is None:
-            raise ParameterError("glasso needs lambda (--lambda); set it, or let a run select it by CV")
-        return glasso_stack(corrs, config.lam)
-    if config.method == "shrinkage" and config.alpha is None:
-        raise ParameterError("shrinkage needs alpha (--alpha); set it, or let a run select it by CV")
-    return _shrink_stack(corrs, config.alpha if config.method == "shrinkage" else None)
+    if not len(configs) or len(configs) != len(corrs):
+        raise ShapeError(f"expected one filter config per window, got {len(configs)} for {len(corrs)}")
+    if len({replace(c, alpha=None, lam=None) for c in set(configs)}) > 1:
+        raise ParameterError("the windows of one stack may differ only in alpha or lambda")
+    method = configs[0].method
+    if method == "mfcf":
+        return mfcf_stack(corrs, configs[0])
+    name = {"glasso": "lambda", "shrinkage": "alpha"}.get(method)
+    values = [c.lam if name == "lambda" else c.alpha for c in configs]
+    if name and None in values:
+        raise ParameterError(f"{method} needs {name} (--{name}); set it, or let a run select it by CV")
+    if method == "glasso":
+        return glasso_stack(corrs, values)
+    return _shrink_stack(corrs, np.array(values) if name else None)
 
 
 def _alone(record: FilterStack) -> FilterResult:
@@ -515,7 +522,7 @@ def _alone(record: FilterStack) -> FilterResult:
 def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:
     """``filter_windows`` of one window: its FilterResult, or the error it
     ended with, raised; alpha/lambda must be resolved."""
-    return _alone(filter_windows(corr.entries[None], config))
+    return _alone(filter_windows(corr.entries[None], [config]))
 
 
 def _gaussian_scores(x: np.ndarray, sigmas: np.ndarray, failed=()) -> np.ndarray:
@@ -563,16 +570,16 @@ def select_alpha_cv(panel: TimeSeriesPanel, folds: int) -> float:
     return float(ALPHA_GRID[int(np.argmax(scores))])
 
 
-def select_lambda_cv(panel: TimeSeriesPanel, folds: int) -> float:
-    """L1 penalty maximizing mean held-out Gaussian log-likelihood over a
-    logarithmic grid. All (fold, lambda) problems are solved by one
-    ``glasso_stack`` call, and each fold scores its slice of the record as
+def select_lambda_cv(panels, folds: int) -> list:
+    """Per panel, the L1 penalty maximizing its mean held-out Gaussian
+    log-likelihood over a logarithmic grid. One ``glasso_stack`` call solves
+    all (panel, fold, lambda) problems, and each fold scores its slice as
     one stack; a problem that ends in an error scores -inf."""
-    splits, grid = list(_forward_folds(panel, folds)), len(LAMBDA_GRID)
+    splits, grid = [split for panel in panels for split in _forward_folds(panel, folds)], len(LAMBDA_GRID)
     record = glasso_stack(np.repeat([corr_train for corr_train, _ in splits], grid, axis=0),
                           LAMBDA_GRID * len(splits))
-    scores = np.zeros(grid)
-    for f, (_, x_val) in enumerate(splits):
+    scores = np.zeros((len(panels), grid))
+    for f, (_, x_val) in enumerate(splits):         # each panel has folds - 1 splits
         failed = [k % grid for k in record.errors if k // grid == f]
-        scores += _gaussian_scores(x_val, record.correlation[f * grid: (f + 1) * grid], failed)
-    return float(LAMBDA_GRID[int(np.argmax(scores))])
+        scores[f // (folds - 1)] += _gaussian_scores(x_val, record.correlation[f * grid: (f + 1) * grid], failed)
+    return [float(LAMBDA_GRID[i]) for i in np.argmax(scores, axis=1)]

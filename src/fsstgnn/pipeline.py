@@ -4,27 +4,27 @@ orchestration and the sweep harness.
 
 For every look-back window the pipeline estimates a correlation matrix,
 applies the configured filter, builds a graph and node features, and
-feeds the raw window to the LSTM branch. A panel's windows are filtered
-as one (windows, n, n) stack into one stacked record; a window the
-filter fails on gets the empirical filter and counts as a fallback.
-Filter hyperparameters that are left unset are selected once by
-cross-validation on the training segment only, then reused for every
-window (including test windows), so no test information ever reaches
-parameter selection. Likewise the series are standardized with
-training-row statistics and the node features with statistics of the
-fit windows.
+feeds the raw window to the LSTM branch. Filter hyperparameters that are
+left unset are selected per item by cross-validation on its training
+segment only, then reused for all its windows (test windows included),
+so no test information ever reaches parameter selection. Likewise the
+series are standardized with training-row statistics and the node
+features with statistics of the fit windows.
 
-Filtered windows are cached by content (``_prepare_units``), so a sweep
-over graph kinds, or an evaluation after training, filters each once.
-The config hash sees only the settings that the run reads
+Filtering runs in this process, one stack per stage over the items that
+miss the per-item cache (``_prepare_units``, ``_filter_panels``): the CV,
+the windows under their own item's alpha or lambda, and the windows that
+failed, which get the empirical filter and count as fallbacks. The
+config hash sees only the settings that the run reads
 (``ExperimentConfig.relevant``), and the cache key only the filter
 settings that the configured method reads (``FilterConfig.relevant``).
 
-Examples reach pool workers by fork inheritance, never by pickling: each
-item's examples wait in ``_EXAMPLES`` under a key that the unit args
-carry, and each command empties that table when it ends. A sweep builds
-every panel's windows, features and targets once, prepares every value,
-then trains the units of all values in one pool.
+``jobs`` sizes a pool over the (item, seed) units only. Examples reach
+its workers by fork inheritance, never by pickling: each item's examples
+wait in ``_EXAMPLES`` under a key that the unit args carry, and each
+command empties that table when it ends. A sweep builds every panel's
+windows, features and targets once, prepares every value, then trains
+the units of all values in one pool.
 """
 
 import hashlib
@@ -249,19 +249,17 @@ def run_labels(config: ExperimentConfig) -> tuple:
             config.filter.method if _uses_filter(config) else "/")
 
 
-def resolve_filter(panel_train: TimeSeriesPanel, config: ExperimentConfig) -> FilterConfig:
-    """Fill in alpha/lambda by cross-validation when they are unset.
-
-    Selection happens once per item on the training segment; windows at
-    test time reuse the selected values.
-    """
+def resolve_filter(panels_train, config: ExperimentConfig) -> list:
+    """One filter config per item's training panel, with alpha or lambda,
+    where unset, selected by cross-validation on that panel; the windows at
+    test time reuse it. The lambda CV of all panels is one stacked call."""
     filt = config.filter
-    source = panel_train.differenced() if config.use_differences else panel_train
+    sources = [panel.differenced() if config.use_differences else panel for panel in panels_train]
     if filt.method == "shrinkage" and filt.alpha is None:
-        return replace(filt, alpha=select_alpha_cv(source, filt.cv_folds))
+        return [replace(filt, alpha=select_alpha_cv(source, filt.cv_folds)) for source in sources]
     if filt.method == "glasso" and filt.lam is None:
-        return replace(filt, lam=select_lambda_cv(source, filt.cv_folds))
-    return filt
+        return [replace(filt, lam=lam) for lam in select_lambda_cv(sources, filt.cv_folds)]
+    return [filt] * len(sources)
 
 
 @dataclass
@@ -287,22 +285,29 @@ def _windows(panel: TimeSeriesPanel, lookback: int) -> np.ndarray:
     return np.ascontiguousarray(view[:-1].swapaxes(1, 2))
 
 
-def _filter_panel(panel: TimeSeriesPanel, config: ExperimentConfig,
-                  filt: FilterConfig) -> FilterStack:
-    """The FilterStack of a panel's windows under the resolved ``filt``, with
-    the empirical filter written into the rows of the windows that failed;
-    its ``errors`` still name those windows, the fallbacks."""
-    windows = _windows(panel, config.lookback)
-    corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
-    record = filter_windows(corrs, filt)
+def _filter_panels(panels, config: ExperimentConfig) -> list:
+    """Per panel, a read-only FilterStack of its windows under the filter
+    resolved on its training rows, with the empirical filter written into
+    the windows that failed, which its ``errors`` still name: the slices of
+    one ``filter_windows`` call over all panels and one over all failures."""
+    filts = resolve_filter([TimeSeriesPanel(p.values[:_train_row_count(p, config)]) for p in panels], config)
+    corrs = [window_correlations(np.diff(w, axis=1) if config.use_differences else w)
+             for w in (_windows(panel, config.lookback) for panel in panels)]
+    stack, bounds = np.concatenate(corrs), np.cumsum([0] + [len(c) for c in corrs]).tolist()
+    record = filter_windows(stack, [filt for filt, c in zip(filts, corrs) for _ in range(len(c))])
     failed = sorted(record.errors)
     if failed:
-        fallback = filter_windows(corrs[failed], FilterConfig(method="empirical"))
+        fallback = filter_windows(stack[failed], [FilterConfig(method="empirical")] * len(failed))
         if fallback.errors:
             raise fallback.errors[min(fallback.errors)]
         for name in ("correlation", "precision", "sparsity", "jitter"):
             getattr(record, name)[failed] = getattr(fallback, name)
-    return record
+    arrays = (record.correlation, record.precision, record.sparsity, record.jitter, record.sweeps)
+    for array in arrays:
+        array.setflags(write=False)                     # and so is every slice of it
+    return [FilterStack(*(array[a:b] for array in arrays),
+                        errors={k - a: exc for k, exc in record.errors.items() if a <= k < b})
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _panel_part(panel: TimeSeriesPanel, config: ExperimentConfig) -> dict:
@@ -504,16 +509,7 @@ def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
-def _filter_item(args) -> FilterStack:
-    """Resolve the filter on one panel's training rows, then filter its windows."""
-    panel, config = args
-    rows = _train_row_count(panel, config)
-    panel_train = TimeSeriesPanel(panel.values[:rows])
-    return _filter_panel(panel, config, resolve_filter(panel_train, config))
-
-
-def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir,
-                   jobs: int = 1, parts: dict | None = None):
+def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, parts: dict | None = None):
     """Window, filter and standardize each item once; graphs and features
     depend only on the data and config, so seeds share them. Each item's
     examples go into ``_EXAMPLES``, and its unit args carry their key. An
@@ -521,10 +517,9 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
 
     Filtered windows are cached under the SHA-256 of the panel values and
     shape, training-row count, lookback, use_differences and the fields of
-    the unresolved filter config that its method reads, which also fix
-    the CV-selected alpha or lambda. Items
-    that miss are filtered by one ``_run_units`` call over ``jobs``; the
-    cache then keeps only the entries this call used.
+    the unresolved filter config that its method reads, which also fix the
+    CV-selected alpha or lambda. The items that miss are filtered together,
+    by ``_filter_panels``; the cache keeps only the entries this call used.
     """
     panels = {item: dataset.panel(item) for item in dataset.items}
     for panel in panels.values():       # before any panel is windowed
@@ -533,11 +528,7 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
             if _uses_filter(config) else {})
     misses = {key: item for item, key in keys.items() if key not in _FILTER_CACHE}
     if misses:
-        built = _run_units(_filter_item, [(panels[item], config) for item in misses.values()], jobs)
-        for entry in built:
-            for array in (entry.correlation, entry.precision, entry.sparsity, entry.jitter, entry.sweeps):
-                array.setflags(write=False)
-        _FILTER_CACHE.update(zip(misses, built))
+        _FILTER_CACHE.update(zip(misses, _filter_panels([panels[item] for item in misses.values()], config)))
         for key in set(_FILTER_CACHE) - set(keys.values()):
             del _FILTER_CACHE[key]
     parts = {} if parts is None else parts
@@ -557,14 +548,15 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
     """Train and evaluate the configured model on every item and seed.
 
     Items and seeds are independent units; ``jobs`` bounds a process pool
-    over them, and over the items whose graphs are not cached. All
-    randomness is derived from (seed, item) so the level of parallelism
-    cannot change any result.
+    over them, and is checked before anything is filtered, which runs in
+    this process. All randomness is derived from (seed, item) so the level
+    of parallelism cannot change any result.
     """
+    _check_jobs(jobs)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     try:
-        units = _run_units(_run_unit, _prepare_units(dataset, config, checkpoint_dir, jobs), jobs)
+        units = _run_units(_run_unit, _prepare_units(dataset, config, checkpoint_dir), jobs)
     finally:
         _EXAMPLES.clear()
     return MetricsReport.from_units(config, units)
@@ -573,8 +565,9 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
 def evaluate_experiment(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, *,
                         jobs: int = 1) -> MetricsReport:
     """Score saved checkpoints on the test segment without training."""
+    _check_jobs(jobs)
     try:
-        units = _run_units(_eval_unit, _prepare_units(dataset, config, checkpoint_dir, jobs), jobs)
+        units = _run_units(_eval_unit, _prepare_units(dataset, config, checkpoint_dir), jobs)
     finally:
         _EXAMPLES.clear()
     return MetricsReport.from_units(config, units)
@@ -654,7 +647,7 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
     try:
         for _, config in runs.values():
             try:
-                prepared.append(_prepare_units(dataset, config, None, jobs, parts))
+                prepared.append(_prepare_units(dataset, config, None, parts))
             except _CAUGHT as exc:
                 prepared.append(str(exc))
         units = iter(_run_units(_sweep_unit, [a for p in prepared if isinstance(p, list) for a in p], jobs))

@@ -8,13 +8,14 @@ cross-checked through networkx), and the fast paths (the fused LSTM op,
 the stacked LAPACK Cholesky and PD jitter, the table-scored MFCF build,
 the lockstep glasso batch and its preallocated column lasso, the stacked
 empirical and shrinkage filters, the cross-validation's stacked
-likelihood scores) are checked against the slow references they
-replaced. ``record_row`` and ``outcome_row`` put a row of a stacked
+likelihood scores, the pipeline's one filter stack over all items) are
+checked against the slow references they replaced. ``record_row`` and ``outcome_row`` put a row of a stacked
 filter record and a single-window result in one comparable form.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from fsstgnn.filtering import (
     BASE_JITTER,
     LAMBDA_GRID,
     PRECISION_ZERO_TOL,
+    FilterConfig,
     FilterResult,
+    filter_windows,
     glasso_stack,
     sparsity,
 )
@@ -32,12 +35,14 @@ from fsstgnn.linalg import (
     CorrelationMatrix,
     PD_PIVOT_FLOOR,
     PrecisionMatrix,
+    TimeSeriesPanel,
     symmetrize,
     cholesky_stack,
     correlation_from_rows,
     correlation_stack,
     invert_spd,
     precision_stack,
+    window_correlations,
 )
 from fsstgnn.neural import autodiff as ad
 
@@ -488,6 +493,32 @@ def cv_scores_reference(panel, folds, method):
             else:
                 scores[i] += -math.inf if k in record.errors else gaussian_score_reference(x_val, record.correlation[k])
     return scores
+
+
+def filter_item_reference(panel, config):
+    """One item's filter stage as it ran one item at a time: the filter
+    resolved by cross-validation on the panel's training rows alone (the
+    choice that maximizes ``cv_scores_reference``), one ``filter_windows``
+    call over its windows, then one more that gives the windows that
+    failed the empirical filter. Returns the resolved FilterConfig and the
+    FilterStack, whose ``errors`` name the fallbacks."""
+    filt, lookback = config.filter, config.lookback
+    train = TimeSeriesPanel(panel.values[:int(round(panel.n_steps * config.train_fraction))])
+    source = train.differenced() if config.use_differences else train
+    for method, name, grid in (("shrinkage", "alpha", ALPHA_GRID), ("glasso", "lam", LAMBDA_GRID)):
+        if filt.method == method and getattr(filt, name) is None:
+            choice = grid[int(np.argmax(cv_scores_reference(source, filt.cv_folds, method)))]
+            filt = replace(filt, **{name: float(choice)})
+    windows = np.array([panel.values[t - lookback: t] for t in range(lookback, panel.n_steps)])
+    corrs = window_correlations(np.diff(windows, axis=1) if config.use_differences else windows)
+    record = filter_windows(corrs, [filt] * len(corrs))
+    failed = sorted(record.errors)
+    if failed:
+        fallback = filter_windows(corrs[failed], [FilterConfig(method="empirical")] * len(failed))
+        assert not fallback.errors
+        for name in ("correlation", "precision", "sparsity", "jitter"):
+            getattr(record, name)[failed] = getattr(fallback, name)
+    return filt, record
 
 
 def has_perfect_elimination_ordering(adj: np.ndarray) -> bool:

@@ -75,6 +75,19 @@ class TestSynthesize:
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             synthesize_dataset(4, 1, 10, seed=0, **{name: value})
 
+    @pytest.mark.parametrize("name", ["noise_scale", "season_scale", "trend_scale"])
+    def test_negative_scale_rejected(self, name):
+        # a negative trend scale used to raise numpy's untyped ValueError, and a
+        # negative season scale silently dropped the weekly pattern
+        with pytest.raises(ParameterError, match=f"^{name} must be >= 0, got -1.0$"):
+            synthesize_dataset(4, 1, 10, seed=0, **{name: -1.0})
+
+    def test_zero_season_scale_keeps_its_stream(self):
+        # no seasonality draws no normals, so the other draws are unchanged
+        ds = synthesize_dataset(4, 2, 30, seed=3, season_scale=0.0)
+        assert ds.panel(2).values[:3].tolist() == [[79.0, 46.0, 47.0, 46.0], [52.0, 60.0, 53.0, 76.0],
+                                                   [59.0, 64.0, 71.0, 63.0]]
+
 
 class TestCsvRoundTrip:
     def test_to_csv_and_back(self, tmp_path):

@@ -495,20 +495,37 @@ class TestFilterWindows:
     def test_every_window_is_the_same_alone_and_in_any_batch(self, data):
         config = data.draw(configs())
         batch = stack_of(data.draw(window_batches(config)))
-        together = filter_windows(batch, config)
-        backwards = filter_windows(batch[::-1], config)
+        # each shrinkage or glasso window draws its own alpha or lambda
+        per_window = [config if config.method == "mfcf" or k == 0 else METHODS[config.method](data.draw)
+                      for k in range(len(batch))]
+        together = filter_windows(batch, per_window)
+        backwards = filter_windows(batch[::-1], per_window[::-1])
         last = len(batch) - 1
         for k, corr in enumerate(batch):
-            alone = record_row(filter_windows(corr[None], config), 0)
+            alone = record_row(filter_windows(corr[None], [per_window[k]]), 0)
             assert record_row(together, k) == alone
             assert record_row(backwards, last - k) == alone
+
+    def test_one_config_per_window_differing_only_in_alpha_or_lambda(self):
+        batch = stack_of([random_correlation(np.random.default_rng(61 + k), 5) for k in range(2)])
+        for configs_ in ([FilterConfig(method="empirical")], [FilterConfig(method="empirical")] * 3):
+            with pytest.raises(ShapeError, match=f"one filter config per window, got {len(configs_)} for 2"):
+                filter_windows(batch, configs_)
+        with pytest.raises(ShapeError, match="got 0 for 0"):
+            filter_windows(batch[:0], [])
+        for mixed in ([FilterConfig(method="glasso", lam=0.1), FilterConfig(method="shrinkage", alpha=0.1)],
+                      [FilterConfig(method="mfcf"), FilterConfig(method="mfcf", mfcf_gain_threshold=0.05)]):
+            with pytest.raises(ParameterError, match="may differ only in alpha or lambda"):
+                filter_windows(batch, mixed)
+        with pytest.raises(ParameterError, match="glasso needs lambda"):
+            filter_windows(batch, [FilterConfig(method="glasso", lam=0.1), FilterConfig(method="glasso")])
 
     @given(data=st.data())
     def test_dense_windows_match_the_per_window_reference(self, data):
         alpha = data.draw(st.sampled_from([None, *ALPHA_GRID]))
         config = FilterConfig(method="empirical" if alpha is None else "shrinkage", alpha=alpha)
         batch = data.draw(window_batches(config))
-        record = filter_windows(stack_of(batch), config)
+        record = filter_windows(stack_of(batch), [config] * len(batch))
         for k, corr in enumerate(batch):
             assert record_row(record, k) == outcome_row(reference_or_error(corr, alpha))
 
@@ -519,13 +536,13 @@ class TestFilterWindows:
         batch = [random_correlation(rng, 6), correlation_from_rows(x), random_correlation(rng, 6)]
         ones = [corr_of([[1.0]])] * 2
         for config in (FilterConfig(method="empirical"), FilterConfig(method="shrinkage", alpha=0.0)):
-            results = filter_windows(stack_of(batch), config)
+            results = filter_windows(stack_of(batch), [config] * 3)
             assert (results.jitter > 0.0).tolist() == [False, True, False]
-            one_by_one = filter_windows(stack_of(ones), config)
+            one_by_one = filter_windows(stack_of(ones), [config] * 2)
             rows = [record_row(results, k) for k in range(3)] + [record_row(one_by_one, k) for k in range(2)]
             for corr, got in zip(batch + ones, rows):
                 assert got == outcome_row(shrink_reference(corr, config.alpha))
-        got = filter_windows(stack_of(ones), FilterConfig(method="glasso", lam=0.1))
+        got = filter_windows(stack_of(ones), [FilterConfig(method="glasso", lam=0.1)] * 2)
         assert got.errors == {} and got.sparsity.tolist() == [1.0, 1.0] and got.sweeps.tolist() == [1, 1]
         assert np.array_equal(got.precision, np.ones((2, 1, 1)))
 
@@ -611,7 +628,7 @@ class TestEnsurePd:
         assert jitter.tolist() == [1e-4, 1e-2, 0.0] and rows.tolist() == [0, 1]
         assert list(errors) == [2] and type(errors[2]) is DefinitenessError
         assert str(errors[2]) == "could not restore positive definiteness with jitter up to 0.01"
-        record = filter_windows(stack, FilterConfig(method="empirical"))
+        record = filter_windows(stack, [FilterConfig(method="empirical")] * 3)
         assert record.jitter.tolist() == jitter.tolist() and list(record.errors) == [2]
 
 
@@ -656,7 +673,10 @@ def scored_folds(monkeypatch, panel, folds, method):
         return calls[-1][3]
 
     monkeypatch.setattr(filtering, "_gaussian_scores", spy)
-    return (select_alpha_cv if method == "shrinkage" else select_lambda_cv)(panel, folds), calls
+    if method == "shrinkage":
+        return select_alpha_cv(panel, folds), calls
+    (lam,) = select_lambda_cv([panel], folds)
+    return lam, calls
 
 
 def check_against_reference(monkeypatch, panel, folds, method):
@@ -703,7 +723,7 @@ class TestCrossValidation:
         panel = synthesize_dataset(7, 1, 180, seed=4).panel(1)
         with glasso_caps(max_sweeps=0):
             calls = check_against_reference(monkeypatch, panel, 5, "glasso")
-            assert select_lambda_cv(panel, 5) == LAMBDA_GRID[0]
+            assert select_lambda_cv([panel], 5) == [LAMBDA_GRID[0]]
         assert all(np.isneginf(scores).all() for *_, scores in calls)
 
     def test_independent_noise_selects_strong_shrinkage(self):
@@ -728,12 +748,12 @@ class TestCrossValidation:
         rng = np.random.default_rng(21)
         panel = TimeSeriesPanel(rng.normal(size=(30, 4)))
         with pytest.raises(ParameterError):
-            select_lambda_cv(panel, 1)
+            select_lambda_cv([panel], 1)
 
     def test_independent_noise_selects_large_lambda(self):
         rng = np.random.default_rng(0)
         panel = TimeSeriesPanel(rng.normal(size=(160, 5)))
-        lam = select_lambda_cv(panel, 4)
+        (lam,) = select_lambda_cv([panel], 4)
         assert lam >= LAMBDA_GRID[len(LAMBDA_GRID) // 2]
 
     def test_factor_panel_selects_small_lambda(self):
@@ -741,5 +761,5 @@ class TestCrossValidation:
         factor = rng.normal(size=(160, 1))
         values = 0.9 * factor + 0.45 * rng.normal(size=(160, 5))
         panel = TimeSeriesPanel(values)
-        lam = select_lambda_cv(panel, 4)
+        (lam,) = select_lambda_cv([panel], 4)
         assert lam < LAMBDA_GRID[len(LAMBDA_GRID) // 2]

@@ -10,7 +10,7 @@ from fsstgnn import filtering
 from fsstgnn.errors import DefinitenessError, ParameterError, ShapeError
 from fsstgnn.filtering import PRECISION_ZERO_TOL, FilterConfig, mfcf, mfcf_stack
 from fsstgnn.linalg import TimeSeriesPanel, correlation_from_rows, invert_spd
-from fsstgnn.pipeline import ExperimentConfig, _filter_panel
+from fsstgnn.pipeline import ExperimentConfig, _filter_panels
 
 from _oracles import (
     corr_of,
@@ -290,10 +290,10 @@ class TestMfcfStack:
 
     def test_window_whose_precision_is_not_pd_fails_alone(self, monkeypatch):
         values = 50.0 + np.random.default_rng(22).normal(size=(40, 6)).cumsum(axis=0)
-        config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
+        config = ExperimentConfig(model="fsst-gcn", filter=tmfg_config(), lookback=10, seeds=(0,))
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 40)]
         want = mfcf_stack(stack_of(corrs), tmfg_config())
-        want_panel = _filter_panel(TimeSeriesPanel(values), config, tmfg_config())
+        (want_panel,) = _filter_panels([TimeSeriesPanel(values)], config)
         assemble = filtering._assemble
 
         def first_window_not_pd(entries, *args):
@@ -308,7 +308,7 @@ class TestMfcfStack:
         for k in range(1, len(corrs)):
             assert record_row(got, k) == record_row(want, k)
         # the pipeline gives that window the empirical filter and counts it
-        got_panel = _filter_panel(TimeSeriesPanel(values), config, tmfg_config())
+        (got_panel,) = _filter_panels([TimeSeriesPanel(values)], config)
         assert (list(got_panel.errors), want_panel.errors) == ([0], {})
         fallback = shrink_reference(corrs[0])
         assert np.array_equal(got_panel.precision[0], fallback.precision.entries)

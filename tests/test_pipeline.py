@@ -15,7 +15,7 @@ from fsstgnn.pipeline import (
     ExperimentConfig,
     _build_examples,
     _check_segments,
-    _filter_panel,
+    _filter_panels,
     _prepare_units,
     _run_units,
     _train_row_count,
@@ -25,7 +25,12 @@ from fsstgnn.pipeline import (
     sweep,
 )
 
-from _oracles import shrink_reference, stack_of
+from _oracles import filter_item_reference, shrink_reference, stack_of
+
+
+def filtered(panel, config, filt):
+    """The pipeline's filtered windows of one panel under ``filt``."""
+    return _filter_panels([panel], dataclasses.replace(config, filter=filt))[0]
 
 
 class TestNoTestLeakage:
@@ -45,9 +50,9 @@ class TestNoTestLeakage:
         changed = values.copy()
         changed[train_rows:] = 1e3 * rng.normal(size=changed[train_rows:].shape) ** 2
 
-        before = _build_examples(panel, config, _filter_panel(panel, config, filt))
+        before = _build_examples(panel, config, filtered(panel, config, filt))
         changed_panel = TimeSeriesPanel(changed)
-        after = _build_examples(changed_panel, config, _filter_panel(changed_panel, config, filt))
+        after = _build_examples(changed_panel, config, filtered(changed_panel, config, filt))
         seen = np.concatenate([before.fit_idx, before.val_idx])
         assert np.array_equal(before.fit_idx, after.fit_idx)
         for name in ("windows_std", "features_std", "targets_std", "graphs"):
@@ -66,9 +71,9 @@ class TestGlassoFallback:
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
         filt = FilterConfig(method="glasso", lam=0.1)
         panel = TimeSeriesPanel(values)
-        solved = _build_examples(panel, config, _filter_panel(panel, config, filt))
+        solved = _build_examples(panel, config, filtered(panel, config, filt))
         monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
-        capped = _build_examples(panel, config, _filter_panel(panel, config, filt))
+        capped = _build_examples(panel, config, filtered(panel, config, filt))
 
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 70)]
         errors = filtering.glasso_stack(stack_of(corrs), 0.1).errors
@@ -151,12 +156,18 @@ class TestRunUnits:
         assert _run_units(str, [], 4) == []
         assert sizes == []
 
-    def test_jobs_below_one_are_rejected(self, sizes):
+    def test_jobs_below_one_are_rejected(self, sizes, filter_calls, tmp_path):
         with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
             _run_units(str, [1, 2], 0)
+        dataset, config = synthesize_dataset(4, 1, 40, seed=0), ExperimentConfig(filter=FilterConfig(method="mfcf"))
         with pytest.raises(ParameterError, match="jobs must be >= 1, got -1"):
-            sweep(synthesize_dataset(4, 1, 40, seed=0), ExperimentConfig(), "graph-kind",
-                  ["ones"], jobs=-1)
+            sweep(dataset, config, "graph-kind", ["ones"], jobs=-1)
+        # rejected before any window is filtered, which no longer happens in a pool
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
+            run_experiment(dataset, config, jobs=0)
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
+            evaluate_experiment(dataset, config, str(tmp_path), jobs=0)
+        assert filter_calls == []
 
     def test_cli_jobs_zero_exits_1(self, tmp_path, capsys):
         csv = tmp_path / "sales.csv"
@@ -189,12 +200,12 @@ def assert_examples_equal(got, want):
 
 @pytest.fixture
 def filter_calls(monkeypatch):
-    """The correlation lists that ``filter_windows`` was called with."""
+    """The correlation stacks that ``filter_windows`` was called with."""
     calls = []
 
-    def spy(corrs, config):
+    def spy(corrs, configs):
         calls.append(corrs)
-        return filtering.filter_windows(corrs, config)
+        return filtering.filter_windows(corrs, configs)
 
     monkeypatch.setattr(pipeline, "filter_windows", spy)
     return calls
@@ -219,18 +230,18 @@ class TestFilterCache:
         for config in configs:
             pipeline._FILTER_CACHE.clear()
             cold.append(_examples(dataset, config))
-        assert len(filter_calls) == 2 * 2
+        # one call per cold build filters the windows of both items
+        assert [len(corrs) for corrs in filter_calls] == [2 * 53] * 2
         # both graph kinds now build from the entries the last cold build cached
         for config, want in zip(configs, cold):
             for got, ex in zip(_examples(dataset, config), want):
                 assert_examples_equal(got, ex)
-        assert len(filter_calls) == 2 * 2
+        assert len(filter_calls) == 2
         # the graphs are those of each window filtered on its own under the
         # filter resolved on the training rows
         panel = dataset.panel(1)
         rows = _train_row_count(panel, configs[0])
-        resolved = pipeline.resolve_filter(
-            TimeSeriesPanel(panel.values[:rows]), configs[0])
+        (resolved,) = pipeline.resolve_filter([TimeSeriesPanel(panel.values[:rows])], configs[0])
         assert filt.method != "glasso" or resolved.lam is not None
         values = panel.values
         for config, examples in zip(configs, cold):
@@ -293,7 +304,7 @@ class TestFilterCache:
         _examples(dataset, dataclasses.replace(first, graph_kind="ones"))
         _examples(dataset, dataclasses.replace(first, model="lstm"))
         assert pipeline._FILTER_CACHE.keys() == keys
-        assert len(filter_calls) == 2 * 2
+        assert len(filter_calls) == 2           # one per call that filtered, over both items
 
     def test_cached_arrays_refuse_writes(self):
         _examples(synthesize_dataset(5, 2, 60, seed=10),
@@ -309,10 +320,82 @@ class TestFilterCache:
         dataset = synthesize_dataset(5, 2, 60, seed=11)
         config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **SMALL)
         trained = run_experiment(dataset, config, checkpoint_dir=str(tmp_path))
-        assert len(filter_calls) == 2
+        assert len(filter_calls) == 1           # both items in one call
         scored = evaluate_experiment(dataset, config, str(tmp_path))
-        assert len(filter_calls) == 2
+        assert len(filter_calls) == 1
         assert report_records(scored) == report_records(trained)
+
+
+class TestFilterStage:
+    """``_prepare_units`` filters every item it misses in this process, one
+    stack per stage; each cached stack, and each item's resolved alpha or
+    lambda, must be bitwise what the item gets when filtered alone."""
+
+    @staticmethod
+    def prepare(monkeypatch, dataset, config):
+        """Prepare ``dataset``; returns the filter configs resolved for its items."""
+        resolved, resolve = [], pipeline.resolve_filter
+        monkeypatch.setattr(pipeline, "resolve_filter",
+                            lambda *args: resolved.append(resolve(*args)) or resolved[-1])
+        _examples(dataset, config)
+        (filts,) = resolved                     # one CV stage for all items
+        return filts
+
+    @staticmethod
+    def check_against_reference(dataset, config, filts):
+        """Compare every item with the per-item reference; returns each item's fallbacks."""
+        fallbacks = []
+        for item, filt in zip(dataset.items, filts):
+            panel = dataset.panel(item)
+            want_filt, want = filter_item_reference(panel, config)
+            got = pipeline._FILTER_CACHE[pipeline._filter_key(panel, config)]
+            assert filt == want_filt, item
+            assert_filtered_equal(got, want)
+            assert {k: type(e) for k, e in got.errors.items()} == {k: type(e) for k, e in want.errors.items()}
+            fallbacks.append(len(got.errors))
+        return fallbacks
+
+    @pytest.mark.parametrize("use_differences", [False, True], ids=["raw", "differenced"])
+    @pytest.mark.parametrize("filt", [FilterConfig(method="empirical"), FilterConfig(method="shrinkage"),
+                                      FilterConfig(method="glasso"), FilterConfig(method="mfcf")],
+                             ids=["empirical", "shrinkage-cv", "glasso-cv", "mfcf"])
+    def test_cached_stacks_are_the_per_item_reference(self, monkeypatch, filter_calls, filt,
+                                                      use_differences):
+        stacks = []
+        glasso_stack = filtering.glasso_stack
+        monkeypatch.setattr(filtering, "glasso_stack", lambda *args: stacks.append(len(args[0])) or
+                            glasso_stack(*args))
+        dataset = synthesize_dataset(7, 5, 180, seed=1)
+        config = ExperimentConfig(filter=filt, use_differences=use_differences, **{**SMALL, "lookback": 10})
+        filts = self.prepare(monkeypatch, dataset, config)
+        stacked = list(stacks)
+        assert self.check_against_reference(dataset, config, filts) == [0] * 5
+        # one call filters the windows of all five items, and nothing falls back
+        assert [len(corrs) for corrs in filter_calls] == [5 * 170]
+        if filt.method in ("shrinkage", "glasso"):
+            # the items select different values, so a window keeps its own item's
+            chosen = [f.alpha if filt.method == "shrinkage" else f.lam for f in filts]
+            assert len(set(chosen)) >= 3, chosen
+        if filt.method == "glasso":
+            # the CV's (item, fold, lambda) problems are one stack, the windows another
+            assert stacked == [5 * 4 * len(filtering.LAMBDA_GRID), 5 * 170]
+
+    def test_fallbacks_in_some_items_only(self, monkeypatch, filter_calls):
+        # windows whose rows hold all stores but one constant correlate as the
+        # identity and converge in one sweep; the others do not
+        dataset = synthesize_dataset(5, 3, 60, seed=21)
+        panels = dict(dataset.panels)
+        for item, rows in ((2, slice(None)), (3, slice(30))):
+            values = panels[item].values.copy()
+            values[rows, 1:] = 50.0
+            panels[item] = TimeSeriesPanel(values)
+        dataset = dataclasses.replace(dataset, panels=panels)
+        monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
+        config = ExperimentConfig(filter=FilterConfig(method="glasso", lam=0.1), **SMALL)
+        fallbacks = self.check_against_reference(dataset, config, self.prepare(monkeypatch, dataset, config))
+        assert fallbacks[0] == 53 and fallbacks[1] == 0 and 0 < fallbacks[2] < 53, fallbacks
+        # the windows of all items, then the failed ones of all items
+        assert [len(corrs) for corrs in filter_calls] == [3 * 53, fallbacks[0] + fallbacks[2]]
 
 
 class TestSegments:
@@ -351,6 +434,22 @@ class TestBenchmarkGraphExamples:
 
 
 class TestDegeneratePanel:
+    # Two CV folds: at five, the first fold trains on 10 rows of the 12
+    # stores, and its glasso problems at the smallest lambdas run all
+    # GLASSO_MAX_SWEEPS sweeps, about a minute.
+    @pytest.mark.parametrize("filt", [FilterConfig(method="empirical"), FilterConfig(method="shrinkage", cv_folds=2),
+                                      FilterConfig(method="glasso", cv_folds=2), FilterConfig(method="mfcf")],
+                             ids=["empirical", "shrinkage-cv", "glasso-cv", "mfcf"])
+    def test_more_stores_than_lookback_rows_gives_finite_records(self, filt):
+        # 12 stores, 5-row windows: every window correlation is singular
+        dataset = synthesize_dataset(12, 2, 60, seed=3)
+        config = ExperimentConfig(filter=filt, **{**TWO_SEEDS, "lookback": 5})
+        records = report_records(run_experiment(dataset, config, jobs=1))
+        assert report_records(run_experiment(dataset, config, jobs=2)) == records
+        for record in records:
+            for name in ("rmse", "mae", "mape", "sparsity"):
+                assert np.isfinite(record[name]), name
+
     def test_constant_store_gives_finite_records(self):
         dataset = synthesize_dataset(5, 1, 60, seed=14)
         panel = dataset.panel(1)
@@ -374,8 +473,8 @@ class TestSweep:
         assert [row.failed for row in rows] == [False, True, False]
         assert rows[1].error == "need at least max_clique=6 series, got 5"
         assert [row.config.filter.method for row in rows] == ["empirical", "mfcf", "shrinkage"]
-        # two items for each run that filters, one for the run that fails at its first
-        assert len(filter_calls) == 2 + 1 + 2
+        # one call over both items for each run that filters, the failing run included
+        assert [len(corrs) for corrs in filter_calls] == [2 * 53] * 3
         for row in (rows[0], rows[2]):
             assert row.report == run_experiment(dataset, row.config)
 
@@ -462,8 +561,7 @@ class TestExamplesTable:
         run_units = pipeline._run_units
 
         def spy(worker, unit_args, jobs):
-            calls.append((worker, unit_args, {args[0]: pipeline._EXAMPLES[args[0]] for args in unit_args
-                                              if worker is not pipeline._filter_item}))
+            calls.append((worker, unit_args, {args[0]: pipeline._EXAMPLES[args[0]] for args in unit_args}))
             return run_units(worker, unit_args, jobs)
 
         monkeypatch.setattr(pipeline, "_run_units", spy)
@@ -471,15 +569,15 @@ class TestExamplesTable:
         run_experiment(dataset, self.CONFIG, checkpoint_dir=str(tmp_path), jobs=2)
         evaluate_experiment(dataset, self.CONFIG, str(tmp_path), jobs=2)
         sweep(dataset, self.CONFIG, "graph-kind", self.KINDS, jobs=2)
-        # the filter stage, which sends each panel, runs once: every later call hits the cache
-        assert [worker for worker, _, _ in calls] == [
-            pipeline._filter_item, pipeline._run_unit, pipeline._eval_unit, pipeline._sweep_unit]
-        for worker, unit_args, examples in calls[1:]:
+        # filtering runs in process: the only pools train and score units
+        assert [worker for worker, _, _ in calls] == [pipeline._run_unit, pipeline._eval_unit,
+                                                      pipeline._sweep_unit]
+        for worker, unit_args, examples in calls:
             assert len(unit_args) == len(examples) * len(self.CONFIG.seeds) > 0
             assert not any(_holds_array(args) for args in unit_args), worker.__name__
             assert all(isinstance(ex, pipeline._Examples) for ex in examples.values())
         # the sweep's values share each panel's part, and only the graphs differ
-        sweep_examples = calls[3][2]
+        sweep_examples = calls[2][2]
         for item in dataset.items:
             correlation, ones = (sweep_examples[(dataclasses.replace(self.CONFIG, graph_kind=kind)
                                                  .config_hash, item)] for kind in self.KINDS)
