@@ -27,7 +27,6 @@ from .filtering import (
 from .graphs import benchmark_graph, from_filter_result
 from .linalg import (
     CorrelationMatrix,
-    PrecisionMatrix,
     TimeSeriesPanel,
     correlation_from_rows,
     invert_spd,
@@ -54,7 +53,6 @@ __all__ = [
     "FilterConfig",
     "FilterResult",
     "MetricsReport",
-    "PrecisionMatrix",
     "SalesDataset",
     "TimeSeriesPanel",
     "apply_filter",

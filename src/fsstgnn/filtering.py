@@ -16,7 +16,7 @@ kept. The glasso cross-validation grid of all panels is one
 ``glasso_stack`` batch too, and each cross-validation fold scores its
 candidates' held-out likelihoods as one stack. A single window
 (``apply_filter``, ``glasso``, ``mfcf``) is a batch of one, whose row
-becomes a validated ``FilterResult``.
+is its ``FilterResult``.
 
 Every method first makes its windows positive definite by
 ``_ensure_pd_stack`` and checks its precisions by ``precision_stack``;
@@ -42,7 +42,6 @@ from .errors import (
 from .linalg import (
     PD_PIVOT_FLOOR,
     CorrelationMatrix,
-    PrecisionMatrix,
     TimeSeriesPanel,
     cholesky_stack,
     correlation_from_rows,
@@ -128,12 +127,12 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """One window's filtered correlation, its precision, how sparse the
-    precision is, the PD jitter, and glasso's sweeps (None for the other
-    methods)."""
+    """One window's filtered correlation and precision, the (n, n) rows of
+    its ``FilterStack``; how sparse the precision is, the PD jitter, and
+    glasso's sweeps (None for the other methods)."""
 
-    correlation: CorrelationMatrix
-    precision: PrecisionMatrix
+    correlation: np.ndarray
+    precision: np.ndarray
     sparsity: float
     jitter: float = 0.0
     sweeps: Optional[int] = None
@@ -174,30 +173,30 @@ def _as_stack(corrs) -> np.ndarray:
     return corrs
 
 
-def _ensure_pd_stack(entries: np.ndarray):
+def _ensure_pd_stack(entries: np.ndarray, first=None):
     """A (W, n, n) stack made positive definite: the stack, the jitters
     (W,), {index: DefinitenessError} for the matrices that stay indefinite
     (left as given) and the indices of the others.
 
     Rank-deficient 14-sample windows are common; a tiny renormalized
     diagonal inflation restores definiteness without visibly moving the
-    off-diagonal structure. Each of ``PD_JITTERS`` in turn is tried by one
+    off-diagonal structure. Each of ``PD_JITTERS`` in turn, for window w
+    from step ``first[w]`` on (default 0), is tried by one
     ``cholesky_stack`` call over the matrices still indefinite.
     """
     entries, eye = symmetrize(entries), np.eye(entries.shape[-1])
-    jitter, pending, candidates = np.zeros(len(entries)), np.arange(len(entries)), entries
-    for step in PD_JITTERS:
-        if step:
-            candidates = np.where(eye, 1.0, (entries[pending] + step * eye) / (1.0 + step))
-        ok = np.ones(len(pending), dtype=bool)
+    jitter, pending = np.zeros(len(entries)), np.ones(len(entries), dtype=bool)
+    for i, step in enumerate(PD_JITTERS):
+        trying = np.flatnonzero(pending if first is None else pending & (first <= i))
+        candidates = np.where(eye, 1.0, (entries[trying] + step * eye) / (1.0 + step)) if step else entries[trying]
+        ok = np.ones(len(trying), dtype=bool)
         ok[list(cholesky_stack(candidates, PD_PIVOT_FLOOR)[1])] = False
-        entries[pending[ok]], jitter[pending[ok]] = candidates[ok], step
-        pending = pending[~ok]
-        if not len(pending):
+        entries[trying[ok]], jitter[trying[ok]], pending[trying[ok]] = candidates[ok], step, False
+        if not pending.any():
             break
     message = f"could not restore positive definiteness with jitter up to {PD_JITTERS[-1]:g}"
-    errors = {int(k): DefinitenessError(message) for k in pending}
-    return entries, jitter, errors, np.delete(np.arange(len(entries)), pending)
+    errors = {int(k): DefinitenessError(message) for k in np.flatnonzero(pending)}
+    return entries, jitter, errors, np.flatnonzero(~pending)
 
 
 def _record(precision: np.ndarray, jitter: np.ndarray, errors: dict, sweeps=0,
@@ -228,17 +227,26 @@ def _shrink_stack(corrs, alpha: Optional[np.ndarray]) -> FilterStack:
     shrunk = (1 - alpha) * C + alpha * (tr C / n) * I, which for a
     correlation matrix scales every off-diagonal by (1 - alpha) and every
     eigenvalue to (1 - alpha) * e_i + alpha.
+
+    A window whose precision fails its check (a correlation of rank n - 1
+    can clear ``PD_PIVOT_FLOOR`` yet invert to an indefinite precision) goes
+    back to the ``PD_JITTERS`` ladder at the step after the one it took.
     """
-    entries = _as_stack(corrs)
+    entries, first = _as_stack(corrs), np.zeros(len(corrs), dtype=int)
     if alpha is not None:
         n = entries.shape[-1]
         target = np.trace(entries, axis1=1, axis2=2) / n
         entries = (1.0 - alpha[:, None, None]) * entries + (alpha * target)[:, None, None] * np.eye(n)
-    entries, jitter, errors, rows = _ensure_pd_stack(entries)
-    correlation = correlation_stack(entries)
-    inverses = np.zeros_like(entries)
-    inverses[rows] = invert_spd_stack(correlation[rows])
-    return _record(inverses, jitter, errors, correlation=correlation)
+    while True:
+        pd, jitter, errors, rows = _ensure_pd_stack(entries, first)
+        indefinite, correlation = set(errors), correlation_stack(pd)
+        inverses = np.zeros_like(pd)
+        inverses[rows] = invert_spd_stack(correlation[rows])
+        record = _record(inverses, jitter, errors, correlation=correlation)
+        retry = sorted(set(record.errors) - indefinite)
+        if not retry:
+            return record
+        first[retry] = np.searchsorted(PD_JITTERS, jitter[retry]) + 1
 
 
 def _column_lasso(m, s12, s22, u, lam, inner_tol, max_inner):
@@ -511,12 +519,12 @@ def filter_windows(corrs, configs) -> FilterStack:
 
 
 def _alone(record: FilterStack) -> FilterResult:
-    """Row 0 of a batch of one as a validated FilterResult, or the error it
-    ended with, raised."""
+    """Row 0 of a batch of one as a FilterResult, or the error it ended
+    with, raised."""
     if record.errors:
         raise record.errors[0]
-    return FilterResult(CorrelationMatrix(record.correlation[0]), PrecisionMatrix(record.precision[0]),
-                        float(record.sparsity[0]), float(record.jitter[0]), int(record.sweeps[0]) or None)
+    return FilterResult(record.correlation[0], record.precision[0], float(record.sparsity[0]),
+                        float(record.jitter[0]), int(record.sweeps[0]) or None)
 
 
 def apply_filter(corr: CorrelationMatrix, config: FilterConfig) -> FilterResult:

@@ -11,7 +11,7 @@ well-defined even on the fully disconnected benchmarks.
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .filtering import FilterResult
 
 # Filtered graph kind -> the filter output it reads: the dense correlation
@@ -21,18 +21,12 @@ BENCHMARK_KINDS = ("ones", "zeros", "identity")
 GRAPH_KINDS = (*FILTERED_KINDS, *BENCHMARK_KINDS)
 
 
-def check_graphs(weights: np.ndarray) -> None:
-    """ShapeError unless the graph, or each graph of a stack, is symmetric."""
-    if np.max(np.abs(weights - weights.swapaxes(-1, -2)), initial=0.0) > 1e-12:
-        raise ShapeError("graph weights must be symmetric")
-
-
 def from_filter_result(result: FilterResult, kind: str) -> np.ndarray:
     """The weights of the graph of a filtered kind: a copy of the filter
-    output it reads, which its matrix type has checked for symmetry."""
+    output it reads, which the filter made symmetric."""
     if kind not in FILTERED_KINDS:
         raise ParameterError(f"filter results map to {tuple(FILTERED_KINDS)}, not {kind!r}")
-    return getattr(result, FILTERED_KINDS[kind]).entries.copy()
+    return getattr(result, FILTERED_KINDS[kind]).copy()
 
 
 def benchmark_graph(n: int, kind: str) -> np.ndarray:

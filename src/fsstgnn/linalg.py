@@ -10,9 +10,9 @@ every other check reads; its only Python-level loop decides matrices
 that are not, or only barely, positive definite and names their pivot.
 
 Stacks of matrices stay plain (k, n, n) arrays, checked once over the
-stack (``correlation_stack``, ``window_correlations``,
-``precision_stack``); ``CorrelationMatrix`` and ``PrecisionMatrix``
-validate one matrix.
+stack by the function that makes them (``correlation_stack``,
+``window_correlations``, ``precision_stack``); ``CorrelationMatrix``
+validates one matrix that the caller gives.
 """
 
 from dataclasses import dataclass
@@ -209,35 +209,14 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class PrecisionMatrix:
-    """Symmetric positive-definite inverse correlation, possibly sparse.
-
-    Storage is always dense; structural zeros are exact zeros in
-    ``entries``. Positive definiteness is verified by a LAPACK Cholesky
-    factorization on construction.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _check_square_symmetric(self.entries)
-        cholesky_lower(entries, min_pivot=0.0)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def precision_stack(entries: np.ndarray, zero_tol: float = 1e-10):
     """Each matrix of a (k, n, n) stack, symmetrized with off-diagonal
     entries below ``zero_tol`` in magnitude snapped to exact zero, and its
     inverse: the snapped entries, their inverses, and {index:
-    DefinitenessError} for the matrices ``PrecisionMatrix`` refuses, whose
-    inverses are zero. One ``cholesky_stack`` call checks and factors the
-    stack, so each matrix gets the verdict, factor and error it would get
-    alone; a non-finite entry raises ShapeError."""
+    DefinitenessError} for the snapped matrices that are not positive
+    definite, whose inverses are zero. One ``cholesky_stack`` call checks
+    and factors the stack, so each matrix gets the verdict, factor and
+    error it would get alone; a non-finite entry raises ShapeError."""
     entries = symmetrize(np.asarray(entries, dtype=float))
     n = entries.shape[-1]
     off = np.abs(entries) < zero_tol

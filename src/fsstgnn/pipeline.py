@@ -53,7 +53,7 @@ from .filtering import (
     select_lambda_cv,
     sparsity,
 )
-from .graphs import FILTERED_KINDS, GRAPH_KINDS, benchmark_graph, check_graphs
+from .graphs import FILTERED_KINDS, GRAPH_KINDS, benchmark_graph
 from .linalg import TimeSeriesPanel, window_correlations
 from .neural.features import window_moments
 from .neural.layers import ACTIVATIONS
@@ -358,7 +358,6 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
     sparsities, fallbacks = [], 0
     if _uses_filter(config):
         graphs = getattr(filtered, FILTERED_KINDS[config.graph_kind])
-        check_graphs(graphs)
         sparsities, fallbacks = filtered.sparsity, len(filtered.errors)
     elif config.model != "lstm":
         bench = benchmark_graph(n_series, config.graph_kind)

@@ -34,7 +34,6 @@ from fsstgnn.filtering import (
 from fsstgnn.linalg import (
     CorrelationMatrix,
     PD_PIVOT_FLOOR,
-    PrecisionMatrix,
     TimeSeriesPanel,
     symmetrize,
     cholesky_stack,
@@ -154,12 +153,15 @@ def corr_of(entries) -> CorrelationMatrix:
     return CorrelationMatrix(correlation_stack(np.asarray(entries, dtype=float)[None])[0])
 
 
-def precision_of(entries, zero_tol=1e-10) -> PrecisionMatrix:
+def precision_of(entries, zero_tol=1e-10) -> np.ndarray:
     """A precision matrix from raw entries: symmetrized, with off-diagonal
     entries below ``zero_tol`` snapped to zero, as ``precision_stack``
-    snaps its rows. Raises DefinitenessError if that is not positive
-    definite."""
-    return PrecisionMatrix(precision_stack(np.asarray(entries, dtype=float)[None], zero_tol)[0][0])
+    snaps its rows. Raises the DefinitenessError that ``precision_stack``
+    gives the matrix if that is not positive definite."""
+    (entries,), _, errors = precision_stack(np.asarray(entries, dtype=float)[None], zero_tol)
+    if errors:
+        raise errors[0]
+    return entries
 
 
 def random_spd(rng, n, jitter=0.5):
@@ -289,23 +291,26 @@ def cholesky_reference(m, min_pivot=0.0):
     return lower
 
 
-def ensure_pd_reference(entries):
+def ensure_pd_reference(entries, first=0):
     """One matrix made positive definite as the filters do, checked by
     ``cholesky_reference``: the symmetrized matrix if it is, else the first
     renormalized diagonal inflation by BASE_JITTER * 10**k (k = 0..6) that
-    is, and the jitter used; raises DefinitenessError past 1e-2."""
+    is, and the jitter used; raises DefinitenessError past 1e-2. The first
+    ``first`` candidates of that ladder (the matrix itself first) are
+    skipped."""
     entries = symmetrize(np.asarray(entries, dtype=float))
-    jitter, candidate = 0.0, entries
-    for attempt in range(8):
+    jitters = [0.0] + [BASE_JITTER * (10.0 ** attempt) for attempt in range(7)]
+    for jitter in jitters[first:]:
+        candidate = entries
+        if jitter:
+            candidate = (entries + jitter * np.eye(entries.shape[0])) / (1.0 + jitter)
+            np.fill_diagonal(candidate, 1.0)
         try:
             cholesky_reference(candidate, min_pivot=PD_PIVOT_FLOOR)
             return candidate, jitter
         except DefinitenessError:
-            if attempt == 7:
-                raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitter:g}")
-            jitter = BASE_JITTER * (10.0 ** attempt)
-            candidate = (entries + jitter * np.eye(entries.shape[0])) / (1.0 + jitter)
-            np.fill_diagonal(candidate, 1.0)
+            pass
+    raise DefinitenessError(f"could not restore positive definiteness with jitter up to {jitters[-1]:g}")
 
 
 def mfcf_insertion_reference(entries, max_clique, threshold):
@@ -402,9 +407,9 @@ def glasso_reference(corr, lam, max_sweeps=500, tol=1e-6, inner_tol=1e-8, max_in
                                gap=float((s * theta).sum() - p + lam * off))
     precision = precision_of(theta, zero_tol=PRECISION_ZERO_TOL)
     return FilterResult(
-        correlation=corr_of(invert_spd(precision.entries)),
+        correlation=corr_of(invert_spd(precision)).entries,
         precision=precision,
-        sparsity=sparsity(precision.entries),
+        sparsity=sparsity(precision),
         jitter=jitter,
         sweeps=converged_sweeps,
     )
@@ -440,16 +445,22 @@ def column_lasso_reference(m, s12, s22, u, lam, inner_tol, max_inner):
 def shrink_reference(corr, alpha=None):
     """The empirical filter (``alpha`` None) or shrinkage of one window,
     one window at a time: shrink, make positive definite, then invert
-    the correlation alone. Raises DefinitenessError as the filter does."""
+    the correlation alone. A precision that is not positive definite sends
+    the window back to ``ensure_pd_reference`` one attempt further on.
+    Raises DefinitenessError as the filter does."""
     entries = corr.entries
     if alpha is not None:
         target = np.trace(entries) / entries.shape[0]
         entries = (1.0 - alpha) * entries + alpha * target * np.eye(entries.shape[0])
-    entries, jitter = ensure_pd_reference(entries)
-    corr = corr_of(entries)
-    precision = precision_of(invert_spd(corr.entries), zero_tol=PRECISION_ZERO_TOL)
-    return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision.entries),
-                        jitter=jitter)
+    for first in range(9):                          # past the ladder, ensure_pd_reference raises
+        pd, jitter = ensure_pd_reference(entries, first)
+        corr = corr_of(pd).entries
+        inverse = invert_spd(corr)
+        try:
+            precision = precision_of(inverse, zero_tol=PRECISION_ZERO_TOL)
+        except DefinitenessError:
+            continue
+        return FilterResult(correlation=corr, precision=precision, sparsity=sparsity(precision), jitter=jitter)
 
 
 def gaussian_score_reference(x, sigma):
@@ -562,7 +573,7 @@ def outcome_row(outcome):
     """``record_row`` of a single-window FilterResult or error."""
     if isinstance(outcome, Exception):
         return type(outcome), str(outcome), getattr(outcome, "gap", None)
-    return (outcome.correlation.entries.tobytes(), outcome.precision.entries.tobytes(), outcome.sparsity,
+    return (outcome.correlation.tobytes(), outcome.precision.tobytes(), outcome.sparsity,
             outcome.jitter, outcome.sweeps or 0)
 
 

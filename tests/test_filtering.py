@@ -68,23 +68,23 @@ class TestShrink:
     def test_alpha_zero_is_identity_transform(self):
         corr = random_correlation(np.random.default_rng(0), 5)
         result = shrink(corr, 0.0)
-        assert np.array_equal(result.correlation.entries, corr.entries)
+        assert np.array_equal(result.correlation, corr.entries)
 
     def test_alpha_one_gives_identity(self):
         corr = random_correlation(np.random.default_rng(1), 5)
         result = shrink(corr, 1.0)
-        assert np.array_equal(result.correlation.entries, np.eye(5))
+        assert np.array_equal(result.correlation, np.eye(5))
 
     def test_two_by_two_hand_value(self):
         result = shrink(corr_of([[1.0, 0.8], [0.8, 1.0]]), 0.5)
-        assert result.correlation.entries[0, 1] == pytest.approx(0.4, abs=1e-12)
-        assert result.correlation.entries[0, 0] == 1.0
+        assert result.correlation[0, 1] == pytest.approx(0.4, abs=1e-12)
+        assert result.correlation[0, 0] == 1.0
 
     def test_unit_diagonal_for_all_alpha(self):
         corr = random_correlation(np.random.default_rng(2), 6)
         for alpha in ALPHA_GRID:
             result = shrink(corr, alpha)
-            assert np.all(np.diag(result.correlation.entries) == 1.0)
+            assert np.all(np.diag(result.correlation) == 1.0)
 
     def test_eigenvalue_shift(self):
         # every eigenvalue moves to (1 - alpha) * e + alpha, checked against
@@ -92,15 +92,15 @@ class TestShrink:
         corr = random_correlation(np.random.default_rng(3), 6)
         base = np.sort(np.linalg.eigvalsh(corr.entries))
         for alpha in (0.2, 0.5, 0.9):
-            shrunk = shrink(corr, alpha).correlation.entries
+            shrunk = shrink(corr, alpha).correlation
             shifted = np.sort(np.linalg.eigvalsh(shrunk))
             assert np.abs(shifted - ((1 - alpha) * base + alpha)).max() < 1e-10
 
     def test_round_trip(self):
         corr = random_correlation(np.random.default_rng(4), 5)
         result = shrink(corr, 0.3)
-        back = invert_spd(result.precision.entries)
-        assert np.abs(back - result.correlation.entries).max() < 1e-6
+        back = invert_spd(result.precision)
+        assert np.abs(back - result.correlation).max() < 1e-6
 
     def test_sparsity_zero_below_one(self):
         corr = random_correlation(np.random.default_rng(5), 5)
@@ -117,19 +117,19 @@ class TestShrink:
 class TestGlasso:
     def test_identity_at_lambda_zero(self):
         result = glasso(corr_of(np.eye(3)), 0.0)
-        assert np.array_equal(result.precision.entries, np.eye(3))
+        assert np.array_equal(result.precision, np.eye(3))
 
     def test_screening_bound_gives_diagonal(self):
         corr = random_correlation(np.random.default_rng(7), 5)
         lam = np.abs(corr.entries - np.eye(5)).max() + 1e-6
         result = glasso(corr, lam)
         assert result.sparsity == 1.0
-        assert np.abs(result.precision.entries - np.eye(5)).max() < 1e-8
+        assert np.abs(result.precision - np.eye(5)).max() < 1e-8
 
     def test_lambda_zero_matches_direct_inverse(self):
         corr = random_correlation(np.random.default_rng(8), 5, rows=400)
         result = glasso(corr, 0.0)
-        assert np.abs(result.precision.entries - invert_spd(corr.entries)).max() < 1e-4
+        assert np.abs(result.precision - invert_spd(corr.entries)).max() < 1e-4
 
     def test_objective_monotone_per_sweep(self):
         # the reference's objective never rises between sweeps, and the
@@ -141,7 +141,7 @@ class TestGlasso:
             glasso_reference(corr, lam, objective=values)
             assert len(values) > 2
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
-            final = glasso_objective(ensure_pd_reference(corr.entries)[0], glasso(corr, lam).precision.entries, lam)
+            final = glasso_objective(ensure_pd_reference(corr.entries)[0], glasso(corr, lam).precision, lam)
             assert abs(final - values[-1]) <= 1e-12 * abs(values[-1])
 
     def test_sparsity_monotone_in_lambda(self):
@@ -157,7 +157,7 @@ class TestGlasso:
         s = np.array([[1.0, 0.6], [0.6, 1.0]])
         lam = 0.1
         result = glasso(corr_of(s), lam)
-        solver_obj = glasso_objective(s, result.precision.entries, lam)
+        solver_obj = glasso_objective(s, result.precision, lam)
         oracle_obj, _ = glasso_grid_oracle_2x2(s, lam)
         assert abs(solver_obj - oracle_obj) < 1e-5
 
@@ -166,20 +166,20 @@ class TestGlasso:
         corr = random_correlation(rng, 3, rows=25)
         for lam in (0.05, 0.15):
             result = glasso(corr, lam)
-            solver_obj = glasso_objective(corr.entries, result.precision.entries, lam)
+            solver_obj = glasso_objective(corr.entries, result.precision, lam)
             oracle_obj, _ = glasso_projected_oracle(corr.entries, lam)
             assert solver_obj <= oracle_obj + 1e-5
 
     def test_round_trip(self):
         corr = random_correlation(np.random.default_rng(12), 6, rows=30)
         result = glasso(corr, 0.08)
-        back = invert_spd(result.precision.entries)
-        assert np.abs(back - result.correlation.entries).max() < 1e-6
+        back = invert_spd(result.precision)
+        assert np.abs(back - result.correlation).max() < 1e-6
 
     def test_pattern_matches_zeros(self):
         corr = random_correlation(np.random.default_rng(13), 6, rows=30)
         result = glasso(corr, 0.15)
-        entries = result.precision.entries
+        entries = result.precision
         off_diagonal_nonzero = (entries != 0.0) & ~np.eye(6, dtype=bool)
         # every kept entry clears the snap tolerance; the rest are exact zeros
         assert np.all(np.abs(entries[off_diagonal_nonzero]) >= PRECISION_ZERO_TOL)
@@ -189,7 +189,7 @@ class TestGlasso:
         # off-diagonal-only penalty pins the covariance diagonal at 1
         corr = random_correlation(np.random.default_rng(14), 5, rows=60)
         result = glasso(corr, 0.1)
-        assert np.abs(np.diag(result.correlation.entries) - 1.0).max() < 1e-12
+        assert np.abs(np.diag(result.correlation) - 1.0).max() < 1e-12
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
@@ -262,9 +262,9 @@ class TestGlassoStack:
                 continue
             assert k not in record.errors
             assert (record.sweeps[k], record.jitter[k]) == (want.sweeps, want.jitter)
-            assert np.array_equal(record.precision[k] == 0.0, want.precision.entries == 0.0)
-            assert relative_gap(record.precision[k], want.precision.entries) <= 1e-12
-            assert relative_gap(record.correlation[k], want.correlation.entries) <= 1e-12
+            assert np.array_equal(record.precision[k] == 0.0, want.precision == 0.0)
+            assert relative_gap(record.precision[k], want.precision) <= 1e-12
+            assert relative_gap(record.correlation[k], want.correlation) <= 1e-12
             s = ensure_pd_reference(corr.entries)[0]
             assert relative_gap(glasso_objective(s, record.precision[k], lam), history[-1]) <= 1e-12
 
@@ -411,11 +411,11 @@ class TestGlassoOptimality:
 
 class TestSparsity:
     def test_diagonal_matrix(self):
-        assert sparsity(precision_of(np.eye(4)).entries) == 1.0
+        assert sparsity(precision_of(np.eye(4))) == 1.0
 
     def test_dense_matrix(self):
         entries = np.eye(4) + 0.1 * (np.ones((4, 4)) - np.eye(4))
-        assert sparsity(precision_of(entries).entries) == 0.0
+        assert sparsity(precision_of(entries)) == 0.0
 
     def test_one_by_one_stack_gives_an_array(self):
         shares = sparsity(np.ones((3, 1, 1)))
@@ -432,9 +432,9 @@ class TestEmpirical:
     def test_inverts_input(self):
         corr = random_correlation(np.random.default_rng(16), 5)
         result = empirical(corr)
-        assert np.array_equal(result.correlation.entries, corr.entries)
+        assert np.array_equal(result.correlation, corr.entries)
         assert result.jitter == 0.0
-        assert np.abs(result.precision.entries - invert_spd(corr.entries)).max() < 1e-12
+        assert np.abs(result.precision - invert_spd(corr.entries)).max() < 1e-12
 
     def test_degenerate_gets_jitter(self):
         rng = np.random.default_rng(17)
@@ -444,8 +444,8 @@ class TestEmpirical:
         )
         result = empirical(corr)
         assert result.jitter > 0.0
-        back = invert_spd(result.precision.entries)
-        assert np.abs(back - result.correlation.entries).max() < 1e-6
+        back = invert_spd(result.precision)
+        assert np.abs(back - result.correlation).max() < 1e-6
 
 
 METHODS = {
@@ -529,6 +529,22 @@ class TestFilterWindows:
         for k, corr in enumerate(batch):
             assert record_row(record, k) == outcome_row(reference_or_error(corr, alpha))
 
+    def test_window_whose_precision_fails_goes_back_to_the_jitter_ladder(self):
+        # 7 rows of 7 stores: item 3's window 91 has rank 6 yet clears the
+        # pivot floor without jitter, and its inverse is not positive definite
+        values = synthesize_dataset(7, 5, 180, seed=1).panel(3).values
+        corrs = window_correlations(np.array([values[t - 7: t] for t in range(7, len(values))]))
+        assert not cholesky_stack(corrs[91:92], filtering.PD_PIVOT_FLOOR)[1]
+        config = FilterConfig(method="empirical")
+        record = filter_windows(corrs, [config] * len(corrs))
+        assert record.errors == {} and record.jitter[91] == filtering.BASE_JITTER
+        assert record_row(record, 91) == outcome_row(shrink_reference(corr_of(corrs[91])))
+        # every other window keeps the row it gets in a stack where none goes back
+        others = filter_windows(np.delete(corrs, 91, axis=0), [config] * (len(corrs) - 1))
+        assert others.errors == {}
+        assert ([record_row(record, k) for k in range(len(corrs)) if k != 91]
+                == [record_row(others, k) for k in range(len(corrs) - 1)])
+
     def test_jittered_and_one_by_one_windows(self):
         rng = np.random.default_rng(60)
         x = rng.normal(size=(9, 6))
@@ -562,8 +578,8 @@ class TestDegenerateWindows:
         result = apply_filter(correlation_from_rows(x), config)
         off = ~np.eye(n, dtype=bool)
         for j in constant:
-            assert np.all(result.correlation.entries[j][off[j]] == 0.0)
-            assert np.all(result.correlation.entries[:, j][off[j]] == 0.0)
+            assert np.all(result.correlation[j][off[j]] == 0.0)
+            assert np.all(result.correlation[:, j][off[j]] == 0.0)
 
     @given(data=st.data())
     def test_all_zero_window_gives_the_identity(self, data):
@@ -571,8 +587,8 @@ class TestDegenerateWindows:
         n = data.draw(st.integers(max(smallest_size(config), 2), 8))
         rows = data.draw(st.integers(2, 16))
         result = apply_filter(correlation_from_rows(np.zeros((rows, n))), config)
-        assert np.array_equal(result.correlation.entries, np.eye(n))
-        assert np.array_equal(result.precision.entries, np.eye(n))
+        assert np.array_equal(result.correlation, np.eye(n))
+        assert np.array_equal(result.precision, np.eye(n))
         assert (result.sparsity, result.jitter) == (1.0, 0.0)
 
     @given(data=st.data())
@@ -609,13 +625,16 @@ def pd_stacks(draw):
 
 
 class TestEnsurePd:
-    @given(stack=pd_stacks())
-    def test_matches_the_one_matrix_reference(self, stack):
-        entries, jitter, errors, rows = filtering._ensure_pd_stack(stack)
+    @given(stack=pd_stacks(), data=st.data())
+    def test_matches_the_one_matrix_reference(self, stack, data):
+        # each window may start the jitter ladder at a later step
+        first = data.draw(st.none() | st.lists(st.integers(0, len(filtering.PD_JITTERS)),
+                                               min_size=len(stack), max_size=len(stack)))
+        entries, jitter, errors, rows = filtering._ensure_pd_stack(stack, None if first is None else np.array(first))
         assert rows.tolist() == [k for k in range(len(stack)) if k not in errors]
         for k, m in enumerate(stack):
             try:
-                want, want_jitter = ensure_pd_reference(m)
+                want, want_jitter = ensure_pd_reference(m, 0 if first is None else first[k])
             except DefinitenessError as exc:
                 assert type(errors[k]) is DefinitenessError and str(errors[k]) == str(exc)
                 continue

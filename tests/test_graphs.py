@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fsstgnn.errors import ParameterError, ShapeError
+from fsstgnn.errors import ParameterError
 from fsstgnn.filtering import FilterConfig, apply_filter, glasso, mfcf, sparsity
-from fsstgnn.graphs import benchmark_graph, check_graphs, from_filter_result
+from fsstgnn.graphs import benchmark_graph, from_filter_result
 from fsstgnn.linalg import correlation_from_rows
 
 from _oracles import random_correlation
@@ -68,7 +68,7 @@ class TestFromFilterResult:
         result = glasso(corr, 0.02)
         graph = from_filter_result(result, "inverse-correlation")
         assert (graph < 0.0).any()
-        assert np.array_equal(graph, result.precision.entries)
+        assert np.array_equal(graph, result.precision)
 
     def test_rejects_benchmark_kinds(self):
         corr = random_correlation(np.random.default_rng(5), 6)
@@ -103,18 +103,3 @@ class TestPermutationEquivariance:
                                       "correlation")
         assert np.abs(permuted - base[np.ix_(perm, perm)]).max() < 1e-12
 
-
-class TestGraphValidation:
-    def test_asymmetric_rejected(self):
-        weights = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ShapeError):
-            check_graphs(weights)
-
-    def test_stacked_graphs_are_checked(self):
-        results = [mfcf(random_correlation(np.random.default_rng(60 + k), 6), FilterConfig(method="mfcf"))
-                   for k in range(3)]
-        stack = np.array([r.precision.entries for r in results])
-        check_graphs(stack)
-        stack[1, 0, 2] += 0.5           # one asymmetric graph fails the stack
-        with pytest.raises(ShapeError):
-            check_graphs(stack)

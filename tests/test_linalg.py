@@ -8,7 +8,6 @@ from fsstgnn.errors import DataError, DefinitenessError, RangeError, ShapeError
 from fsstgnn.linalg import (
     PD_PIVOT_FLOOR,
     CorrelationMatrix,
-    PrecisionMatrix,
     TimeSeriesPanel,
     cholesky_lower,
     cholesky_stack,
@@ -314,30 +313,30 @@ class TestMatrixTypes:
             CorrelationMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))  # out of range
 
     def test_precision_requires_pd(self):
-        with pytest.raises(DefinitenessError):
-            PrecisionMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _, inverses, errors = precision_stack(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        assert list(errors) == [0] and isinstance(errors[0], DefinitenessError)
+        assert errors[0].pivot == 1 and not inverses.any()
 
     def test_precision_pattern_from_entries(self):
         entries = np.array([[2.0, 1e-12, 0.4], [1e-12, 2.0, 0.0], [0.4, 0.0, 2.0]])
         prec = precision_of(entries)
-        off_diagonal_nonzero = (prec.entries != 0.0) & ~np.eye(3, dtype=bool)
+        off_diagonal_nonzero = (prec != 0.0) & ~np.eye(3, dtype=bool)
         assert set(zip(*np.nonzero(off_diagonal_nonzero))) == {(0, 2), (2, 0)}
 
     def test_precision_stack_is_from_entries_of_each_matrix(self):
         # a matrix that is not positive definite fails alone, with the error
-        # PrecisionMatrix gives it; the others are inverted as invert_spd does
+        # cholesky_stack gives it; the others are inverted as invert_spd does
         rng = np.random.default_rng(14)
         stack = np.array([random_spd(rng, 4), [[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0],
                                                [0, 0, 0, 1.0]], random_spd(rng, 4)])
         stack[0, 0, 1] = stack[0, 1, 0] = 1e-12          # snapped to an exact zero
         entries, inverses, errors = precision_stack(stack)
         assert list(errors) == [1]
-        with pytest.raises(DefinitenessError) as alone:
-            precision_of(stack[1])
-        assert (str(errors[1]), errors[1].pivot) == (str(alone.value), alone.value.pivot)
+        (alone,) = cholesky_stack(stack[1:2])[1].values()
+        assert (str(errors[1]), errors[1].pivot) == (str(alone), alone.pivot)
         assert not inverses[1].any()
         for k in (0, 2):
-            assert np.array_equal(entries[k], precision_of(stack[k]).entries)
+            assert np.array_equal(entries[k], precision_of(stack[k]))
             assert np.array_equal(inverses[k], invert_spd(entries[k]))
         assert entries[0, 0, 1] == 0.0
 

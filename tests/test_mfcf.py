@@ -60,13 +60,13 @@ class TestTmfgStructure:
         cliques, separators, _ = reference_forest(corr)
         assert (cliques, separators) == ([(0, 1, 2, 3)], {})
         assert result.sparsity == 0.0
-        assert np.abs(result.precision.entries - invert_spd(corr.entries)).max() < 1e-10
+        assert np.abs(result.precision - invert_spd(corr.entries)).max() < 1e-10
 
     @pytest.mark.parametrize("n", [10, 20])
     def test_planar_edge_count(self, n):
         corr = random_correlation(np.random.default_rng(n), n)
         result = mfcf(corr, tmfg_config())
-        edges = support_pairs(result.precision.entries)
+        edges = support_pairs(result.precision)
         assert len(edges) == 3 * n - 6
         assert result.sparsity == pytest.approx(1.0 - 2 * (3 * n - 6) / (n * (n - 1)))
 
@@ -86,7 +86,7 @@ class TestTmfgStructure:
     def test_chordal(self, n):
         corr = random_correlation(np.random.default_rng(200 + n), n)
         result = mfcf(corr, tmfg_config())
-        adjacency = support_adjacency(result.precision.entries)
+        adjacency = support_adjacency(result.precision)
         assert has_perfect_elimination_ordering(adjacency)
         # independent cross-check
         assert nx.is_chordal(nx.from_numpy_array(adjacency.astype(int)))
@@ -97,27 +97,27 @@ class TestTmfgStructure:
         corr = random_correlation(np.random.default_rng(5), 12)
         result = mfcf(corr, tmfg_config())
         cliques, separators, _ = reference_forest(corr)
-        assert support_pairs(result.precision.entries) == clique_pairs(cliques)
-        assert has_perfect_elimination_ordering(support_adjacency(result.precision.entries))
+        assert support_pairs(result.precision) == clique_pairs(cliques)
+        assert has_perfect_elimination_ordering(support_adjacency(result.precision))
         for separator in separators:
             assert sum(1 for clique in cliques if set(separator) <= set(clique)) >= 2
 
     def test_precision_positive_definite(self):
         corr = random_correlation(np.random.default_rng(6), 15)
         result = mfcf(corr, tmfg_config())
-        assert np.linalg.eigvalsh(result.precision.entries).min() > 0.0
+        assert np.linalg.eigvalsh(result.precision).min() > 0.0
 
     def test_pattern_equals_forest_edges(self):
         corr = random_correlation(np.random.default_rng(7), 12)
         result = mfcf(corr, tmfg_config())
-        assert support_pairs(result.precision.entries) == clique_pairs(reference_forest(corr)[0])
+        assert support_pairs(result.precision) == clique_pairs(reference_forest(corr)[0])
 
     def test_logo_consistency(self):
         # the inverse of the assembled precision reproduces the input
         # correlation on every within-clique pair
         corr = random_correlation(np.random.default_rng(8), 14)
         result = mfcf(corr, tmfg_config())
-        back = invert_spd(result.precision.entries)
+        back = invert_spd(result.precision)
         for clique in reference_forest(corr)[0]:
             for i in clique:
                 for j in clique:
@@ -126,8 +126,8 @@ class TestTmfgStructure:
     def test_round_trip(self):
         corr = random_correlation(np.random.default_rng(9), 10)
         result = mfcf(corr, tmfg_config())
-        back = invert_spd(result.precision.entries)
-        assert np.abs(back - result.correlation.entries).max() < 1e-6
+        back = invert_spd(result.precision)
+        assert np.abs(back - result.correlation).max() < 1e-6
 
     def test_too_few_nodes(self):
         corr = random_correlation(np.random.default_rng(10), 3)
@@ -155,7 +155,7 @@ class TestGainThreshold:
     def test_no_cross_block_edges(self):
         corr = self._block_diagonal_corr()
         result = mfcf(corr, tmfg_config(threshold=0.01))
-        for i, j in zip(*np.nonzero(result.precision.entries)):
+        for i, j in zip(*np.nonzero(result.precision)):
             assert (i < 5) == (j < 5), f"cross-block edge ({i}, {j})"
 
     def test_threshold_increases_sparsity(self):
@@ -171,9 +171,9 @@ class TestGainThreshold:
         corr = random_correlation(np.random.default_rng(13), 12, rows=40)
         for t in (0.05, 0.2, 0.5):
             result = mfcf(corr, tmfg_config(threshold=t))
-            assert has_perfect_elimination_ordering(support_adjacency(result.precision.entries))
-            assert np.linalg.eigvalsh(result.precision.entries).min() > 0.0
-            assert support_pairs(result.precision.entries) == clique_pairs(reference_forest(corr, t)[0])
+            assert has_perfect_elimination_ordering(support_adjacency(result.precision))
+            assert np.linalg.eigvalsh(result.precision).min() > 0.0
+            assert support_pairs(result.precision) == clique_pairs(reference_forest(corr, t)[0])
 
 
 @st.composite
@@ -206,15 +206,15 @@ class TestAgainstFaceByFaceReference:
         assert result.jitter == jitter
         # the precision is supported on the edge union of the reference's
         # cliques; on degenerate windows some of its entries cancel to zero
-        assert support_pairs(result.precision.entries) <= clique_pairs(cliques)
+        assert support_pairs(result.precision) <= clique_pairs(cliques)
 
         joint = np.zeros_like(entries)
         for clique in cliques:
             joint[np.ix_(clique, clique)] += invert_spd(entries[np.ix_(clique, clique)])
         for sep, mult in separators.items():
             joint[np.ix_(sep, sep)] -= mult * invert_spd(entries[np.ix_(sep, sep)])
-        expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL).entries
-        assert np.abs(result.precision.entries - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL)
+        assert np.abs(result.precision - expected).max() <= 1e-12 * np.abs(expected).max()
         assert result.sparsity == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
 
 
@@ -243,7 +243,7 @@ def assert_matches_reference(record, k, corr, threshold):
         for block, weight in signed:
             if len(block) == size:
                 joint[np.ix_(block, block)] += weight * invert_spd(entries[np.ix_(block, block)])
-    expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL).entries
+    expected = precision_of(joint, zero_tol=PRECISION_ZERO_TOL)
     assert np.array_equal(record.precision[k], expected)
     assert np.array_equal(record.correlation[k], corr_of(invert_spd(expected)).entries)
     assert record.sparsity[k] == 1.0 - (np.count_nonzero(expected) - corr.n) / (corr.n * (corr.n - 1))
@@ -311,8 +311,8 @@ class TestMfcfStack:
         (got_panel,) = _filter_panels([TimeSeriesPanel(values)], config)
         assert (list(got_panel.errors), want_panel.errors) == ([0], {})
         fallback = shrink_reference(corrs[0])
-        assert np.array_equal(got_panel.precision[0], fallback.precision.entries)
-        assert np.array_equal(got_panel.correlation[0], fallback.correlation.entries)
+        assert np.array_equal(got_panel.precision[0], fallback.precision)
+        assert np.array_equal(got_panel.correlation[0], fallback.correlation)
         assert (got_panel.sparsity[0], got_panel.jitter[0]) == (fallback.sparsity, fallback.jitter)
         for name in ("correlation", "precision", "sparsity", "jitter"):
             assert np.array_equal(getattr(got_panel, name)[1:], getattr(want_panel, name)[1:]), name

@@ -351,6 +351,9 @@ class TestFilterStage:
             got = pipeline._FILTER_CACHE[pipeline._filter_key(panel, config)]
             assert filt == want_filt, item
             assert_filtered_equal(got, want)
+            # exactly symmetric, fallback rows included, as graphs must be
+            for stack in (got.correlation, got.precision):
+                assert np.array_equal(stack, stack.swapaxes(1, 2)), item
             assert {k: type(e) for k, e in got.errors.items()} == {k: type(e) for k, e in want.errors.items()}
             fallbacks.append(len(got.errors))
         return fallbacks
@@ -446,6 +449,17 @@ class TestDegeneratePanel:
         config = ExperimentConfig(filter=filt, **{**TWO_SEEDS, "lookback": 5})
         records = report_records(run_experiment(dataset, config, jobs=1))
         assert report_records(run_experiment(dataset, config, jobs=2)) == records
+        for record in records:
+            for name in ("rmse", "mae", "mape", "sparsity"):
+                assert np.isfinite(record[name]), name
+
+    def test_window_of_rank_one_below_full_gives_finite_records(self):
+        # 7 rows of 7 stores: item 3's window 91 needs jitter though it
+        # clears the pivot floor without, as its inverse is not positive definite
+        dataset = synthesize_dataset(7, 5, 180, seed=1)
+        records = report_records(run_experiment(dataset, ExperimentConfig(
+            filter=FilterConfig(method="empirical"), **SMALL)))
+        assert len(records) == 1
         for record in records:
             for name in ("rmse", "mae", "mape", "sparsity"):
                 assert np.isfinite(record[name]), name
