@@ -243,9 +243,11 @@ class LstmWorkspace(threading.local):
     def __init__(self):
         self._flat, self._lease = np.empty(0), lambda: None
 
-    def lease(self, batch: int, steps: int, h_dim: int) -> _Lease:
+    def lease(self, batch: int, steps: int, h_dim: int, width: int) -> _Lease:
+        """Gates, cells, their tanh, three (B, 4H) buffers and the step rows."""
         shapes = ((steps, 4, batch, h_dim), (steps, batch, h_dim), (steps, batch, h_dim),
-                  (batch, 4 * h_dim), (batch, 4 * h_dim), (batch, steps, 4 * h_dim))
+                  (batch, 4 * h_dim), (batch, 4 * h_dim), (batch, 4 * h_dim),
+                  (steps, batch, h_dim + width + 1))
         offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
         flat = self._flat if self._lease() is None else np.empty(offsets[-1])
         if flat.size < offsets[-1]:
@@ -265,44 +267,41 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
 
     ``w_input`` is (F, 4H), ``w_hidden`` (H, 4H) and ``bias`` (1, 4H) in gate
     order input, forget, cell, output; the state starts at zero and the
-    caller checks shapes. Each step projects its own input into one reused
-    (B, 4H) buffer and keeps its gates gate-major, as contiguous (B, H)
-    blocks, with the cell state and its tanh; the backward runs
-    backpropagation through time over them. At input width 1 every value
-    and gradient equals, bit for bit, that of the op with the input
-    projection hoisted out of the loop (``tests/_oracles.py``), but for the
-    sign of a zero where h W_h underflows to -0.0; at larger widths the
-    per-step product may round differently.
+    caller checks shapes. Row block t of the saved (T, B, H + F + 1) ``rows``
+    is ``[h_{t-1} | x_t | 1]``, so each step is one GEMM of it with
+    ``[W_h; W_in; b]``. The gates are kept gate-major, as contiguous (B, H)
+    blocks, with the cell state and its tanh. The backward runs
+    backpropagation through time over them: each step's ``rows[t].T @ d_z``
+    gives the gradients of all three weights at once. Values and gradients
+    agree with the unfused tape and the earlier op that added a hoisted
+    input projection (``tests/_oracles.py``) to rounding: within 1e-12 of
+    each array's largest magnitude.
 
-    The saved gates, cell states and their tanh, the (B, 4H) buffers and
-    the backward's ``d_gates`` are views of the calling thread's
-    ``_WORKSPACE`` while no live tape holds it, else of a new allocation,
-    and the node's backward closure holds their lease. Every (B, H) array of
-    both step loops is a slab of the (B, 4H) buffers. The output is a fresh
-    array; no value or gradient depends on where the buffers live.
+    The saved gates, cells, their tanh, rows and the three (B, 4H) buffers
+    (pre-activation, scratch and the backward's ``d_z``) are views of the
+    calling thread's ``_WORKSPACE`` while no live tape holds it, else of a
+    new allocation, and the node's backward closure holds their lease.
+    Every (B, H) array of both step loops is a slab of the (B, 4H) buffers
+    or of ``rows``. The output is a fresh array; no value or gradient
+    depends on where the buffers live.
     """
     seq, w_input, w_hidden, bias = (as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
     h_dim = w_hidden.values.shape[0]
     # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
     # so the three sigmoid gates form one contiguous block.
-    lease = _WORKSPACE.lease(batch, steps, h_dim)
-    gates, cells, cells_tanh, z, x_term, _ = lease
+    lease = _WORKSPACE.lease(batch, steps, h_dim, width)
+    gates, cells, cells_tanh, z, _, _, rows = lease
+    w_all = np.concatenate([w_hidden.values, w_input.values, bias.values])
+    rows[0, :, :h_dim] = 0.0
+    rows[:, :, h_dim:-1] = seq.values.swapaxes(0, 1)
+    rows[:, :, -1] = 1.0
     z_gates = z.reshape(batch, 4, h_dim).transpose(1, 0, 2)    # z's column blocks
-    # h lives in a slab of x_term, read before the input term overwrites it,
-    # and gate_in * gate_cell in one of z, once the gates are read from it.
-    hidden, product, cell = x_term.reshape(4, batch, h_dim)[0], z.reshape(4, batch, h_dim)[0], cells[0]
-    hidden[...] = cell[...] = 0.0
+    # gate_in * gate_cell lives in a slab of z, once the gates are read from it
+    product, cell, out = z.reshape(4, batch, h_dim)[0], cells[0], np.empty((batch, h_dim))
+    cell[...] = 0.0
     for t in range(steps):
-        # z = (h W_h + x_t W_in) + b, summed in the per-op tape's order.
-        np.matmul(hidden, w_hidden.values, out=z)
-        if width == 1:      # (B, 1) @ (1, 4H) is one product per entry; w x_t == x_t w bit for bit
-            x_term[...] = w_input.values
-            x_term *= seq.values[:, t, :]
-        else:
-            np.matmul(seq.values[:, t, :], w_input.values, out=x_term)
-        z += x_term
-        z += bias.values
+        np.matmul(rows[t], w_all, out=z)
         sigmoids, gate_cell = gates[t, :3], gates[t, 3]
         np.negative(z_gates[:2], out=sigmoids[:2])
         np.negative(z_gates[3], out=sigmoids[2])
@@ -313,21 +312,22 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
         gate_in, gate_forget, gate_out = sigmoids
         cell = np.multiply(gate_forget, cell, out=cells[t])
         cell += np.multiply(gate_in, gate_cell, out=product)
+        hidden = rows[t + 1, :, :h_dim] if t + 1 < steps else out      # h_t, in the next step's row block
         np.multiply(gate_out, np.tanh(cell, out=cells_tanh[t]), out=hidden)
 
     def grad_fn(g):
-        gates, cells, cells_tanh, z, x_term, d_gates = lease
-        # Slabs of z and x_term, which the forward is done with; products keep their order.
-        z_slabs, x_slabs = z.reshape(4, batch, h_dim), x_term.reshape(4, batch, h_dim)
-        d_cell, ones_minus, products, d_next = z_slabs[0], z_slabs[1:], x_slabs[:3], x_slabs[3]
+        gates, cells, cells_tanh, z, scratch, d_z, rows = lease
+        # Slabs of z and scratch, which the forward is done with.
+        z_slabs, scratch_slabs = z.reshape(4, batch, h_dim), scratch.reshape(4, batch, h_dim)
+        d_cell, ones_minus, products, d_next = z_slabs[0], z_slabs[1:], scratch_slabs[:3], scratch_slabs[3]
         one_minus, product = ones_minus[0], products[0]
-        d_w_hidden, d_w_step = np.zeros_like(w_hidden.values), np.empty_like(w_hidden.values)
+        d_z_gates = d_z.reshape(batch, 4, h_dim).transpose(1, 0, 2)
+        d_w, d_w_step = np.zeros_like(w_all), np.empty_like(w_all)
+        d_seq = np.empty_like(seq.values) if seq.requires_grad else None
         d_hidden = g
         d_cell[...] = 0.0
         for t in reversed(range(steps)):
             gate_in, gate_forget, gate_out, gate_cell = gates[t]
-            d_z = d_gates[:, t, :]
-            d_z_gates = d_z.reshape(batch, 4, h_dim).transpose(1, 0, 2)
             # d_cell += d_hidden * gate_out * (1 - tanh(c_t) ** 2)
             np.subtract(1.0, np.square(cells_tanh[t], out=one_minus), out=one_minus)
             d_cell += np.multiply(np.multiply(d_hidden, gate_out, out=product), one_minus, out=product)
@@ -346,21 +346,16 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
             np.subtract(1.0, np.square(gate_cell, out=one_minus), out=one_minus)
             np.multiply(np.multiply(d_cell, gate_in, out=product), one_minus, out=d_z_gates[2])
             d_cell *= gate_forget
+            d_w += np.matmul(rows[t].T, d_z, out=d_w_step)
+            if d_seq is not None:
+                d_seq[:, t, :] = d_z @ w_input.values.T
             if t:
-                h_prev = np.multiply(gates[t - 1, 2], cells_tanh[t - 1], out=product)
-                d_w_hidden += np.matmul(h_prev.T, d_z, out=d_w_step)
                 d_hidden = np.matmul(d_z, w_hidden.values.T, out=d_next)
-        d_flat = d_gates.reshape(batch * steps, 4 * h_dim)
-        if seq.requires_grad:
-            _accumulate(seq, d_gates @ w_input.values.T)
-        if w_input.requires_grad:
-            _accumulate(w_input, seq.values.reshape(batch * steps, width).T @ d_flat)
-        if w_hidden.requires_grad:
-            _accumulate(w_hidden, d_w_hidden)
-        if bias.requires_grad:
-            _accumulate(bias, d_flat.sum(axis=0, keepdims=True))
+        for tensor, grad in ((seq, d_seq), (w_hidden, d_w[:h_dim]), (w_input, d_w[h_dim:-1]), (bias, d_w[-1:])):
+            if tensor.requires_grad:
+                _accumulate(tensor, grad)
 
-    return Tensor(hidden.copy(), _parents=(seq, w_input, w_hidden, bias), _backward=grad_fn)
+    return Tensor(out, _parents=(seq, w_input, w_hidden, bias), _backward=grad_fn)
 
 
 def backward(loss: Tensor) -> None:

@@ -26,8 +26,8 @@ def window_moments(rows: np.ndarray) -> np.ndarray:
     degenerate = m2 == 0.0
     safe_m2 = np.where(degenerate, 1.0, m2)
     std = np.sqrt(squares.sum(axis=-2) / (count - 1))
-    skew = (centered ** 3).mean(axis=-2) / safe_m2 ** 1.5
-    kurt = (centered ** 4).mean(axis=-2) / safe_m2 ** 2 - 3.0
+    skew = (squares * centered).mean(axis=-2) / safe_m2 ** 1.5
+    kurt = (squares * squares).mean(axis=-2) / safe_m2 ** 2 - 3.0
     skew[degenerate] = 0.0
     kurt[degenerate] = 0.0
     return np.stack([mean, std, skew, kurt], axis=-1)

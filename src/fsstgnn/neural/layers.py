@@ -146,10 +146,11 @@ class LstmCell:
     Gate order in the fused weight matrices is input, forget, cell, output.
     The forget-gate bias starts at 1 so early training does not wipe the
     cell state. Returns the final hidden state, computed as one fused tape
-    node (``autodiff.lstm_sequence``) that keeps its gates gate-major and
-    runs hand-written backpropagation through time. The unfused reference
-    it must match, and the earlier fused op it equals bit for bit at input
-    width 1, live in ``tests/_oracles.py``. Every cell in a thread leases
+    node (``autodiff.lstm_sequence``): one GEMM of ``[h | x_t | 1]`` with
+    ``[W_h; W_in; b]`` per step, forward and backward, and hand-written
+    backpropagation through time. The unfused reference and the earlier
+    fused op, which it matches to within 1e-12 of each array's largest
+    magnitude, live in ``tests/_oracles.py``. Every cell in a thread leases
     its buffers from the thread's ``autodiff._WORKSPACE`` (see ``lstm_sequence``).
     """
 
@@ -208,9 +209,10 @@ class NodeReadout:
             raise ShapeError(
                 f"temporal block {temporal.values.shape} does not match spatial {spatial.values.shape}"
             )
-        joined = ad.concat([temporal, spatial], axis=-1)
+        # one row per (sample, node), so each weight gradient is one matmul
+        joined = ad.reshape(ad.concat([temporal, spatial], axis=-1), (batch * n_nodes, -1))
         hidden = ad.relu(ad.add(ad.matmul(joined, self.w1), self.b1))
-        out = ad.add(ad.matmul(hidden, self.w2), self.b2)      # (B, N, 1)
+        out = ad.add(ad.matmul(hidden, self.w2), self.b2)      # (B·N, 1)
         return ad.reshape(out, (batch, n_nodes))
 
     __call__ = forward

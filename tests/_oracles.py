@@ -216,9 +216,11 @@ def lstm_reference(cell, seq):
 
 
 def lstm_fused_reference(seq, w_input, w_hidden, bias):
-    """The fused LSTM op with the input projection hoisted out of the loop
-    and gate-interleaved (T, B, 4H) saved gates: the op ``lstm_sequence``
-    replaced, which it must match bit for bit at input width 1."""
+    """The fused LSTM op with the input projection hoisted out of the loop,
+    gate-interleaved (T, B, 4H) saved gates, and the input and bias
+    gradients reduced over all steps after the loop: an earlier form of
+    ``lstm_sequence``, which must match it to within 1e-12 of each array's
+    largest magnitude."""
     seq, w_input, w_hidden, bias = (ad.as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
     h_dim = w_hidden.values.shape[0]

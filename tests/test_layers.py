@@ -343,6 +343,15 @@ class TestFusedLstm:
         assert self._addresses(self._lease(smaller))[0] == addresses[0]
         assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(smaller))
 
+    def test_lease_is_the_saved_state_rows_and_three_step_buffers(self):
+        # gates, cells and their tanh, the [h | x_t | 1] rows, and the
+        # pre-activation, scratch and d_z buffers: no (B, T, 4H) buffer
+        batch, steps, h_dim = 640, 14, 32
+        cell = LstmCell(1, h_dim, rng=np.random.default_rng(60))
+        lease = self._lease(cell.forward(np.zeros((batch, steps, 1))))
+        assert sum(buf.size for buf in lease) == (4 * steps * batch * h_dim + 2 * steps * batch * h_dim
+                                                  + steps * batch * (h_dim + 2) + 3 * batch * 4 * h_dim)
+
     def test_cells_share_the_thread_workspace(self):
         rng = np.random.default_rng(56)
         first, second = LstmCell(1, 3, rng=rng), LstmCell(1, 3, rng=rng)
@@ -463,8 +472,13 @@ class TestFusedLstm:
 
 
 class TestLstmAgainstHoistedOp:
-    """The gate-major op against the op with the hoisted input projection
-    that it replaced: bit for bit at input width 1, to rounding above it."""
+    """The one-GEMM-per-step op against the op with the hoisted input
+    projection that it replaced: every value and gradient within 1e-12 of
+    the reference array's largest magnitude. The ``is_bitwise`` cases held
+    bit for bit while the op added the input term itself; their names are
+    kept so that their history stays readable."""
+
+    NAMES = ("output", "sequence", "w_input", "w_hidden", "bias")
 
     @staticmethod
     def _outputs(op, cell, values, mix):
@@ -484,13 +498,15 @@ class TestLstmAgainstHoistedOp:
         return (self._outputs(op, cell, values, mix),
                 self._outputs(lstm_fused_reference, cell, values, mix))
 
+    def _assert_close(self, fast, reference):
+        for name, got, want in zip(self.NAMES, fast, reference):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
     @pytest.mark.parametrize("hidden", [5, 32])
     @pytest.mark.parametrize("steps", [1, 14])
     @pytest.mark.parametrize("batch", [1, 7, 64, 130, 640])
     def test_width_one_is_bitwise(self, batch, steps, hidden):
-        fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden)
-        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
-            assert np.array_equal(got, want), name
+        self._assert_close(*self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden))
 
     @pytest.mark.parametrize("hidden", [5, 32])
     @pytest.mark.parametrize("steps", [1, 14])
@@ -498,7 +514,8 @@ class TestLstmAgainstHoistedOp:
     def test_width_one_is_bitwise_on_prefix_views(self, batch, steps, hidden):
         # The thread's workspace after a larger batch, its tape dropped: every
         # buffer is a view of a prefix of its flat array, all but the first at
-        # a non-zero offset.
+        # a non-zero offset. A fresh thread's first call maps a workspace of
+        # its own, of just the size it needs.
         big = np.random.default_rng(0).normal(size=(batch + 3, steps + 1, 1))
         ad.lstm_sequence(big, np.ones((1, 4 * hidden)), np.ones((hidden, 4 * hidden)), np.ones((1, 4 * hidden)))
         flat = ad._WORKSPACE._flat
@@ -509,40 +526,21 @@ class TestLstmAgainstHoistedOp:
             assert all(np.shares_memory(buf, flat) for buf in TestFusedLstm._lease(out))
             return out
 
-        fast, reference = self._compare(batch, steps, 1, hidden, seed=batch + steps + hidden, op=on_prefix_views)
-        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
-            assert np.array_equal(got, want), name
-
-    @given(batch=st.integers(1, 640), steps=st.integers(1, 14), hidden=st.integers(1, 32),
-           seed=st.integers(0, 2 ** 32 - 1), special=st.floats(0.0, 1.0))
-    def test_width_one_input_term_is_one_product(self, batch, steps, hidden, seed, special):
-        # At width 1 each entry of x_t W_in is a single rounded product, so
-        # the multiply gives the matmul's value. The two may differ in the
-        # sign of a zero, which changes z = h W_h + x_t W_in only where
-        # BLAS's h W_h is -0.0: an entry whose exact value underflows.
-        rng = np.random.default_rng(seed)
-        seq, state = rng.normal(size=(batch, steps, 1)), rng.normal(size=(batch, hidden))
-        w_input, w_hidden = rng.normal(size=(1, 4 * hidden)), rng.normal(size=(hidden, 4 * hidden))
-        for a in (seq, state, w_input):
-            picked = rng.random(a.shape) < special
-            a[picked] = rng.choice([0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324], size=picked.sum())
-        h_term = state @ w_hidden
-        kept = ~((h_term == 0.0) & np.signbit(h_term))
-        for t in range(steps):
-            x_t = seq[:, t, :]                         # a strided column, as lstm_sequence reads it
-            product, blas = np.multiply(x_t, w_input), np.matmul(x_t, w_input)
-            assert np.array_equal(product, blas)
-            assert (h_term + product)[kept].tobytes() == (h_term + blas)[kept].tobytes()
+        seed = batch + steps + hidden
+        fast, reference = self._compare(batch, steps, 1, hidden, seed=seed, op=on_prefix_views)
+        self._assert_close(fast, reference)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            fresh, _ = pool.submit(self._compare, batch, steps, 1, hidden, seed).result()
+        for name, got, want in zip(self.NAMES, fast, fresh):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_width_one_is_bitwise_with_signed_zeros(self):
         rng = np.random.default_rng(59)
         cell = LstmCell(1, 5, rng=rng)
         values = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200], size=(64, 14, 1))
         mix = rng.normal(size=(64, 5))
-        fast = self._outputs(ad.lstm_sequence, cell, values, mix)
-        reference = self._outputs(lstm_fused_reference, cell, values, mix)
-        for name, got, want in zip(("output", "sequence", "w_input", "w_hidden", "bias"), fast, reference):
-            assert got.tobytes() == want.tobytes(), name
+        self._assert_close(self._outputs(ad.lstm_sequence, cell, values, mix),
+                           self._outputs(lstm_fused_reference, cell, values, mix))
 
     @pytest.mark.parametrize("width", [2, 3, 5, 10])
     @pytest.mark.parametrize("batch", [1, 3, 7])
