@@ -5,8 +5,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fsstgnn.errors import ParameterError, RangeError, ShapeError
 from fsstgnn.graphs import benchmark_graph

@@ -92,20 +92,20 @@ def pinned_outputs() -> dict:
     return outputs
 
 
-def read_pinned(path=PINNED) -> dict:
+def read_pinned() -> dict:
     outputs = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in PINNED.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
             run, output, value = line.split(" ", 2)
             outputs[(run, output)] = value
     return outputs
 
 
-def write_pinned(outputs: dict, path=PINNED) -> None:
+def write_pinned(outputs: dict) -> None:
     lines = ["# Pinned CLI outputs: run, output, SHA-256 or printed text.",
              "# Regenerate with: PYTHONPATH=src python tests/test_pinned_outputs.py"]
     lines += [f"{run} {output} {value}" for (run, output), value in outputs.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    PINNED.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def test_cli_outputs_match_the_pinned_file(tmp_path, monkeypatch):
