@@ -20,8 +20,7 @@ from .filtering import (
     apply_filter,
     glasso,
     mfcf,
-    select_alpha_cv,
-    select_lambda_cv,
+    select_cv,
     sparsity,
 )
 from .graphs import benchmark_graph, from_filter_result
@@ -68,8 +67,7 @@ __all__ = [
     "is_positive_definite",
     "mfcf",
     "run_experiment",
-    "select_alpha_cv",
-    "select_lambda_cv",
+    "select_cv",
     "sparsity",
     "sweep",
     "symmetrize",

@@ -47,7 +47,9 @@ class DefinitenessError(FsstgnnError):
 
 
 class ConvergenceError(FsstgnnError):
-    """An iterative solver hit its sweep limit; carries the duality gap."""
+    """An iterative solver hit its sweep limit. ``gap`` is glasso's
+    tr(S T) - p + lam * sum_{i!=j} |T_ij| at its last iterate T: 0 at the
+    optimum, but no bound, so it can be negative."""
 
     def __init__(self, message, gap=None):
         super().__init__(message)

@@ -12,9 +12,9 @@ sparse) positive-definite precision matrix that inverts back to it, the
 realized off-diagonal sparsity, the jitter and the glasso sweeps, or the
 error the window ended with. The precision is the filter's output;
 MFCF's clique forest is only how it is built, and nothing of it is
-kept. The glasso cross-validation grid of all panels is one
-``glasso_stack`` batch too, and each cross-validation fold scores its
-candidates' held-out likelihoods as one stack. A single window
+kept. ``select_cv`` stacks the cross-validation candidates of every
+(panel, fold), shrunk or from one ``glasso_stack`` batch, and scores
+each fold's held-out likelihoods as one stack. A single window
 (``apply_filter``, ``glasso``, ``mfcf``) is a batch of one, whose row
 is its ``FilterResult``.
 
@@ -54,9 +54,12 @@ from .linalg import (
 
 FILTER_METHODS = ("empirical", "shrinkage", "glasso", "mfcf")
 
-# Candidate grids for cross-validated parameter selection.
+# Candidate grids for cross-validated parameter selection, and per method
+# the field that a sparsity sweep drives and, if unset, CV selects on a grid.
 ALPHA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10))
 LAMBDA_GRID = tuple(np.logspace(-3.0, 0.0, 20))
+KNOBS = {"shrinkage": ("alpha", ALPHA_GRID), "glasso": ("lam", LAMBDA_GRID),
+         "mfcf": ("mfcf_gain_threshold", None)}
 
 # Diagonal jitter added (then renormalized to unit diagonal) when an
 # empirical correlation is too close to singular to invert: none, then
@@ -289,8 +292,8 @@ def glasso_stack(corrs, lams) -> FilterStack:
     and a drift refresh that is not positive definite fails only its own
     problem, so each row is bitwise the same alone or in any batch. A
     problem that hits the sweep limit, ``GLASSO_MAX_SWEEPS``, fails with a
-    ConvergenceError carrying the duality gap.
-    """
+    ConvergenceError carrying tr(S T) - p + lam * sum_{i!=j} |T_ij| at its
+    last iterate T: 0 at the optimum, but no bound, so it can be negative."""
     entries = _as_stack(corrs)
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (len(entries),))
     if np.any(lams < 0.0):
@@ -568,26 +571,24 @@ def _forward_folds(panel: TimeSeriesPanel, folds: int):
         yield correlation_from_rows(rows_train).entries, x_val
 
 
-def select_alpha_cv(panel: TimeSeriesPanel, folds: int) -> float:
-    """Shrinkage weight maximizing mean held-out Gaussian log-likelihood.
-    Each fold scores its candidates (1 - alpha) * C + alpha * I over
-    ``ALPHA_GRID`` as one stack."""
-    alphas, scores = np.array(ALPHA_GRID)[:, None, None], np.zeros(len(ALPHA_GRID))
-    for corr_train, x_val in _forward_folds(panel, folds):
-        scores += _gaussian_scores(x_val, (1.0 - alphas) * corr_train + alphas * np.eye(len(corr_train)))
-    return float(ALPHA_GRID[int(np.argmax(scores))])
-
-
-def select_lambda_cv(panels, folds: int) -> list:
-    """Per panel, the L1 penalty maximizing its mean held-out Gaussian
-    log-likelihood over a logarithmic grid. One ``glasso_stack`` call solves
-    all (panel, fold, lambda) problems, and each fold scores its slice as
-    one stack; a problem that ends in an error scores -inf."""
-    splits, grid = [split for panel in panels for split in _forward_folds(panel, folds)], len(LAMBDA_GRID)
-    record = glasso_stack(np.repeat([corr_train for corr_train, _ in splits], grid, axis=0),
-                          LAMBDA_GRID * len(splits))
-    scores = np.zeros((len(panels), grid))
+def select_cv(panels, method: str, folds: int) -> list:
+    """Per panel, the value on ``method``'s grid (``KNOBS``) that maximizes its
+    mean held-out Gaussian log-likelihood. The candidates of every (panel,
+    fold), (1 - alpha) * C + alpha * I or one ``glasso_stack`` call's, are one
+    stack; each fold scores its slice as one stack, -inf where glasso failed."""
+    grid = KNOBS.get(method, (None, None))[1]
+    if grid is None:
+        raise ParameterError(f"no cross-validation grid for method {method!r}; expected shrinkage or glasso")
+    splits, g = [split for panel in panels for split in _forward_folds(panel, folds)], len(grid)
+    corrs, values = np.repeat([corr_train for corr_train, _ in splits], g, axis=0), np.tile(grid, len(splits))
+    if method == "glasso":
+        record = glasso_stack(corrs, values)
+        candidates, errors = record.correlation, record.errors
+    else:
+        alphas = values[:, None, None]
+        candidates, errors = (1.0 - alphas) * corrs + alphas * np.eye(corrs.shape[-1]), {}
+    scores = np.zeros((len(panels), g))
     for f, (_, x_val) in enumerate(splits):         # each panel has folds - 1 splits
-        failed = [k % grid for k in record.errors if k // grid == f]
-        scores[f // (folds - 1)] += _gaussian_scores(x_val, record.correlation[f * grid: (f + 1) * grid], failed)
-    return [float(LAMBDA_GRID[i]) for i in np.argmax(scores, axis=1)]
+        failed = [k % g for k in errors if k // g == f]
+        scores[f // (folds - 1)] += _gaussian_scores(x_val, candidates[f * g: (f + 1) * g], failed)
+    return [float(grid[i]) for i in np.argmax(scores, axis=1)]

@@ -185,17 +185,13 @@ class LstmCell:
 
 
 class NodeReadout:
-    """Two-layer MLP producing one scalar per node from its temporal
-    (batch, nodes, width) and spatial embeddings, concatenated."""
+    """Two-layer MLP, a ``DenseReadout`` with one output, producing one scalar
+    per node from its temporal (batch, nodes, width) and spatial embeddings."""
 
     def __init__(self, temporal_dim: int, spatial_dim: int, hidden_dim: int, *, rng):
-        in_dim = temporal_dim + spatial_dim
         self.temporal_dim = temporal_dim
         self.spatial_dim = spatial_dim
-        self.w1 = Tensor(glorot_uniform(rng, (in_dim, hidden_dim), in_dim, hidden_dim), requires_grad=True)
-        self.b1 = Tensor(np.zeros((1, hidden_dim)), requires_grad=True)
-        self.w2 = Tensor(glorot_uniform(rng, (hidden_dim, 1), hidden_dim, 1), requires_grad=True)
-        self.b2 = Tensor(np.zeros((1, 1)), requires_grad=True)
+        self.mlp = DenseReadout(temporal_dim + spatial_dim, hidden_dim, 1, rng=rng)
 
     def forward(self, temporal, spatial) -> Tensor:
         temporal = ad.as_tensor(temporal)
@@ -211,21 +207,17 @@ class NodeReadout:
             )
         # one row per (sample, node), so each weight gradient is one matmul
         joined = ad.reshape(ad.concat([temporal, spatial], axis=-1), (batch * n_nodes, -1))
-        hidden = ad.relu(ad.add(ad.matmul(joined, self.w1), self.b1))
-        out = ad.add(ad.matmul(hidden, self.w2), self.b2)      # (B·N, 1)
-        return ad.reshape(out, (batch, n_nodes))
+        return ad.reshape(self.mlp(joined), (batch, n_nodes))
 
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return self.mlp.parameters()
 
 
 class DenseReadout:
-    """Two-layer MLP from a shared embedding to one output per series.
-
-    Used by the temporal-only baseline, which has no per-node branch.
-    """
+    """Two-layer MLP from a shared embedding to ``out_dim`` outputs: one per
+    series in the temporal-only baseline, one per node in ``NodeReadout``."""
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int, *, rng):
         self.in_dim = in_dim

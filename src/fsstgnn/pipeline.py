@@ -19,12 +19,12 @@ config hash sees only the settings that the run reads
 (``ExperimentConfig.relevant``), and the cache key only the filter
 settings that the configured method reads (``FilterConfig.relevant``).
 
-``jobs`` sizes a pool over the (item, seed) units only. Examples reach
-its workers by fork inheritance, never by pickling: each item's examples
-wait in ``_EXAMPLES`` under a key that the unit args carry, and each
-command empties that table when it ends. A sweep builds every panel's
-windows, features and targets once, prepares every value, then trains
-the units of all values in one pool.
+Every command runs the (item, seed) units of its configs in one pool of
+``jobs`` workers through ``_run_configs`` and ``_run_unit``, which returns
+a caught error rather than raise it, so every unit runs. Examples reach
+the workers by fork inheritance, never by pickling: each item's examples
+wait in ``_EXAMPLES``, under a key that the unit args carry, until the
+command ends. A sweep builds each panel's windows and features once.
 """
 
 import hashlib
@@ -46,11 +46,11 @@ from .errors import (
     ShapeError,
 )
 from .filtering import (
+    KNOBS,
     FilterConfig,
     FilterStack,
     filter_windows,
-    select_alpha_cv,
-    select_lambda_cv,
+    select_cv,
     sparsity,
 )
 from .graphs import FILTERED_KINDS, GRAPH_KINDS, benchmark_graph
@@ -250,16 +250,15 @@ def run_labels(config: ExperimentConfig) -> tuple:
 
 
 def resolve_filter(panels_train, config: ExperimentConfig) -> list:
-    """One filter config per item's training panel, with alpha or lambda,
-    where unset, selected by cross-validation on that panel; the windows at
-    test time reuse it. The lambda CV of all panels is one stacked call."""
+    """One filter config per item's training panel, with the field its method
+    tunes, where unset, selected by cross-validation on that panel (one
+    ``select_cv`` call for all); the windows at test time reuse it."""
     filt = config.filter
+    name, grid = KNOBS.get(filt.method, (None, None))
+    if grid is None or getattr(filt, name) is not None:
+        return [filt] * len(panels_train)
     sources = [panel.differenced() if config.use_differences else panel for panel in panels_train]
-    if filt.method == "shrinkage" and filt.alpha is None:
-        return [replace(filt, alpha=select_alpha_cv(source, filt.cv_folds)) for source in sources]
-    if filt.method == "glasso" and filt.lam is None:
-        return [replace(filt, lam=lam) for lam in select_lambda_cv(sources, filt.cv_folds)]
-    return [filt] * len(sources)
+    return [replace(filt, **{name: value}) for value in select_cv(sources, filt.method, filt.cv_folds)]
 
 
 @dataclass
@@ -349,10 +348,10 @@ def _panel_part(panel: TimeSeriesPanel, config: ExperimentConfig) -> dict:
 
 
 def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
-                    filtered: FilterStack | None, part: dict | None = None) -> _Examples:
-    """One panel's examples, from its ``_panel_part`` if given; ``filtered``
-    holds its filtered windows, or is None when the config uses no filter.
-    The panel has passed ``_check_segments``."""
+                    filtered: FilterStack | None, part: dict) -> _Examples:
+    """One panel's examples from its ``_panel_part``; ``filtered`` holds its
+    filtered windows, or is None when the config uses no filter. The panel
+    has passed ``_check_segments``."""
     n_targets, n_series = panel.n_steps - config.lookback, panel.n_series
     graphs = None
     sparsities, fallbacks = [], 0
@@ -365,7 +364,7 @@ def _build_examples(panel: TimeSeriesPanel, config: ExperimentConfig,
         graphs = np.broadcast_to(bench, (n_targets, n_series, n_series))
         sparsities = [sparsity(bench)] * n_targets
     return _Examples(
-        **(part or _panel_part(panel, config)),
+        **part,
         graphs=graphs,
         sparsity_mean=float(np.mean(sparsities)) if len(sparsities) else 1.0,
         fallbacks=fallbacks,
@@ -453,32 +452,30 @@ def _evaluate_unit(model, ex: _Examples, item: int, seed: int, epochs_ran: int) 
     )
 
 
-def _checkpoint_name(item: int, seed: int) -> str:
-    return f"item{item}_seed{seed}.ckpt"
-
-
 def _unit_config_hash(config: ExperimentConfig, seed: int) -> str:
     """Hash of ``config`` run with ``seed`` alone, so a subset of the seeds still matches."""
     return replace(config, seeds=(seed,)).config_hash
 
 
-def _run_unit(args) -> UnitResult:
-    key, n_series, config, item, seed, checkpoint_dir = args
-    ex = _EXAMPLES[key]
-    model = _build_model(n_series, config, _unit_rng(seed, item, 0))
-    epochs_ran = _train_unit(model, ex, config, seed, item)
-    if checkpoint_dir is not None:
-        save_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)), model.parameters(),
-                        _unit_config_hash(config, seed))
-    return _evaluate_unit(model, ex, item, seed, epochs_ran)
+_CAUGHT = (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError)   # returned, not raised
 
 
-def _eval_unit(args) -> UnitResult:
-    key, n_series, config, item, seed, checkpoint_dir = args
-    model = _build_model(n_series, config, _unit_rng(seed, item, 0))
-    set_parameters(model, load_checkpoint(os.path.join(checkpoint_dir, _checkpoint_name(item, seed)),
-                                          _unit_config_hash(config, seed)))
-    return _evaluate_unit(model, _EXAMPLES[key], item, seed, epochs_ran=0)
+def _run_unit(args):
+    """Train one (item, seed) unit and save it to a given checkpoint directory,
+    or load it when ``train`` is false; then score it. A caught error is
+    returned, its traceback cleared so that no frame keeps a model alive."""
+    key, n_series, config, item, seed, checkpoint_dir, train = args
+    try:
+        model = _build_model(n_series, config, _unit_rng(seed, item, 0))
+        path = None if checkpoint_dir is None else os.path.join(checkpoint_dir, f"item{item}_seed{seed}.ckpt")
+        if not train:
+            set_parameters(model, load_checkpoint(path, _unit_config_hash(config, seed)))
+        epochs_ran = _train_unit(model, _EXAMPLES[key], config, seed, item) if train else 0
+        if train and path is not None:
+            save_checkpoint(path, model.parameters(), _unit_config_hash(config, seed))
+        return _evaluate_unit(model, _EXAMPLES[key], item, seed, epochs_ran)
+    except _CAUGHT as exc:
+        return exc.with_traceback(None)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -508,7 +505,7 @@ def _filter_key(panel: TimeSeriesPanel, config: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
-def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, parts: dict | None = None):
+def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, parts: dict):
     """Window, filter and standardize each item once; graphs and features
     depend only on the data and config, so seeds share them. Each item's
     examples go into ``_EXAMPLES``, and its unit args carry their key. An
@@ -530,7 +527,6 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
         _FILTER_CACHE.update(zip(misses, _filter_panels([panels[item] for item in misses.values()], config)))
         for key in set(_FILTER_CACHE) - set(keys.values()):
             del _FILTER_CACHE[key]
-    parts = {} if parts is None else parts
     unit_args = []
     for item, panel in panels.items():
         if item not in parts:
@@ -538,8 +534,31 @@ def _prepare_units(dataset: SalesDataset, config: ExperimentConfig, checkpoint_d
         key = (config.config_hash, item)
         _EXAMPLES[key] = _build_examples(panel, config, _FILTER_CACHE[keys[item]] if keys else None,
                                          parts[item])
-        unit_args += [(key, panel.n_series, config, item, seed, checkpoint_dir) for seed in config.seeds]
+        unit_args += [(key, panel.n_series, config, item, seed) for seed in config.seeds]
     return unit_args
+
+
+def _run_configs(dataset: SalesDataset, configs, jobs: int, checkpoint_dir, train: bool) -> list:
+    """Per config, its UnitResults or the first caught error of its prepare
+    and units; every prepared unit runs, in one ``_run_units`` call."""
+    _check_jobs(jobs)
+    if checkpoint_dir is None and not train:
+        raise ParameterError("scoring saved checkpoints needs checkpoint_dir, their directory; got None")
+    if checkpoint_dir is not None and train:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+    parts, prepared = {}, []        # per config: its unit args, or the error its prepare raised
+    try:
+        for config in configs:
+            try:
+                prepared.append(_prepare_units(dataset, config, parts))
+            except _CAUGHT as exc:
+                prepared.append(exc)
+        units = iter(_run_units(_run_unit, [args + (checkpoint_dir, train) for p in prepared
+                                            if isinstance(p, list) for args in p], jobs))
+    finally:
+        _EXAMPLES.clear()
+    outcomes = [[next(units) for _ in p] if isinstance(p, list) else [p] for p in prepared]
+    return [next((r for r in results if isinstance(r, Exception)), results) for results in outcomes]
 
 
 def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int = 1,
@@ -548,32 +567,25 @@ def run_experiment(dataset: SalesDataset, config: ExperimentConfig, *, jobs: int
 
     Items and seeds are independent units; ``jobs`` bounds a process pool
     over them, and is checked before anything is filtered, which runs in
-    this process. All randomness is derived from (seed, item) so the level
-    of parallelism cannot change any result.
+    this process. Randomness derives from (seed, item), and every unit runs
+    before a caught error is raised, so ``jobs`` changes no result or checkpoint.
     """
-    _check_jobs(jobs)
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    try:
-        units = _run_units(_run_unit, _prepare_units(dataset, config, checkpoint_dir), jobs)
-    finally:
-        _EXAMPLES.clear()
+    (units,) = _run_configs(dataset, [config], jobs, checkpoint_dir, train=True)
+    if isinstance(units, Exception):
+        raise units
     return MetricsReport.from_units(config, units)
 
 
 def evaluate_experiment(dataset: SalesDataset, config: ExperimentConfig, checkpoint_dir, *,
                         jobs: int = 1) -> MetricsReport:
     """Score saved checkpoints on the test segment without training."""
-    _check_jobs(jobs)
-    try:
-        units = _run_units(_eval_unit, _prepare_units(dataset, config, checkpoint_dir), jobs)
-    finally:
-        _EXAMPLES.clear()
+    (units,) = _run_configs(dataset, [config], jobs, checkpoint_dir, train=False)
+    if isinstance(units, Exception):
+        raise units
     return MetricsReport.from_units(config, units)
 
 
 SWEEP_AXES = ("filter-method", "sparsity", "graph-kind")
-_CAUGHT = (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError)   # mark a sweep row
 
 
 @dataclass(frozen=True)
@@ -594,18 +606,10 @@ def _sweep_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis == "filter-method":
         return replace(base, filter=replace(base.filter, method=str(value)))
     # sparsity axis: drive whichever knob the configured method exposes
-    knob = {"glasso": "lam", "mfcf": "mfcf_gain_threshold", "shrinkage": "alpha"}.get(base.filter.method)
+    knob = KNOBS.get(base.filter.method, (None,))[0]
     if knob is None:
         raise ParameterError(f"filter method {base.filter.method!r} has no sparsity knob to sweep")
     return replace(base, filter=replace(base.filter, **{knob: float(value)}))
-
-
-def _sweep_unit(args):
-    """``_run_unit``, or the message of the caught error it raised."""
-    try:
-        return _run_unit(args)
-    except _CAUGHT as exc:
-        return str(exc)
 
 
 def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, values, *,
@@ -618,18 +622,17 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
     they do not fit raises ``_check_segments``'s DataError before any run,
     and the values share each panel's ``_panel_part``. Every value is
     prepared, then all their units train in one ``_run_units`` call. A
-    value whose prepare, or first failing unit, raises a caught error
-    marks its row with the message ``run_experiment`` would raise; the
-    other rows still run. Sparsity sweeps are sorted by realized sparsity
-    (densest last, matching the descending table layout); other axes keep
-    the caller's order.
+    value whose prepare or units hit a caught error marks its row with the
+    message ``run_experiment`` would raise, the first in unit order; every
+    other unit, and row, still runs. Sparsity sweeps are sorted by realized
+    sparsity (densest last, matching the descending table layout); other
+    axes keep the caller's order.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ParameterError("sweep needs a nonempty list of values")
-    _check_jobs(jobs)
     runs = {}                       # config_hash -> (value, config), in the caller's order
     for value in values:
         try:
@@ -642,22 +645,10 @@ def sweep(dataset: SalesDataset, base_config: ExperimentConfig, axis: str, value
         runs[config.config_hash] = (value, config)
     for item in dataset.items:
         _check_segments(dataset.panel(item), base_config)
-    parts, prepared = {}, []        # per value: its unit args, or the message its prepare raised
-    try:
-        for _, config in runs.values():
-            try:
-                prepared.append(_prepare_units(dataset, config, None, parts))
-            except _CAUGHT as exc:
-                prepared.append(str(exc))
-        units = iter(_run_units(_sweep_unit, [a for p in prepared if isinstance(p, list) for a in p], jobs))
-    finally:
-        _EXAMPLES.clear()
-    rows = []
-    for (value, config), p in zip(runs.values(), prepared):
-        results = [next(units) for _ in p] if isinstance(p, list) else [p]
-        errors = [r for r in results if isinstance(r, str)]
-        rows.append(SweepRow(label=str(value), config=config, error=errors[0] if errors else None,
-                             report=None if errors else MetricsReport.from_units(config, results)))
+    outcomes = _run_configs(dataset, [config for _, config in runs.values()], jobs, None, train=True)
+    rows = [SweepRow(str(value), config, None, str(outcome)) if isinstance(outcome, Exception) else
+            SweepRow(str(value), config, MetricsReport.from_units(config, outcome))
+            for (value, config), outcome in zip(runs.values(), outcomes)]
     if axis == "sparsity":
         rows.sort(key=lambda r: -(r.report.aggregate["sparsity_mean"] if r.report else -math.inf))
     return rows

@@ -480,9 +480,9 @@ def gaussian_score_reference(x, sigma):
 
 
 def cv_scores_reference(panel, folds, method):
-    """The per-grid held-out scores, summed over folds, that
-    ``select_alpha_cv`` (method "shrinkage") or ``select_lambda_cv``
-    ("glasso") maximizes, scored one (fold, candidate) at a time by
+    """The per-grid held-out scores, summed over folds, that ``select_cv``
+    maximizes for ``method`` ("shrinkage" or "glasso") on one panel,
+    scored one (fold, candidate) at a time by
     ``gaussian_score_reference``; a glasso problem that ends in an error
     scores -inf. Each fold trains on every row before its validation block
     and standardizes the block by those rows' mean and standard deviation

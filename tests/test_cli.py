@@ -68,6 +68,15 @@ def small_csv(tmp_path_factory):
     return csv
 
 
+@pytest.mark.parametrize("command", ["gen-data", "filter", "train", "evaluate", "sweep"])
+def test_every_command_prints_its_help(command, capsys):
+    # the help formatter %-formats every help string, so a stray % in one would crash here
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fsstgnn {command}")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("flags, config_text", [
         *[pytest.param([flag, value], None, id=f"{flag} {value}") for flag, value in [

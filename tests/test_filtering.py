@@ -24,8 +24,7 @@ from fsstgnn.filtering import (
     filter_windows,
     glasso,
     glasso_stack,
-    select_alpha_cv,
-    select_lambda_cv,
+    select_cv,
     sparsity,
 )
 from fsstgnn.linalg import (
@@ -692,10 +691,8 @@ def scored_folds(monkeypatch, panel, folds, method):
         return calls[-1][3]
 
     monkeypatch.setattr(filtering, "_gaussian_scores", spy)
-    if method == "shrinkage":
-        return select_alpha_cv(panel, folds), calls
-    (lam,) = select_lambda_cv([panel], folds)
-    return lam, calls
+    (chosen,) = select_cv([panel], method, folds)
+    return chosen, calls
 
 
 def check_against_reference(monkeypatch, panel, folds, method):
@@ -742,37 +739,43 @@ class TestCrossValidation:
         panel = synthesize_dataset(7, 1, 180, seed=4).panel(1)
         with glasso_caps(max_sweeps=0):
             calls = check_against_reference(monkeypatch, panel, 5, "glasso")
-            assert select_lambda_cv([panel], 5) == [LAMBDA_GRID[0]]
+            assert select_cv([panel], "glasso", 5) == [LAMBDA_GRID[0]]
         assert all(np.isneginf(scores).all() for *_, scores in calls)
 
     def test_independent_noise_selects_strong_shrinkage(self):
         rng = np.random.default_rng(42)
         panel = TimeSeriesPanel(rng.normal(size=(240, 8)))
-        assert select_alpha_cv(panel, 4) >= 0.5
+        assert select_cv([panel], "shrinkage", 4)[0] >= 0.5
 
     def test_duplicated_column_selects_weak_shrinkage(self):
         rng = np.random.default_rng(100)
         values = rng.normal(size=(240, 5))
         values[:, 4] = values[:, 0]
         panel = TimeSeriesPanel(values)
-        assert select_alpha_cv(panel, 4) <= 0.1
+        assert select_cv([panel], "shrinkage", 4)[0] <= 0.1
 
     def test_degenerate_fold_count_raises(self):
         rng = np.random.default_rng(20)
         panel = TimeSeriesPanel(rng.normal(size=(30, 4)))
         with pytest.raises(DataError):
-            select_alpha_cv(panel, 30)
+            select_cv([panel], "shrinkage", 30)
+
+    @pytest.mark.parametrize("method", ["empirical", "mfcf", "bogus"])
+    def test_method_without_a_grid_is_rejected(self, method):
+        panel = TimeSeriesPanel(np.random.default_rng(22).normal(size=(30, 4)))
+        with pytest.raises(ParameterError, match=f"no cross-validation grid for method '{method}'"):
+            select_cv([panel], method, 3)
 
     def test_too_few_folds_rejected(self):
         rng = np.random.default_rng(21)
         panel = TimeSeriesPanel(rng.normal(size=(30, 4)))
         with pytest.raises(ParameterError):
-            select_lambda_cv([panel], 1)
+            select_cv([panel], "glasso", 1)
 
     def test_independent_noise_selects_large_lambda(self):
         rng = np.random.default_rng(0)
         panel = TimeSeriesPanel(rng.normal(size=(160, 5)))
-        (lam,) = select_lambda_cv([panel], 4)
+        (lam,) = select_cv([panel], "glasso", 4)
         assert lam >= LAMBDA_GRID[len(LAMBDA_GRID) // 2]
 
     def test_factor_panel_selects_small_lambda(self):
@@ -780,5 +783,5 @@ class TestCrossValidation:
         factor = rng.normal(size=(160, 1))
         values = 0.9 * factor + 0.45 * rng.normal(size=(160, 5))
         panel = TimeSeriesPanel(values)
-        (lam,) = select_lambda_cv([panel], 4)
+        (lam,) = select_cv([panel], "glasso", 4)
         assert lam < LAMBDA_GRID[len(LAMBDA_GRID) // 2]

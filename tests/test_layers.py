@@ -554,7 +554,7 @@ class TestReadouts:
         head = NodeReadout(3, 2, 4, rng=rng)
         for p in head.parameters().values():
             p.values[...] = 0.0
-        head.b2.values[...] = 3.75
+        head.parameters()["b2"].values[...] = 3.75
         out = head.forward(np.ones((1, 5, 3)), np.ones((1, 5, 2))).values
         assert np.all(out == 3.75)
 

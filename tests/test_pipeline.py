@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import warnings
 
@@ -16,6 +17,7 @@ from fsstgnn.pipeline import (
     _build_examples,
     _check_segments,
     _filter_panels,
+    _panel_part,
     _prepare_units,
     _run_units,
     _train_row_count,
@@ -50,9 +52,10 @@ class TestNoTestLeakage:
         changed = values.copy()
         changed[train_rows:] = 1e3 * rng.normal(size=changed[train_rows:].shape) ** 2
 
-        before = _build_examples(panel, config, filtered(panel, config, filt))
+        before = _build_examples(panel, config, filtered(panel, config, filt), _panel_part(panel, config))
         changed_panel = TimeSeriesPanel(changed)
-        after = _build_examples(changed_panel, config, filtered(changed_panel, config, filt))
+        after = _build_examples(changed_panel, config, filtered(changed_panel, config, filt),
+                                _panel_part(changed_panel, config))
         seen = np.concatenate([before.fit_idx, before.val_idx])
         assert np.array_equal(before.fit_idx, after.fit_idx)
         for name in ("windows_std", "features_std", "targets_std", "graphs"):
@@ -71,9 +74,9 @@ class TestGlassoFallback:
         config = ExperimentConfig(model="fsst-gcn", lookback=10, seeds=(0,))
         filt = FilterConfig(method="glasso", lam=0.1)
         panel = TimeSeriesPanel(values)
-        solved = _build_examples(panel, config, filtered(panel, config, filt))
+        solved = _build_examples(panel, config, filtered(panel, config, filt), _panel_part(panel, config))
         monkeypatch.setattr(filtering, "GLASSO_MAX_SWEEPS", 1)
-        capped = _build_examples(panel, config, filtered(panel, config, filt))
+        capped = _build_examples(panel, config, filtered(panel, config, filt), _panel_part(panel, config))
 
         corrs = [correlation_from_rows(values[t - 10: t]) for t in range(10, 70)]
         errors = filtering.glasso_stack(stack_of(corrs), 0.1).errors
@@ -110,6 +113,23 @@ class TestJobs:
         assert pipeline._FILTER_CACHE.keys() == serial_cache.keys() and len(serial_cache) == 2
         for key, entry in serial_cache.items():
             assert_filtered_equal(pipeline._FILTER_CACHE[key], entry)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_jobs_do_not_change_the_checkpoints_a_failed_run_leaves(self, monkeypatch, tmp_path, jobs):
+        train = pipeline._train_unit
+
+        def failing(model, ex, config, seed, item):
+            if (item, seed) == (1, 0):
+                raise ConvergenceError("unit 1/0 did not converge")
+            return train(model, ex, config, seed, item)
+
+        monkeypatch.setattr(pipeline, "_train_unit", failing)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **{**SMALL, "seeds": (0, 1, 2)})
+        with pytest.raises(ConvergenceError, match="^unit 1/0 did not converge$"):
+            run_experiment(synthesize_dataset(5, 2, 60, seed=19), config, jobs=jobs, checkpoint_dir=str(tmp_path))
+        # every other unit still trains and saves its checkpoint
+        assert sorted(os.listdir(tmp_path)) == [f"item{item}_seed{seed}.ckpt" for item in (1, 2)
+                                                for seed in (0, 1, 2) if (item, seed) != (1, 0)]
 
 
 class _RecordingPool:
@@ -169,6 +189,13 @@ class TestRunUnits:
             evaluate_experiment(dataset, config, str(tmp_path), jobs=0)
         assert filter_calls == []
 
+    def test_evaluate_without_a_checkpoint_directory_is_rejected(self, filter_calls):
+        dataset, config = synthesize_dataset(4, 1, 40, seed=0), ExperimentConfig(filter=FilterConfig(method="mfcf"))
+        with pytest.raises(ParameterError, match="needs checkpoint_dir, their directory; got None"):
+            evaluate_experiment(dataset, config, None)
+        # rejected before any window is filtered
+        assert filter_calls == []
+
     def test_cli_jobs_zero_exits_1(self, tmp_path, capsys):
         csv = tmp_path / "sales.csv"
         assert cli.main(["gen-data", "--stores", "4", "--items", "1", "--days", "40",
@@ -213,7 +240,7 @@ def filter_calls(monkeypatch):
 
 def _examples(dataset, config):
     """Each item's examples, read from the table under the key its units carry."""
-    return [pipeline._EXAMPLES[args[0]] for args in _prepare_units(dataset, config, None)]
+    return [pipeline._EXAMPLES[args[0]] for args in _prepare_units(dataset, config, {})]
 
 
 SMALL = dict(lookback=7, seeds=(0,), epochs=1, lstm_hidden=4, embed_dim=4, mlp_hidden=4)
@@ -414,7 +441,7 @@ class TestSegments:
                                           val_fraction=fraction)
                 with np.errstate(all="ignore"), warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    ex = _build_examples(panel, config, None)
+                    ex = _build_examples(panel, config, None, _panel_part(panel, config))
                 assert len(ex.fit_idx) + len(ex.val_idx) == train_targets
                 try:
                     _check_segments(panel, config)
@@ -584,8 +611,7 @@ class TestExamplesTable:
         evaluate_experiment(dataset, self.CONFIG, str(tmp_path), jobs=2)
         sweep(dataset, self.CONFIG, "graph-kind", self.KINDS, jobs=2)
         # filtering runs in process: the only pools train and score units
-        assert [worker for worker, _, _ in calls] == [pipeline._run_unit, pipeline._eval_unit,
-                                                      pipeline._sweep_unit]
+        assert [worker for worker, _, _ in calls] == [pipeline._run_unit] * 3
         for worker, unit_args, examples in calls:
             assert len(unit_args) == len(examples) * len(self.CONFIG.seeds) > 0
             assert not any(_holds_array(args) for args in unit_args), worker.__name__
