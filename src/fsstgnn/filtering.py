@@ -585,8 +585,9 @@ def select_cv(panels, method: str, folds: int) -> list:
         record = glasso_stack(corrs, values)
         candidates, errors = record.correlation, record.errors
     else:
-        alphas = values[:, None, None]
-        candidates, errors = (1.0 - alphas) * corrs + alphas * np.eye(corrs.shape[-1]), {}
+        candidates, errors, diag = corrs, {}, np.arange(corrs.shape[-1])     # in place: no second full-size stack
+        candidates *= (1.0 - values)[:, None, None]
+        candidates[:, diag, diag] += values[:, None]
     scores = np.zeros((len(panels), g))
     for f, (_, x_val) in enumerate(splits):         # each panel has folds - 1 splits
         failed = [k % g for k in errors if k // g == f]

@@ -6,7 +6,8 @@ its own backward). ``backward`` on a scalar loss runs one reverse
 topological sweep, accumulates gradients into every tensor that
 requires them and frees the tape, so a tape is swept once. Shapes
 follow numpy broadcasting, including a leading batch dimension, so a
-whole minibatch is one tape.
+whole minibatch is one tape. ``masked_softmax`` and ``models.mse_loss``
+fuse ops in their float order, so they match the unfused tape bit for bit.
 
 The tape is deterministic: node ids increase monotonically and the
 sweep order depends only on graph structure, never on hashing or
@@ -41,10 +42,6 @@ class Tensor:
         self.node_id = next(_node_counter)
         self._parents = _parents
         self._backward = _backward
-
-    @property
-    def shape(self):
-        return self.values.shape
 
     def backward(self) -> None:
         backward(self)
@@ -105,20 +102,9 @@ def add(a, b) -> Tensor:
     return _node(a.values + b.values, (a, b), lambda g: g, lambda g: g)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.values - b.values, (a, b), lambda g: g, lambda g: -g)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _node(a.values * b.values, (a, b), lambda g: g * b.values, lambda g: g * a.values)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.values / b.values, (a, b),
-                 lambda g: g / b.values, lambda g: -g * a.values / (b.values ** 2))
 
 
 def matmul(a, b) -> Tensor:
@@ -129,12 +115,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
     return _node(a.values @ b.values, (a, b),
                  lambda g: g @ np.swapaxes(b.values, -1, -2), lambda g: np.swapaxes(a.values, -1, -2) @ g)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    result = np.exp(a.values)
-    return _node(result, (a,), lambda g: g * result)
 
 
 def tanh(a) -> Tensor:
@@ -154,17 +134,9 @@ def leaky_relu(a, slope: float) -> Tensor:
                  lambda g: g * np.where(a.values > 0.0, 1.0, slope))
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a) -> Tensor:
     a = as_tensor(a)
-    squeezed = axis is not None and not keepdims
-    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), lambda g: np.broadcast_to(
-        np.expand_dims(g, axis) if squeezed else g, a.values.shape))
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.values.size if axis is None else a.values.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return _node(a.values.sum(), (a,), lambda g: np.broadcast_to(g, a.values.shape))
 
 
 def _slice_of(axis: int, start: int, stop: int):
@@ -214,15 +186,21 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     Masked-out positions get probability exactly 0; each row must contain
     at least one masked-in entry. A masked-in logit is shifted by its row
     maximum and a masked-out one by itself, a detached constant that keeps
-    exp from overflowing and leaves softmax gradients unchanged.
+    exp from overflowing and leaves softmax gradients unchanged. The local
+    gradient takes the old exp, mul, sum and div ops' steps in order so that
+    training stays bit for bit; ``alpha * (g - sum(g * alpha))`` would not.
     """
     logits = as_tensor(logits)
     mask = np.asarray(mask, dtype=bool)
     row_max = np.where(mask, logits.values, -np.inf).max(axis=-1, keepdims=True)
     if np.any(~np.isfinite(row_max)):
         raise ShapeError("masked_softmax saw a row with no unmasked entries")
-    weights = mul(exp(sub(logits, np.where(mask, row_max, logits.values))), mask.astype(float))
-    return div(weights, tensor_sum(weights, axis=-1, keepdims=True))
+    keep = mask.astype(float)
+    e = np.exp(logits.values - np.where(mask, row_max, logits.values))
+    w = e * keep
+    total = w.sum(axis=-1, keepdims=True)
+    return _node(w / total, (logits,),
+                 lambda g: (g / total + (-g * w / total ** 2).sum(axis=-1, keepdims=True)) * keep * e)
 
 
 class _Lease(list):

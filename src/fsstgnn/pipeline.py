@@ -457,7 +457,7 @@ def _unit_config_hash(config: ExperimentConfig, seed: int) -> str:
     return replace(config, seeds=(seed,)).config_hash
 
 
-_CAUGHT = (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError)   # returned, not raised
+_CAUGHT = (ParameterError, DataError, ConvergenceError, DefinitenessError, ShapeError, OSError)  # returned, not raised
 
 
 def _run_unit(args):

@@ -5,7 +5,8 @@ come from central finite differences, the l1-penalized objective is
 minimized by grid refinement / projected search instead of coordinate
 descent, chordality is tested by maximum cardinality search (itself
 cross-checked through networkx), and the fast paths (the fused LSTM op,
-the stacked LAPACK Cholesky and PD jitter, the table-scored MFCF build,
+the one-node masked softmax and MSE, the stacked LAPACK Cholesky and PD
+jitter, the table-scored MFCF build,
 the lockstep glasso batch and its preallocated column lasso, the stacked
 empirical and shrinkage filters, the cross-validation's stacked
 likelihood scores, the pipeline's one filter stack over all items) are
@@ -189,6 +190,35 @@ def sigmoid(a):
 
     out._backward = grad_fn
     return out
+
+
+def masked_softmax_reference(logits, mask, g):
+    """Value and logits gradient, for output gradient ``g``, of the masked
+    softmax as the sub, exp, mul, sum and div nodes computed them before it
+    was one node: every forward, then every backward in reverse tape order."""
+    keep = mask.astype(float)
+    row_max = np.where(mask, logits, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(logits - np.where(mask, row_max, logits))         # sub, exp
+    w = e * keep                                                  # mul
+    total = w.sum(axis=-1, keepdims=True)                         # sum over the row
+    value = w / total                                             # div
+    g_w = g / total                                               # div, to w
+    g_total = (-g * w / (total ** 2)).sum(axis=-1, keepdims=True)  # div, to total, unbroadcast
+    g_w += np.broadcast_to(g_total, w.shape)                      # sum, to w
+    return value, g_w * keep * e                                  # mul, exp, sub
+
+
+def mse_reference(predictions, targets):
+    """Value and predictions gradient of the mean squared error as the sub,
+    mul, sum and scale nodes computed them before it was one node."""
+    diff = predictions - targets                                  # sub
+    square = diff * diff                                          # mul
+    scale = 1.0 / square.size
+    value = square.sum() * scale                                  # sum, scale
+    g_square = np.broadcast_to(np.ones(()) * scale, square.shape)  # scale, sum
+    g_diff = g_square * diff                                      # mul, to its first operand
+    g_diff += g_square * diff                                     # mul, to its second
+    return value, g_diff                                          # sub
 
 
 def gat_attention(layer, graphs, features) -> list:

@@ -252,6 +252,11 @@ class TestExitCodes:
         assert evaluate_with_checkpoint(tmp_path, "w 1 1\nnan\n") == 2
         assert "data error: line 4:" in capsys.readouterr().err
 
+    def test_missing_checkpoint_is_an_io_error(self, small_csv, tmp_path, capsys):
+        assert cli.main(["evaluate", "--input", str(small_csv), "--checkpoints", str(tmp_path),
+                         "--model", "lstm", "--seeds", "0"]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
 
 def run_cli(*argv):
     """``python -m fsstgnn`` in a fresh process that imports this source tree."""

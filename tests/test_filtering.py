@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -741,6 +742,20 @@ class TestCrossValidation:
             calls = check_against_reference(monkeypatch, panel, 5, "glasso")
             assert select_cv([panel], "glasso", 5) == [LAMBDA_GRID[0]]
         assert all(np.isneginf(scores).all() for *_, scores in calls)
+
+    def test_shrinkage_candidates_take_little_more_than_their_stack(self):
+        # 4 panels x 4 training folds x 21 alphas of 30 x 30 candidates: the
+        # repeated correlations are scaled and shifted in place, not copied
+        rng = np.random.default_rng(23)
+        panels = [TimeSeriesPanel(rng.normal(size=(120, 30))) for _ in range(4)]
+        stack_bytes = 4 * 4 * len(ALPHA_GRID) * 30 * 30 * 8
+        tracemalloc.start()
+        try:
+            select_cv(panels, "shrinkage", 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * stack_bytes
 
     def test_independent_noise_selects_strong_shrinkage(self):
         rng = np.random.default_rng(42)

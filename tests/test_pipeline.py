@@ -114,22 +114,41 @@ class TestJobs:
         for key, entry in serial_cache.items():
             assert_filtered_equal(pipeline._FILTER_CACHE[key], entry)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_jobs_do_not_change_the_checkpoints_a_failed_run_leaves(self, monkeypatch, tmp_path, jobs):
+    # an OSError stands for a failed checkpoint write; the ids of the
+    # ConvergenceError cases are just the job count
+    @pytest.mark.parametrize("jobs, error", [(1, ConvergenceError), (2, ConvergenceError), (1, OSError), (2, OSError)],
+                             ids=["1", "2", "1-OSError", "2-OSError"])
+    def test_jobs_do_not_change_the_checkpoints_a_failed_run_leaves(self, monkeypatch, tmp_path, jobs, error):
         train = pipeline._train_unit
 
         def failing(model, ex, config, seed, item):
             if (item, seed) == (1, 0):
-                raise ConvergenceError("unit 1/0 did not converge")
+                raise error("unit 1/0 failed")
             return train(model, ex, config, seed, item)
 
         monkeypatch.setattr(pipeline, "_train_unit", failing)
         config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **{**SMALL, "seeds": (0, 1, 2)})
-        with pytest.raises(ConvergenceError, match="^unit 1/0 did not converge$"):
+        with pytest.raises(error, match="^unit 1/0 failed$"):
             run_experiment(synthesize_dataset(5, 2, 60, seed=19), config, jobs=jobs, checkpoint_dir=str(tmp_path))
         # every other unit still trains and saves its checkpoint
         assert sorted(os.listdir(tmp_path)) == [f"item{item}_seed{seed}.ckpt" for item in (1, 2)
                                                 for seed in (0, 1, 2) if (item, seed) != (1, 0)]
+
+    def test_a_missing_checkpoint_is_raised_after_every_other_unit_is_scored(self, monkeypatch, tmp_path):
+        dataset = synthesize_dataset(5, 2, 60, seed=19)
+        config = ExperimentConfig(filter=FilterConfig(method="mfcf"), **{**SMALL, "seeds": (0, 1)})
+        run_experiment(dataset, config, checkpoint_dir=str(tmp_path))
+        os.remove(tmp_path / "item1_seed0.ckpt")
+        scored, evaluate = [], pipeline._evaluate_unit
+
+        def recording(model, ex, item, seed, epochs_ran):
+            scored.append((item, seed))
+            return evaluate(model, ex, item, seed, epochs_ran)
+
+        monkeypatch.setattr(pipeline, "_evaluate_unit", recording)
+        with pytest.raises(FileNotFoundError, match="item1_seed0.ckpt"):
+            evaluate_experiment(dataset, config, str(tmp_path))
+        assert scored == [(1, 1), (2, 0), (2, 1)]
 
 
 class _RecordingPool:
