@@ -210,22 +210,23 @@ class _Lease(list):
 class LstmWorkspace(threading.local):
     """One flat float buffer per thread that successive ``lstm_sequence`` calls reuse.
 
-    A call takes views of a prefix of its thread's buffer, or replaces it if
-    too small, and keeps a weak reference to the call's lease. Until that
-    lease dies (its tape backwarded, or dropped), later calls in the thread
-    get buffers of their own. The buffer is a private anonymous map: a
-    replaced one goes back to the system at once, and a forked process
-    writes to copies of its pages.
+    A call takes feature-major views (see ``lease``) of a prefix of its
+    thread's buffer, or replaces it if too small, and keeps a weak
+    reference to the call's lease. Until that lease dies (its tape
+    backwarded, or dropped), later calls in the thread get buffers of their
+    own. The buffer is a private anonymous map: a replaced one goes back to
+    the system at once, and a forked process writes to copies of its pages.
     """
 
     def __init__(self):
         self._flat, self._lease = np.empty(0), lambda: None
 
     def lease(self, batch: int, steps: int, h_dim: int, width: int) -> _Lease:
-        """Gates, cells, their tanh, three (B, 4H) buffers and the step rows."""
-        shapes = ((steps, 4, batch, h_dim), (steps, batch, h_dim), (steps, batch, h_dim),
-                  (batch, 4 * h_dim), (batch, 4 * h_dim), (batch, 4 * h_dim),
-                  (steps, batch, h_dim + width + 1))
+        """Feature-major buffers, batch last: the gates (T, 4, H, B) in W's
+        gate order, the cells and their tanh (T, H, B), the step rows
+        (T, H + F + 1, B) and two (4, H, B) step buffers, scratch and d_z."""
+        shapes = ((steps, 4, h_dim, batch), (steps, h_dim, batch), (steps, h_dim, batch),
+                  (steps, h_dim + width + 1, batch), (4, h_dim, batch), (4, h_dim, batch))
         offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
         flat = self._flat if self._lease() is None else np.empty(offsets[-1])
         if flat.size < offsets[-1]:
@@ -245,90 +246,87 @@ def lstm_sequence(seq, w_input, w_hidden, bias) -> Tensor:
 
     ``w_input`` is (F, 4H), ``w_hidden`` (H, 4H) and ``bias`` (1, 4H) in gate
     order input, forget, cell, output; the state starts at zero and the
-    caller checks shapes. Row block t of the saved (T, B, H + F + 1) ``rows``
-    is ``[h_{t-1} | x_t | 1]``, so each step is one GEMM of it with
-    ``[W_h; W_in; b]``. The gates are kept gate-major, as contiguous (B, H)
-    blocks, with the cell state and its tanh. The backward runs
-    backpropagation through time over them: each step's ``rows[t].T @ d_z``
-    gives the gradients of all three weights at once. Values and gradients
-    agree with the unfused tape and the earlier op that added a hoisted
-    input projection (``tests/_oracles.py``) to rounding: within 1e-12 of
-    each array's largest magnitude.
+    caller checks shapes. Every per-step array is feature-major, (features,
+    batch), so each gate is one contiguous (H, B) slab for the elementwise
+    work. Slab t of the saved (T, K, B) ``rows``, K = H + F + 1, is
+    ``[h_{t-1}; x_t; 1]``, and each step is one GEMM of the (4H, K)
+    ``[W_h; W_in; b].T`` with it, written straight into the step's saved
+    (4, H, B) gates. That weight's input, forget and output rows are
+    negated: negation is exact, so the GEMM gives exactly -z there and each
+    sigmoid is exp, + 1 and a reciprocal in place. The backward runs
+    backpropagation through time over the saved gates, cells and their
+    tanh; each step's (4, H, B) ``d_z`` gives ``d_z @ rows[t].T``, the
+    (4H, K) gradient of all three weights, transposed back once at the end,
+    and ``W_h @ d_z``, the hidden state's. These GEMMs round unlike the
+    batch-major ones of the earlier ops (``tests/_oracles.py``), so the op
+    is not bitwise theirs; every value and gradient agrees with them within
+    1e-12 of each array's largest magnitude.
 
-    The saved gates, cells, their tanh, rows and the three (B, 4H) buffers
-    (pre-activation, scratch and the backward's ``d_z``) are views of the
-    calling thread's ``_WORKSPACE`` while no live tape holds it, else of a
-    new allocation, and the node's backward closure holds their lease.
-    Every (B, H) array of both step loops is a slab of the (B, 4H) buffers
-    or of ``rows``. The output is a fresh array; no value or gradient
-    depends on where the buffers live.
+    The saved arrays and the two (4, H, B) step buffers (scratch and the
+    backward's ``d_z``) are views of the calling thread's ``_WORKSPACE``
+    while no live tape holds it, else of a new allocation, and the node's
+    backward closure holds their lease. The output is a fresh C-contiguous
+    (B, H) copy of the last hidden state; no value or gradient depends on
+    where the buffers live.
     """
     seq, w_input, w_hidden, bias = (as_tensor(t) for t in (seq, w_input, w_hidden, bias))
     batch, steps, width = seq.values.shape
     h_dim = w_hidden.values.shape[0]
-    # Saved gates are (T, 4, B, H) in the order input, forget, output, cell,
-    # so the three sigmoid gates form one contiguous block.
     lease = _WORKSPACE.lease(batch, steps, h_dim, width)
-    gates, cells, cells_tanh, z, _, _, rows = lease
-    w_all = np.concatenate([w_hidden.values, w_input.values, bias.values])
-    rows[0, :, :h_dim] = 0.0
-    rows[:, :, h_dim:-1] = seq.values.swapaxes(0, 1)
-    rows[:, :, -1] = 1.0
-    z_gates = z.reshape(batch, 4, h_dim).transpose(1, 0, 2)    # z's column blocks
-    # gate_in * gate_cell lives in a slab of z, once the gates are read from it
-    product, cell, out = z.reshape(4, batch, h_dim)[0], cells[0], np.empty((batch, h_dim))
-    cell[...] = 0.0
+    gates, cells, cells_tanh, rows, scratch, _ = lease
+    signs = np.repeat([-1.0, -1.0, 1.0, -1.0], h_dim)[:, None]
+    w_neg = np.ascontiguousarray(np.concatenate([w_hidden.values, w_input.values, bias.values]).T) * signs
+    rows[0, :h_dim] = 0.0
+    rows[:, h_dim:-1] = seq.values.transpose(1, 2, 0)
+    rows[:, -1] = 1.0
+    product, cell = scratch[0], 0.0
     for t in range(steps):
-        np.matmul(rows[t], w_all, out=z)
-        sigmoids, gate_cell = gates[t, :3], gates[t, 3]
-        np.negative(z_gates[:2], out=sigmoids[:2])
-        np.negative(z_gates[3], out=sigmoids[2])
-        np.tanh(z_gates[2], out=gate_cell)
-        np.exp(sigmoids, out=sigmoids)
-        sigmoids += 1.0
-        np.divide(1.0, sigmoids, out=sigmoids)
-        gate_in, gate_forget, gate_out = sigmoids
+        np.matmul(w_neg, rows[t], out=gates[t].reshape(4 * h_dim, batch))
+        gate_in, gate_forget, gate_cell, gate_out = gates[t]
+        for sigmoids in (gates[t, :2], gate_out):      # exp(-z) + 1, then its reciprocal
+            np.exp(sigmoids, out=sigmoids)
+            sigmoids += 1.0
+            np.divide(1.0, sigmoids, out=sigmoids)
+        np.tanh(gate_cell, out=gate_cell)
         cell = np.multiply(gate_forget, cell, out=cells[t])
         cell += np.multiply(gate_in, gate_cell, out=product)
-        hidden = rows[t + 1, :, :h_dim] if t + 1 < steps else out      # h_t, in the next step's row block
+        hidden = rows[t + 1, :h_dim] if t + 1 < steps else scratch[1]     # h_t, in the next step's rows
         np.multiply(gate_out, np.tanh(cell, out=cells_tanh[t]), out=hidden)
+    out = hidden.T.copy()
 
     def grad_fn(g):
-        gates, cells, cells_tanh, z, scratch, d_z, rows = lease
-        # Slabs of z and scratch, which the forward is done with.
-        z_slabs, scratch_slabs = z.reshape(4, batch, h_dim), scratch.reshape(4, batch, h_dim)
-        d_cell, ones_minus, products, d_next = z_slabs[0], z_slabs[1:], scratch_slabs[:3], scratch_slabs[3]
-        one_minus, product = ones_minus[0], products[0]
-        d_z_gates = d_z.reshape(batch, 4, h_dim).transpose(1, 0, 2)
-        d_w, d_w_step = np.zeros_like(w_all), np.empty_like(w_all)
+        gates, cells, cells_tanh, rows, scratch, d_z = lease
+        d_cell, d_hidden, one_minus, product = scratch
+        d_z_flat = d_z.reshape(4 * h_dim, batch)
+        d_w, d_w_step = np.zeros(w_neg.shape), np.empty(w_neg.shape)
         d_seq = np.empty_like(seq.values) if seq.requires_grad else None
-        d_hidden = g
+        d_hidden[...] = g.T
         d_cell[...] = 0.0
         for t in reversed(range(steps)):
-            gate_in, gate_forget, gate_out, gate_cell = gates[t]
+            gate_in, gate_forget, gate_cell, gate_out = gates[t]
             # d_cell += d_hidden * gate_out * (1 - tanh(c_t) ** 2)
             np.subtract(1.0, np.square(cells_tanh[t], out=one_minus), out=one_minus)
             d_cell += np.multiply(np.multiply(d_hidden, gate_out, out=product), one_minus, out=product)
-            # the sigmoid gates' d_z = a * b * gate * (1 - gate), all three at once
-            np.multiply(d_cell, gate_cell, out=products[0])
+            # the sigmoid gates' d_z = a * b * gate * (1 - gate)
+            np.multiply(d_cell, gate_cell, out=d_z[0])
             if t:
-                np.multiply(d_cell, cells[t - 1], out=products[1])
+                np.multiply(d_cell, cells[t - 1], out=d_z[1])
             else:
-                products[1] = 0.0
-            np.multiply(d_hidden, cells_tanh[t], out=products[2])
-            products *= gates[t, :3]
-            np.subtract(1.0, gates[t, :3], out=ones_minus)
-            np.multiply(products[:2], ones_minus[:2], out=d_z_gates[:2])
-            np.multiply(products[2], ones_minus[2], out=d_z_gates[3])
+                d_z[1] = 0.0
+            np.multiply(d_hidden, cells_tanh[t], out=d_z[3])
+            for d_sigmoid, sigmoid, temp in ((d_z[:2], gates[t, :2], scratch[2:]), (d_z[3], gate_out, one_minus)):
+                d_sigmoid *= sigmoid
+                d_sigmoid *= np.subtract(1.0, sigmoid, out=temp)
             # the cell gate's d_z = d_cell * gate_in * (1 - gate_cell ** 2)
             np.subtract(1.0, np.square(gate_cell, out=one_minus), out=one_minus)
-            np.multiply(np.multiply(d_cell, gate_in, out=product), one_minus, out=d_z_gates[2])
+            np.multiply(np.multiply(d_cell, gate_in, out=d_z[2]), one_minus, out=d_z[2])
             d_cell *= gate_forget
-            d_w += np.matmul(rows[t].T, d_z, out=d_w_step)
+            d_w += np.matmul(d_z_flat, rows[t].T, out=d_w_step)
             if d_seq is not None:
-                d_seq[:, t, :] = d_z @ w_input.values.T
+                d_seq[:, t] = (w_input.values @ d_z_flat).T
             if t:
-                d_hidden = np.matmul(d_z, w_hidden.values.T, out=d_next)
+                np.matmul(w_hidden.values, d_z_flat, out=d_hidden)
+        d_w = d_w.T
         for tensor, grad in ((seq, d_seq), (w_hidden, d_w[:h_dim]), (w_input, d_w[h_dim:-1]), (bias, d_w[-1:])):
             if tensor.requires_grad:
                 _accumulate(tensor, grad)

@@ -146,11 +146,12 @@ class LstmCell:
     Gate order in the fused weight matrices is input, forget, cell, output.
     The forget-gate bias starts at 1 so early training does not wipe the
     cell state. Returns the final hidden state, computed as one fused tape
-    node (``autodiff.lstm_sequence``): one GEMM of ``[h | x_t | 1]`` with
-    ``[W_h; W_in; b]`` per step, forward and backward, and hand-written
-    backpropagation through time. The unfused reference and the earlier
-    fused op, which it matches to within 1e-12 of each array's largest
-    magnitude, live in ``tests/_oracles.py``. Every cell in a thread leases
+    node (``autodiff.lstm_sequence``) over feature-major (features, batch)
+    arrays: per step, one GEMM of ``[W_h; W_in; b].T``, its sigmoid rows
+    negated (exact), with ``[h; x_t; 1]``, forward and backward, where it
+    gives the (4H, H + F + 1) weight gradient. Not bitwise the unfused reference or
+    the earlier fused op in ``tests/_oracles.py``, it matches them to within
+    1e-12 of each array's largest magnitude. Every cell in a thread leases
     its buffers from the thread's ``autodiff._WORKSPACE`` (see ``lstm_sequence``).
     """
 

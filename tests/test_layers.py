@@ -341,14 +341,25 @@ class TestFusedLstm:
         assert self._addresses(self._lease(smaller))[0] == addresses[0]
         assert all(np.shares_memory(buf, ad._WORKSPACE._flat) for buf in self._lease(smaller))
 
-    def test_lease_is_the_saved_state_rows_and_three_step_buffers(self):
-        # gates, cells and their tanh, the [h | x_t | 1] rows, and the
-        # pre-activation, scratch and d_z buffers: no (B, T, 4H) buffer
-        batch, steps, h_dim = 640, 14, 32
-        cell = LstmCell(1, h_dim, rng=np.random.default_rng(60))
-        lease = self._lease(cell.forward(np.zeros((batch, steps, 1))))
+    def test_lease_is_the_saved_state_rows_and_two_step_buffers(self):
+        # gates, cells and their tanh, the [h; x_t; 1] rows, and the scratch
+        # and d_z buffers: no (B, T, 4H) buffer and no pre-activation buffer
+        batch, steps, h_dim, width = 640, 14, 32, 1
+        cell = LstmCell(width, h_dim, rng=np.random.default_rng(60))
+        lease = self._lease(cell.forward(np.zeros((batch, steps, width))))
         assert sum(buf.size for buf in lease) == (4 * steps * batch * h_dim + 2 * steps * batch * h_dim
-                                                  + steps * batch * (h_dim + 2) + 3 * batch * 4 * h_dim)
+                                                  + steps * batch * (h_dim + width + 1) + 2 * 4 * h_dim * batch)
+
+    def test_output_is_a_fresh_batch_major_array(self):
+        rng = np.random.default_rng(61)
+        cell = LstmCell(1, 3, rng=rng)
+        values, other = rng.normal(size=(2, 5, 7, 1))
+        out = cell.forward(values).values
+        want = out.copy()
+        assert out.shape == (5, 3) and out.flags.c_contiguous and out.flags.owndata
+        assert not np.shares_memory(out, ad._WORKSPACE._flat)
+        cell.forward(other)                            # the same thread's workspace, the first tape dropped
+        assert np.array_equal(out, want)
 
     def test_cells_share_the_thread_workspace(self):
         rng = np.random.default_rng(56)
@@ -539,6 +550,15 @@ class TestLstmAgainstHoistedOp:
         mix = rng.normal(size=(64, 5))
         self._assert_close(self._outputs(ad.lstm_sequence, cell, values, mix),
                            self._outputs(lstm_fused_reference, cell, values, mix))
+
+    @pytest.mark.parametrize("batch, width, hidden", [
+        (580, 1, 32), (280, 1, 32), (730, 1, 32),               # train-mfcf-gcn: last batch, validation, test
+        (448, 1, 32), (371, 1, 32), (252, 1, 32), (91, 1, 32),  # glasso-cv-gat's
+        (64, 10, 32),                                           # TemporalOnlyModel at 10 stores
+        (640, 1, 16), (640, 1, 20),
+    ])
+    def test_workload_shapes_agree_to_rounding(self, batch, width, hidden):
+        self._assert_close(*self._compare(batch, 14, width, hidden, seed=batch + width + hidden))
 
     @pytest.mark.parametrize("width", [2, 3, 5, 10])
     @pytest.mark.parametrize("batch", [1, 3, 7])
